@@ -116,19 +116,6 @@ def zero_forcing_number(g: Graph) -> int:
     raise AssertionError("unreachable: the full vertex set always forces")
 
 
-def zfs_lower_bound(g: Graph) -> int | None:
-    """order - Z(g) for connected g, else None (blank column)."""
-    if not graphs.is_connected(g):
-        return None
-    return g.order - zero_forcing_number(g)
-
-
-def diameter_lower_bound(g: Graph) -> int | None:
-    if not graphs.is_connected(g):
-        return None
-    return graphs.diameter(g)
-
-
 def clique_cover_number(g: Graph) -> int:
     """Minimum number of cliques covering every edge (exact branch and bound).
 
@@ -193,26 +180,26 @@ def is_forbidden_mr2(g: Graph, forbidden: ForbiddenList) -> bool:
 def tree_path_cover_number(t: Graph) -> int:
     """Minimum number of vertex-disjoint paths covering V(t).
 
-    Exhaustive: a path partition of a tree is exactly a spanning linear
-    forest, so scan all edge subsets with degrees <= 2 (at most 2^(n-1)).
+    A path partition of a tree is a spanning linear forest, so
+    P(t) = n - (most edges in a linear forest of t).  One DFS returns,
+    per vertex v, the most forest edges in v's subtree with v free (up
+    to two child edges) and with v joined to its parent (at most one).
+    Taking the edge to a child c gains joined(c) + 1 - free(c), which is
+    0 or 1, so v takes up to its limit of the children that gain 1.
     """
     if not graphs.is_tree(t):
         raise ValueError("path cover formula applies to trees only")
-    edges = list(t.edges())
-    best_edges = 0
-    for mask in range(1 << len(edges)):
-        deg = [0] * t.order
-        ok = True
-        for i in bits(mask):
-            a, b = edges[i]
-            deg[a] += 1
-            deg[b] += 1
-            if deg[a] > 2 or deg[b] > 2:
-                ok = False
-                break
-        if ok:
-            best_edges = max(best_edges, mask.bit_count())
-    return t.order - best_edges
+
+    def dfs(v: int, parent: int) -> tuple[int, int]:
+        base = gains = 0
+        for c in bits(t.adj[v]):
+            if c != parent:
+                free, joined = dfs(c, v)
+                base += free
+                gains += joined + 1 - free
+        return base + min(gains, 2), base + min(gains, 1)
+
+    return t.order - dfs(0, -1)[0]
 
 
 def tree_minimum_rank(t: Graph) -> int:
@@ -309,6 +296,12 @@ def derive_forbidden_list(
     inside a recorded mr <= 2 graph.  A deletion that neither route
     settles makes its candidate undecidable and is reported as a gap.
     """
+    beyond = sorted(a for a in mr_by_atlas if not 1 <= a <= len(corpus))
+    if beyond:
+        raise ValueError(
+            f"reference row for atlas {beyond[0]} has no graph: "
+            f"the corpus holds atlas 1..{len(corpus)}"
+        )
     index: dict[tuple[int, int, tuple[int, ...]], list[tuple[int, Graph]]] = {}
     for a, g in enumerate(corpus, 1):
         index.setdefault((g.order, g.size(), g.degree_sequence()), []).append((a, g))

@@ -195,10 +195,6 @@ def corpus_integrity_mismatches(
     return out
 
 
-def compute_row(entry: AtlasEntry, forbidden: ForbiddenList) -> BoundsRow:
-    return combine(entry.graph, forbidden)
-
-
 def _compute_worker(args) -> tuple[int, BoundsRow]:
     entry, forbidden = args
     return entry.atlas_number, combine(entry.graph, forbidden)

@@ -160,7 +160,12 @@ def cmd_verify_witnesses(args) -> int:
     all_ok = True
     results = []
     for rec in sorted(records, key=lambda r: r.atlas_number):
-        report = witness.verify_witness(rec, graphs_by_atlas[rec.atlas_number])
+        g = graphs_by_atlas.get(rec.atlas_number)
+        if g is None:
+            raise ValueError(
+                f"witness for atlas {rec.atlas_number} has no graph in {args.atlas_file}"
+            )
+        report = witness.verify_witness(rec, g)
         reasons = report.reasons()
         if rec.atlas_number in witness.KNOWN_UNWITNESSED:
             reasons.append("unexpected")

@@ -9,7 +9,6 @@ solvers branch-light.  Graphs are immutable and hashable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterator
 
 MAX_ORDER = 64
@@ -106,11 +105,6 @@ class Graph:
 
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted(row.bit_count() for row in self.adj))
-
-
-def size(g: Graph) -> int:
-    """Number of edges of g."""
-    return g.size()
 
 
 def components(g: Graph) -> list[VertexSet]:
@@ -222,56 +216,50 @@ def induced_subgraph(g: Graph, s: VertexSet) -> Graph:
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
-    """Adjacency-preserving bijection test; degree prefilter then backtracking."""
-    n = g.order
-    if n != h.order or g.size() != h.size():
+    """Adjacency-preserving bijection test: degree prefilter, then the
+    induced-embedding search, which between equal orders is a bijection."""
+    if g.order != h.order or g.size() != h.size():
         return False
     if g.degree_sequence() != h.degree_sequence():
         return False
-    # Place high-degree vertices first: they prune hardest.
-    verts = sorted(range(n), key=lambda v: -g.adj[v].bit_count())
-    image = [0] * n      # image[k] = h-vertex assigned to verts[k]
-    used = 0
-
-    def place(k: int) -> bool:
-        nonlocal used
-        if k == n:
-            return True
-        v = verts[k]
-        dv = g.adj[v].bit_count()
-        for w in range(n):
-            if (used >> w) & 1 or h.adj[w].bit_count() != dv:
-                continue
-            ok = True
-            for e in range(k):
-                if g.has_edge(v, verts[e]) != ((h.adj[w] >> image[e]) & 1 == 1):
-                    ok = False
-                    break
-            if ok:
-                image[k] = w
-                used |= 1 << w
-                if place(k + 1):
-                    return True
-                used &= ~(1 << w)
-        return False
-
-    return place(0)
+    return contains_induced(h, g)
 
 
 def contains_induced(g: Graph, pattern: Graph) -> bool:
-    """True iff some vertex subset of g induces a copy of pattern."""
-    k = pattern.order
-    if k > g.order:
+    """True iff some vertex subset of g induces a copy of pattern.
+
+    Backtracks over injective maps V(pattern) -> V(g) that keep both
+    adjacency and non-adjacency.  High-degree pattern vertices are placed
+    first, since they prune hardest; a candidate needs at least the
+    pattern vertex's degree, or exactly it when the orders match.
+    """
+    k, n = pattern.order, g.order
+    if k > n:
         return False
-    target_size = pattern.size()
-    for subset in combinations(range(g.order), k):
-        mask = 0
-        for v in subset:
-            mask |= 1 << v
-        sub = induced_subgraph(g, mask)
-        if sub.size() == target_size and is_isomorphic(sub, pattern):
+    verts = sorted(range(k), key=lambda v: -pattern.adj[v].bit_count())
+    gdeg = [row.bit_count() for row in g.adj]
+    image = [0] * k      # image[i] = g-vertex assigned to verts[i]
+
+    def place(i: int, free: VertexSet) -> bool:
+        if i == k:
             return True
-    return False
+        v = verts[i]
+        dv = pattern.adj[v].bit_count()
+        cand = free
+        for e in range(i):
+            if (pattern.adj[v] >> verts[e]) & 1:
+                cand &= g.adj[image[e]]
+            else:
+                cand &= ~g.adj[image[e]]
+        for w in bits(cand):
+            if gdeg[w] < dv or (k == n and gdeg[w] != dv):
+                continue
+            image[i] = w
+            if place(i + 1, free ^ (1 << w)):
+                return True
+        return False
+
+    return place(0, g.vertex_mask)
 
 
 def maximal_cliques(g: Graph) -> list[VertexSet]:

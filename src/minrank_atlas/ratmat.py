@@ -59,9 +59,6 @@ class RationalMatrix:
     def n(self) -> int:
         return len(self.rows)
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.rows[i][j]
-
 
 def is_symmetric(m: RationalMatrix) -> bool:
     rows = m.rows

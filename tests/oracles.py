@@ -5,7 +5,7 @@ than the production code."""
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from minrank_atlas.graphs import Graph, bits
 
@@ -32,27 +32,31 @@ def gauss_jordan_rank(rows) -> int:
     return r
 
 
-def tree_path_cover_dp(t: Graph) -> int:
-    """Minimum path cover of a tree by rooted DP over the max linear forest.
+def tree_path_cover_brute(t: Graph) -> int:
+    """Minimum path cover of a tree by scanning all 2^(n-1) edge subsets.
 
-    At each vertex at most 2 incident forest edges are allowed (one fewer
-    when the edge to the parent is taken); children are independent, so
-    keep the best child gains.
+    A path partition of a tree is exactly a spanning linear forest, so
+    the cover is n minus the most edges in a subset with degrees <= 2.
     """
-    n = t.order
+    edges = list(t.edges())
+    best_edges = 0
+    for mask in range(1 << len(edges)):
+        deg = [0] * t.order
+        for i in bits(mask):
+            for v in edges[i]:
+                deg[v] += 1
+        if max(deg) <= 2:
+            best_edges = max(best_edges, mask.bit_count())
+    return t.order - best_edges
 
-    def best(v: int, parent: int, attached: int) -> int:
-        children = [w for w in bits(t.adj[v]) if w != parent]
-        base = 0
-        gains = []
-        for c in children:
-            without = best(c, v, 0)
-            base += without
-            gains.append(best(c, v, 1) + 1 - without)
-        gains.sort(reverse=True)
-        return base + sum(g for g in gains[: 2 - attached] if g > 0)
 
-    return n - best(0, -1, 0)
+def brute_contains_induced(g: Graph, pattern: Graph) -> bool:
+    """Induced containment by trying every injective map V(pattern) -> V(g)."""
+    pairs = list(combinations(range(pattern.order), 2))
+    return any(
+        all(g.has_edge(image[a], image[b]) == pattern.has_edge(a, b) for a, b in pairs)
+        for image in permutations(range(g.order), pattern.order)
+    )
 
 
 def brute_clique_cover(g: Graph) -> int:

@@ -10,7 +10,6 @@ from minrank_atlas.bounds import (
     clique_cover_number,
     combine,
     derive_forbidden_list,
-    diameter_lower_bound,
     is_forbidden_mr2,
     nop_upper_bound,
     np_upper_bound,
@@ -19,7 +18,6 @@ from minrank_atlas.bounds import (
     tree_path_cover_number,
     zero_forcing_number,
     zf_closure,
-    zfs_lower_bound,
 )
 from minrank_atlas.graphs import Graph, is_isomorphic, is_tree, contains_induced
 
@@ -28,7 +26,7 @@ from oracles import (
     is_triangle_free,
     random_graph,
     random_tree,
-    tree_path_cover_dp,
+    tree_path_cover_brute,
 )
 
 
@@ -86,13 +84,13 @@ def test_zero_forcing_min_degree_bound():
         assert z >= min(g.degree(v) for v in range(g.order))
 
 
-def test_zfs_and_diam_gating():
-    assert zfs_lower_bound(Graph.complete(5)) == 1
-    assert zfs_lower_bound(Graph.path(6)) == 5
-    assert zfs_lower_bound(Graph.empty(2)) is None
-    assert diameter_lower_bound(Graph.path(4)) == 3
-    assert diameter_lower_bound(Graph.empty(2)) is None
-    assert diameter_lower_bound(Graph.empty(1)) == 0
+def test_zfs_and_diam_gating(forbidden):
+    assert combine(Graph.complete(5), forbidden).zfs_lb == 1
+    assert combine(Graph.path(6), forbidden).zfs_lb == 5
+    assert combine(Graph.path(4), forbidden).diam_lb == 3
+    assert combine(Graph.empty(1), forbidden).diam_lb == 0
+    blank = combine(Graph.empty(2), forbidden)
+    assert blank.zfs_lb is None and blank.diam_lb is None
 
 
 def test_clique_cover_examples():
@@ -159,7 +157,7 @@ def test_forbidden_list_requires_patterns():
         ForbiddenList(())
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", [*range(1, 8), 40])
 def test_path_cover_paths(n):
     assert tree_path_cover_number(Graph.path(n)) == 1
 
@@ -169,6 +167,12 @@ def test_path_cover_examples():
     assert tree_path_cover_number(Graph.complete_bipartite(1, 4)) == 3
     double_star = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5)])
     assert tree_path_cover_number(double_star) == 2
+    # 5 legs of 8 around a center: two legs share a path through it
+    legs = [[1 + 8 * j + i for i in range(8)] for j in range(5)]
+    spider = Graph.from_edges(41, [
+        (a, b) for leg in legs for a, b in zip([0] + leg, leg)
+    ])
+    assert tree_path_cover_number(spider) == 4
     with pytest.raises(ValueError):
         tree_path_cover_number(Graph.cycle(4))
     with pytest.raises(ValueError):
@@ -179,13 +183,13 @@ def test_path_cover_dp_agreement():
     rng = random.Random(79)
     for _ in range(60):
         t = random_tree(rng, rng.randint(1, 7))
-        assert tree_path_cover_number(t) == tree_path_cover_dp(t)
+        assert tree_path_cover_number(t) == tree_path_cover_brute(t)
 
 
 def test_path_cover_against_all_corpus_trees(atlas_graphs):
     for g in atlas_graphs.values():
         if is_tree(g):
-            assert tree_path_cover_number(g) == tree_path_cover_dp(g)
+            assert tree_path_cover_number(g) == tree_path_cover_brute(g)
 
 
 def test_tree_minimum_rank_examples():

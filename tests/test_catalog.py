@@ -3,12 +3,11 @@ import dataclasses
 import pytest
 
 from minrank_atlas import catalog
-from minrank_atlas.bounds import BoundsRow
+from minrank_atlas.bounds import BoundsRow, combine
 from minrank_atlas.catalog import (
     FIXTURE_COLUMNS,
     FixtureRow,
     compute_all,
-    compute_row,
     corpus_integrity_mismatches,
     diff,
     load_atlas,
@@ -106,11 +105,11 @@ def test_corpus_integrity_catches_faults(atlas_entries, fixture_rows):
 
 
 def test_compute_row_spots(atlas_entries, forbidden):
-    row52 = compute_row(atlas_entries[51], forbidden)
+    row52 = combine(atlas_entries[51].graph, forbidden)
     assert (row52.lb, row52.ub) == (1, 1)
-    row1 = compute_row(atlas_entries[0], forbidden)
+    row1 = combine(atlas_entries[0].graph, forbidden)
     assert (row1.lb, row1.ub, row1.mr_exact, row1.zfs_lb, row1.cc_ub) == (0, 0, 0, 0, 0)
-    row175 = compute_row(atlas_entries[174], forbidden)
+    row175 = combine(atlas_entries[174].graph, forbidden)
     assert row175.np_ub == 2
 
 

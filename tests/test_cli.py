@@ -202,3 +202,27 @@ def test_derive_forbidden_gap_failure(capsys, tmp_path):
         "--out", str(tmp_path / "fl.g6"),
     ])
     assert code == 1 and "candidate 14" in err
+
+
+@pytest.fixture()
+def short_atlas(tmp_path, data_dir):
+    """First 100 atlas graphs, fewer than the reference rows and witnesses name."""
+    lines = (data_dir / "atlas.g6").read_text().splitlines()[:100]
+    path = tmp_path / "atlas100.g6"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_verify_witnesses_short_atlas(capsys, short_atlas):
+    code, out, err = run(capsys, ["verify-witnesses", "--atlas-file", short_atlas])
+    assert code == 2 and "atlas 721" in err
+    assert out == ""
+
+
+def test_derive_forbidden_short_atlas(capsys, short_atlas, tmp_path):
+    code, _, err = run(capsys, [
+        "derive-forbidden", "--atlas-file", short_atlas,
+        "--out", str(tmp_path / "fl.g6"),
+    ])
+    assert code == 2 and "atlas 101" in err
+    assert not (tmp_path / "fl.g6").exists()

@@ -17,10 +17,9 @@ from minrank_atlas.graphs import (
     is_path,
     is_tree,
     maximal_cliques,
-    size,
 )
 
-from oracles import random_graph, relabel
+from oracles import brute_contains_induced, random_graph, relabel
 
 
 def test_graph_validation():
@@ -37,10 +36,10 @@ def test_graph_validation():
 
 
 def test_size_families():
-    assert size(Graph.complete(5)) == 10
-    assert size(Graph.empty(1)) == 0
-    assert size(Graph.path(6)) == 5
-    assert size(Graph.complete_bipartite(3, 3)) == 9
+    assert Graph.complete(5).size() == 10
+    assert Graph.empty(1).size() == 0
+    assert Graph.path(6).size() == 5
+    assert Graph.complete_bipartite(3, 3).size() == 9
 
 
 def test_components_and_connectivity():
@@ -150,6 +149,24 @@ def test_contains_induced():
     assert not contains_induced(Graph.complete(5), Graph.path(4))
     assert contains_induced(Graph.cycle(5), Graph.path(4))
     assert not contains_induced(Graph.path(3), Graph.path(4))
+
+
+def test_embedding_search_against_brute_force():
+    rng = random.Random(37)
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 7), rng.random())
+        # half the patterns are relabeled induced subgraphs of g, so both
+        # answers occur; the other half are unrelated random graphs
+        k = rng.randint(1, g.order)
+        if rng.random() < 0.5:
+            keep = sum(1 << v for v in rng.sample(range(g.order), k))
+            sub = induced_subgraph(g, keep)
+            p = relabel(sub, rng.sample(range(k), k))
+        else:
+            p = random_graph(rng, k, rng.random())
+        assert contains_induced(g, p) == brute_contains_induced(g, p)
+        h = p if k == g.order else random_graph(rng, g.order, rng.random())
+        assert is_isomorphic(g, h) == brute_contains_induced(g, h)
 
 
 def test_maximal_cliques_examples():
