@@ -283,6 +283,31 @@ class ForbiddenDerivationError(ValueError):
         super().__init__(f"missing minimum-rank rows block the derivation: {detail}")
 
 
+class AtlasIndex:
+    """Isomorphism class -> atlas number (1-based position) over a corpus.
+
+    Buckets by (order, size, degree sequence).  Every candidate is
+    confirmed, singletons included, since a user corpus need not hold
+    every class; with equal orders the induced search is a bijection test.
+    """
+
+    def __init__(self, corpus: Sequence[Graph]):
+        self._buckets: dict[tuple[int, int, tuple[int, ...]], list[tuple[int, Graph]]] = {}
+        for a, g in enumerate(corpus, 1):
+            self._buckets.setdefault(_class_key(g), []).append((a, g))
+
+    def atlas_number(self, h: Graph) -> int:
+        """Atlas number of the corpus graph isomorphic to h; LookupError if none."""
+        for a, g in self._buckets.get(_class_key(h), ()):
+            if graphs.contains_induced(g, h):
+                return a
+        raise LookupError(f"no corpus graph matches order {h.order} size {h.size()}")
+
+
+def _class_key(g: Graph) -> tuple[int, int, tuple[int, ...]]:
+    return g.order, g.size(), g.degree_sequence()
+
+
 def derive_forbidden_list(
     corpus: Sequence[Graph], mr_by_atlas: Mapping[int, int]
 ) -> ForbiddenList:
@@ -302,17 +327,7 @@ def derive_forbidden_list(
             f"reference row for atlas {beyond[0]} has no graph: "
             f"the corpus holds atlas 1..{len(corpus)}"
         )
-    index: dict[tuple[int, int, tuple[int, ...]], list[tuple[int, Graph]]] = {}
-    for a, g in enumerate(corpus, 1):
-        index.setdefault((g.order, g.size(), g.degree_sequence()), []).append((a, g))
-
-    def atlas_of(h: Graph) -> int:
-        key = (h.order, h.size(), h.degree_sequence())
-        for a, g in index.get(key, ()):
-            if graphs.is_isomorphic(h, g):
-                return a
-        raise LookupError(f"no corpus graph matches order {h.order} size {h.size()}")
-
+    atlas_of = AtlasIndex(corpus).atlas_number
     le2_hosts = [
         corpus[a - 1] for a, mr in sorted(mr_by_atlas.items()) if mr <= 2
     ]

@@ -141,10 +141,14 @@ def cmd_diff(args) -> int:
                  "expected": str(m.expected), "computed": str(m.computed)}
                 for m in report.mismatches
             ],
+            "by_column": report.by_column(),
         }))
         return EXIT_OK if report.ok else EXIT_FAIL
     for m in report.mismatches:
         print(f"{m.atlas_number}\t{m.column}\t{m.expected}\t{m.computed}")
+    if not report.ok:
+        counts = " ".join(f"{col}={n}" for col, n in report.by_column().items())
+        print(f"# mismatches by column: {counts}")
     status = "ok" if report.ok else f"{len(report.mismatches)} mismatches"
     print(f"# checked {report.rows_checked} rows: {status}")
     return EXIT_OK if report.ok else EXIT_FAIL
@@ -194,6 +198,8 @@ def cmd_derive_forbidden(args) -> int:
     except bounds.ForbiddenDerivationError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_FAIL
+    except LookupError as exc:  # the atlas file lacks a class a deletion needs
+        raise ValueError(f"{args.atlas_file}: {exc}") from None
     bounds.write_forbidden_list(args.out, derived)
     orders = ",".join(str(p.order) for p in derived.patterns)
     print(f"wrote {len(derived.patterns)} patterns (orders {orders}) to {args.out}")

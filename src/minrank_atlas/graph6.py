@@ -31,7 +31,10 @@ def from_graph6(text: str) -> Graph:
         s = s[:-1]
     if not s:
         raise Graph6Error("empty graph6 string")
-    data = s.encode("ascii", errors="replace")
+    try:
+        data = s.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise Graph6Error(f"non-ASCII character {s[exc.start]!r}", exc.start) from None
     for off, b in enumerate(data):
         if not 63 <= b <= 126:
             raise Graph6Error(f"byte {b!r} outside graph6 range 63..126", off)

@@ -199,20 +199,23 @@ def complement(g: Graph) -> Graph:
 
 
 def induced_subgraph(g: Graph, s: VertexSet) -> Graph:
-    """Subgraph induced by s, relabeled to 0..|s|-1 preserving vertex order."""
+    """Subgraph induced by s, relabeled to 0..|s|-1 preserving vertex order.
+
+    Each row keeps its bits in s, then every removed bit position is
+    squeezed out, highest first, by shifting the bits above it down one.
+    """
     if not s:
         raise ValueError("cannot induce on the empty vertex set")
     if s & ~g.vertex_mask:
         raise ValueError("vertex set has bits outside the graph")
-    verts = list(bits(s))
-    index = {v: k for k, v in enumerate(verts)}
+    lows = [(1 << p) - 1 for p in reversed(list(bits(g.vertex_mask ^ s)))]
     rows = []
-    for v in verts:
-        row = 0
-        for u in bits(g.adj[v] & s):
-            row |= 1 << index[u]
-        rows.append(row)
-    return Graph(len(verts), tuple(rows))
+    for v in bits(s):
+        r = g.adj[v] & s
+        for low in lows:
+            r = (r & low) | ((r >> 1) & ~low)
+        rows.append(r)
+    return Graph(len(rows), tuple(rows))
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

@@ -1,8 +1,9 @@
 """Exact rational matrices: token parsing, symmetry, nonzero-pattern
 extraction, and rank by fraction-free (Bareiss) elimination.
 
-Everything runs on fractions.Fraction; there is no floating point
-anywhere on this path.
+Tokens are parsed into and stored as fractions.Fraction.  The rank
+scales each row to integers first and then eliminates over Python ints;
+there is no floating point anywhere on this path.
 """
 
 from __future__ import annotations
@@ -10,14 +11,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from minrank_atlas.graphs import Graph
 
-_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?\Z")
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?\Z")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'sign? digits (/ digits)?' into a reduced fraction."""
+    """Parse 'sign? digits (/ digits)?', digits ASCII 0-9 only, into a reduced fraction."""
     m = _RATIONAL_RE.match(text)
     if m is None:
         raise ValueError(f"malformed rational token {text!r}")
@@ -66,15 +68,20 @@ def is_symmetric(m: RationalMatrix) -> bool:
 
 
 def rank(m: RationalMatrix) -> int:
-    """Rank over the rationals by Bareiss elimination.
+    """Rank over the rationals by Bareiss elimination over the integers.
 
+    Each row is first multiplied by the lcm of its denominators; a
+    nonzero row scale keeps the rank.  Every quotient the elimination
+    forms is a minor of the scaled matrix, so each `//` leaves no remainder.
     Pivot rule: first row with a nonzero entry in the current column;
-    with exact arithmetic only determinism matters.  On integer input
-    every intermediate value stays integral.
+    with exact arithmetic only determinism matters.
     """
     n = m.n
-    a = [list(row) for row in m.rows]
-    prev = Fraction(1)
+    a = []
+    for row in m.rows:
+        scale = lcm(*(x.denominator for x in row))
+        a.append([x.numerator * (scale // x.denominator) for x in row])
+    prev = 1
     r = 0
     for c in range(n):
         piv = next((i for i in range(r, n) if a[i][c] != 0), None)
@@ -82,11 +89,13 @@ def rank(m: RationalMatrix) -> int:
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
+        p = a[r][c]
+        tail = a[r][c + 1:]  # column c below the pivot is never read again
         for i in range(r + 1, n):
-            for j in range(c + 1, n):
-                a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) / prev
-            a[i][c] = Fraction(0)
-        prev = a[r][c]
+            row = a[i]
+            f = row[c]
+            row[c + 1:] = [(p * x - f * y) // prev for x, y in zip(row[c + 1:], tail)]
+        prev = p
         r += 1
         if r == n:
             break

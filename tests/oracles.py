@@ -135,6 +135,19 @@ def is_triangle_free(g: Graph) -> bool:
     return all(not g.adj[i] & g.adj[j] for i, j in g.edges())
 
 
+def induced_subgraph_by_index(g: Graph, s: int) -> Graph:
+    """Induced subgraph rebuilt bit by bit through a vertex -> new-index map."""
+    verts = list(bits(s))
+    index = {v: k for k, v in enumerate(verts)}
+    rows = []
+    for v in verts:
+        row = 0
+        for u in bits(g.adj[v] & s):
+            row |= 1 << index[u]
+        rows.append(row)
+    return Graph(len(verts), tuple(rows))
+
+
 def random_graph(rng, n: int, p: float = 0.5) -> Graph:
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return Graph.from_edges(n, edges)

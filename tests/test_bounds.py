@@ -4,6 +4,7 @@ import pytest
 
 from minrank_atlas import bounds
 from minrank_atlas.bounds import (
+    AtlasIndex,
     BoundsRow,
     ForbiddenDerivationError,
     ForbiddenList,
@@ -26,6 +27,7 @@ from oracles import (
     is_triangle_free,
     random_graph,
     random_tree,
+    relabel,
     tree_path_cover_brute,
 )
 
@@ -271,6 +273,37 @@ def test_derive_forbidden_reports_gaps(atlas_graphs):
     with pytest.raises(ForbiddenDerivationError) as exc:
         derive_forbidden_list(corpus, {14: 3})
     assert 14 in exc.value.gaps
+
+
+def test_atlas_index_finds_relabelled_graphs(atlas_graphs):
+    corpus = [atlas_graphs[a] for a in sorted(atlas_graphs)]
+    index = AtlasIndex(corpus)
+    rng = random.Random(113)
+    small = [a for a, g in atlas_graphs.items() if g.order <= 6]
+    assert len(small) == 208
+    for a in small:
+        g = atlas_graphs[a]
+        perm = list(range(g.order))
+        rng.shuffle(perm)
+        assert index.atlas_number(relabel(g, perm)) == a
+
+
+def test_atlas_index_confirms_every_bucket(atlas_graphs):
+    # truncate just before the first graph whose (order, size, degree
+    # sequence) key an earlier graph already has: its bucket is nonempty
+    # but holds another class, so the lookup must still fail
+    corpus = [atlas_graphs[a] for a in sorted(atlas_graphs)]
+    seen = set()
+    for cut, g in enumerate(corpus):
+        key = (g.order, g.size(), g.degree_sequence())
+        if key in seen:
+            break
+        seen.add(key)
+    index = AtlasIndex(corpus[:cut])
+    with pytest.raises(LookupError):
+        index.atlas_number(corpus[cut])
+    with pytest.raises(LookupError):
+        index.atlas_number(Graph.complete(7))
 
 
 def test_read_write_forbidden_round_trip(tmp_path, forbidden):

@@ -71,6 +71,13 @@ def test_bounds_bad_targets(capsys):
     assert code == 2
 
 
+def test_bounds_rejects_non_ascii_graph6(capsys):
+    # 'é' must not decode as '?', an all-zero payload group
+    code, out, err = run(capsys, ["bounds", "--graph6", "Cé"])
+    assert code == 2 and out == ""
+    assert "non-ASCII" in err and "offset 1" in err
+
+
 def test_single_value_helpers(capsys):
     assert run(capsys, ["zf", "--graph6", "A_"])[:2] == (0, "1\n")
     assert run(capsys, ["zf", "--atlas", "52"] + DATA_FLAGS)[:2] == (0, "4\n")
@@ -103,12 +110,13 @@ def test_table_json(capsys, small_data):
 
 
 def test_diff_clean_subset(capsys, small_data):
-    code, out, _ = run(capsys, [
-        "diff", "--atlas-file", small_data["atlas"],
-        "--fixtures", small_data["fixtures"],
-    ])
+    argv = ["diff", "--atlas-file", small_data["atlas"], "--fixtures", small_data["fixtures"]]
+    code, out, _ = run(capsys, argv)
     assert code == 0
-    assert "checked 52 rows: ok" in out
+    assert out == "# checked 52 rows: ok\n"
+    code, out, _ = run(capsys, argv + ["--json"])
+    assert code == 0
+    assert json.loads(out) == {"rows_checked": 52, "mismatches": [], "by_column": {}}
 
 
 def test_diff_flags_fault(capsys, small_data, tmp_path):
@@ -130,6 +138,30 @@ def test_diff_flags_fault(capsys, small_data, tmp_path):
     assert code == 1
     flagged = [l for l in out.splitlines() if not l.startswith("#")]
     assert flagged == ["14\tzfs_lb\t4\t3"]
+
+
+def test_diff_counts_mismatches_by_column(capsys, small_data, tmp_path):
+    lines = open(small_data["fixtures"]).read().splitlines()
+    zfs, diam = FIXTURE_COLUMNS.index("zfs_lb"), FIXTURE_COLUMNS.index("diam_lb")
+    for i, line in enumerate(lines):
+        f = line.split("\t")
+        if f[0] in ("14", "30"):  # two connected rows: both columns are set
+            f[zfs] = str(int(f[zfs]) + 1)
+            if f[0] == "30":
+                f[diam] = str(int(f[diam]) + 1)
+            lines[i] = "\t".join(f)
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("\n".join(lines) + "\n")
+    argv = ["diff", "--atlas-file", small_data["atlas"], "--fixtures", str(bad)]
+    code, out, _ = run(capsys, argv)
+    assert code == 1
+    assert out.splitlines()[-2:] == [
+        "# mismatches by column: zfs_lb=2 diam_lb=1",
+        "# checked 52 rows: 3 mismatches",
+    ]
+    code, out, _ = run(capsys, argv + ["--json"])
+    assert code == 1
+    assert json.loads(out)["by_column"] == {"zfs_lb": 2, "diam_lb": 1}
 
 
 def test_diff_missing_file(capsys, small_data):
@@ -225,4 +257,20 @@ def test_derive_forbidden_short_atlas(capsys, short_atlas, tmp_path):
         "--out", str(tmp_path / "fl.g6"),
     ])
     assert code == 2 and "atlas 101" in err
+    assert not (tmp_path / "fl.g6").exists()
+
+
+def test_derive_forbidden_atlas_missing_a_class(capsys, tmp_path, data_dir):
+    # atlas 32 replaced by a copy of atlas 31: a one-vertex deletion of a
+    # larger graph then has no corpus match
+    lines = (data_dir / "atlas.g6").read_text().splitlines()
+    lines[31] = lines[30]
+    atlas = tmp_path / "dup.g6"
+    atlas.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, [
+        "derive-forbidden", "--atlas-file", str(atlas),
+        "--out", str(tmp_path / "fl.g6"),
+    ])
+    assert code == 2 and out == ""
+    assert "no corpus graph matches order 5 size 4" in err
     assert not (tmp_path / "fl.g6").exists()

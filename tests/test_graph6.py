@@ -75,3 +75,12 @@ def test_error_carries_offset():
     with pytest.raises(Graph6Error) as exc:
         from_graph6("A_X")
     assert "offset" in str(exc.value)
+
+
+@pytest.mark.parametrize("text, offset", [("Cé", 1), ("é", 0), ("D?\u200b", 2), ("A\uff3f", 1)])
+def test_non_ascii_rejected_with_offset(text, offset):
+    # a non-ASCII character must not be read as '?' (63), a valid all-zero group
+    with pytest.raises(Graph6Error) as exc:
+        from_graph6(text)
+    assert exc.value.offset == offset
+    assert "non-ASCII" in str(exc.value)

@@ -19,7 +19,12 @@ from minrank_atlas.graphs import (
     maximal_cliques,
 )
 
-from oracles import brute_contains_induced, random_graph, relabel
+from oracles import (
+    brute_contains_induced,
+    induced_subgraph_by_index,
+    random_graph,
+    relabel,
+)
 
 
 def test_graph_validation():
@@ -111,6 +116,20 @@ def test_induced_subgraph():
         induced_subgraph(Graph.complete(3), 0)
     with pytest.raises(ValueError):
         induced_subgraph(Graph.complete(3), 0b1000)
+
+
+def test_induced_subgraph_against_index_map():
+    # masks of every density, so single and many-vertex removals both occur
+    rng = random.Random(29)
+    for n in list(range(1, 9)) + [31, 32, 33, 63, 64] + [rng.randint(9, 64) for _ in range(20)]:
+        g = random_graph(rng, n, rng.choice((0.2, 0.5, 0.8)))
+        full = g.vertex_mask
+        masks = {full, full ^ 1, full ^ (1 << (n - 1))}
+        for _ in range(15):
+            keep = rng.random()
+            masks.add(sum(1 << v for v in range(n) if rng.random() < keep))
+        for s in masks - {0}:
+            assert induced_subgraph(g, s) == induced_subgraph_by_index(g, s), (n, s)
 
 
 def test_isomorphism_relabeling():

@@ -23,7 +23,11 @@ def test_parse_rational_examples():
     assert parse_rational("0") == 0
 
 
-@pytest.mark.parametrize("bad", ["", "1/0", "a", "1.5", "1/ 2", "1/-2", "1 /2", "--1", "1/2/3"])
+@pytest.mark.parametrize("bad", [
+    "", "1/0", "a", "1.5", "1/ 2", "1/-2", "1 /2", "--1", "1/2/3",
+    # Unicode decimal digits that int() would accept
+    "\u0663/\u0667", "\uff11\uff12", "1/\u0663", "-\u09e7",
+])
 def test_parse_rational_rejects(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
@@ -109,3 +113,62 @@ def test_pattern_graph():
     m = RationalMatrix.from_rows([[5, 0, Fraction(1, 2)], [0, 0, -1], [Fraction(1, 2), -1, 7]])
     g = pattern_graph(m)
     assert g.has_edge(0, 2) and g.has_edge(1, 2) and not g.has_edge(0, 1)
+
+
+def test_rank_needs_exact_row_scaling():
+    # rows equal up to a rational factor: numerators alone would give rank 2
+    half = Fraction(1, 2)
+    assert rank(RationalMatrix.from_rows([[1, half], [2, 1]])) == 1
+    assert rank(RationalMatrix.from_rows([[Fraction(1, 3), Fraction(1, 5)], [5, 3]])) == 1
+    third = Fraction(1, 3)
+    assert rank(RationalMatrix.from_rows([[third, 1], [1, 3]])) == 1
+    assert rank(RationalMatrix.from_rows([[third, 1], [1, third]])) == 2
+
+
+def _mixed_rational(rng):
+    den = rng.choice((1, 2, 3, 7, 11, 97, 2**31 - 1, 10**9 + 7, 3**20))
+    num = rng.choice((rng.randint(-9, 9), rng.randint(-10**15, 10**15)))
+    return Fraction(num, den)
+
+
+def test_rank_mixed_denominators_deficient_and_swapped():
+    # A = B*C with inner dimension k has rank <= k; a zero first row of B
+    # and a sparse C force pivot swaps and skipped columns
+    rng = random.Random(107)
+    swapped = deficient = 0
+    for _ in range(150):
+        n = rng.randint(2, 7)
+        k = rng.randint(0, n)
+        b = [[_mixed_rational(rng) for _ in range(k)] for _ in range(n)]
+        if rng.random() < 0.5:
+            b[0] = [Fraction(0)] * k
+        c = [[_mixed_rational(rng) if rng.random() < 0.6 else Fraction(0)
+              for _ in range(n)] for _ in range(k)]
+        rows = [[sum((b[i][t] * c[t][j] for t in range(k)), Fraction(0))
+                 for j in range(n)] for i in range(n)]
+        want = gauss_jordan_rank(rows)
+        assert rank(RationalMatrix.from_rows(rows)) == want
+        deficient += want < n
+        swapped += rows[0][0] == 0 and any(row[0] for row in rows)
+    assert deficient >= 50 and swapped >= 20
+
+
+def test_rank_invariant_under_certificate_rescaling(witness_records):
+    # rank(c*D*P*A*P^T*D) == rank(A) for nonzero rational c and diagonal D
+    rng = random.Random(109)
+
+    def nonzero():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**6), rng.randint(1, 10**6))
+
+    assert len(witness_records) == 35
+    for rec in witness_records:
+        a = rec.matrix.rows
+        n = rec.matrix.n
+        p = list(range(n))
+        rng.shuffle(p)
+        d = [nonzero() for _ in range(n)]
+        c = nonzero()
+        b = [[c * d[i] * d[j] * a[p[i]][p[j]] for j in range(n)] for i in range(n)]
+        want = gauss_jordan_rank(a)
+        assert rank(rec.matrix) == want == rec.claimed_rank
+        assert rank(RationalMatrix.from_rows(b)) == want, rec.atlas_number
