@@ -10,7 +10,9 @@ configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 
 from minrank_atlas import bounds, catalog, graphs, witness
@@ -44,7 +46,21 @@ def _add_target_flags(p: argparse.ArgumentParser) -> None:
     grp.add_argument("--graph6", metavar="G6", help="graph6 string")
 
 
+def _jobs(text: str) -> int:
+    """--jobs value: a worker count in 1..cpu_count."""
+    limit = os.cpu_count() or 1
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if not 1 <= n <= limit:
+        raise argparse.ArgumentTypeError(f"must be in 1..{limit} (the CPU count), got {n}")
+    return n
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     top = argparse.ArgumentParser(
         prog="minrank-atlas",
         description="Minimum-rank bound tables and certificate checks for the small-graph atlas.",
@@ -60,12 +76,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p, "atlas", "forbidden")
     p.add_argument("--out", metavar="PATH")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--jobs", type=int, default=1, metavar="N")
+    p.add_argument("--jobs", type=_jobs, default=1, metavar="N")
 
     p = sub.add_parser("diff", help="computed table against the transcribed reference")
     _add_data_flags(p, "atlas", "fixtures", "forbidden")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--jobs", type=int, default=1, metavar="N")
+    p.add_argument("--jobs", type=_jobs, default=1, metavar="N")
 
     p = sub.add_parser("verify-witnesses", help="check the optimal-matrix certificates")
     _add_data_flags(p, "atlas", "fixtures", "witnesses")

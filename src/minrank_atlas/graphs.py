@@ -154,34 +154,57 @@ def diameter(g: Graph) -> int:
     return best
 
 
-def articulation_points(g: Graph) -> VertexSet:
-    """Vertices whose removal increases the component count (DFS low-link)."""
+def blocks(g: Graph) -> list[VertexSet]:
+    """Vertex sets of the biconnected components: 2-connected blocks,
+    bridges and isolated vertices.  Every edge lies in exactly one block.
+
+    Tarjan's low-link DFS in vertex-stack form: when a child w returns
+    with low[w] >= disc[u], the vertices stacked since w, plus u, form
+    one block.
+    """
     n = g.order
     disc = [-1] * n
     low = [0] * n
-    cut = 0
+    stack: list[int] = []
+    out: list[VertexSet] = []
     timer = 0
 
     def dfs(u: int, parent: int) -> None:
-        nonlocal cut, timer
+        nonlocal timer
         disc[u] = low[u] = timer
         timer += 1
-        children = 0
+        stack.append(u)
         for w in bits(g.adj[u]):
             if disc[w] == -1:
-                children += 1
                 dfs(w, u)
                 low[u] = min(low[u], low[w])
-                if parent != -1 and low[w] >= disc[u]:
-                    cut |= 1 << u
+                if low[w] >= disc[u]:
+                    block = 1 << u
+                    while True:
+                        x = stack.pop()
+                        block |= 1 << x
+                        if x == w:
+                            break
+                    out.append(block)
             elif w != parent:
                 low[u] = min(low[u], disc[w])
-        if parent == -1 and children >= 2:
-            cut |= 1 << u
 
     for v in range(n):
         if disc[v] == -1:
             dfs(v, -1)
+            stack.pop()  # the root stays stacked below its last block
+            if not g.adj[v]:
+                out.append(1 << v)
+    return out
+
+
+def articulation_points(g: Graph) -> VertexSet:
+    """Vertices whose removal increases the component count: those that
+    lie in two or more blocks."""
+    seen = cut = 0
+    for b in blocks(g):
+        cut |= seen & b
+        seen |= b
     return cut
 
 

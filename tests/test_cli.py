@@ -1,9 +1,10 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
 
-from minrank_atlas import cli
+from minrank_atlas import catalog, cli
 from minrank_atlas.catalog import FIXTURE_COLUMNS
 
 DATA_FLAGS = ["--atlas-file", "data/atlas.g6"]
@@ -107,6 +108,34 @@ def test_table_json(capsys, small_data):
     rows = json.loads(out)
     assert len(rows) == 52
     assert rows[51]["atlas"] == 52 and rows[51]["mr_exact"] == 1
+
+
+@pytest.mark.parametrize("command", ["table", "diff"])
+@pytest.mark.parametrize("jobs", ["0", "-1", str((os.cpu_count() or 1) + 1), "two"])
+def test_jobs_out_of_range(capsys, monkeypatch, small_data, command, jobs):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was built")
+
+    monkeypatch.setattr(catalog, "Pool", no_pool)
+    code, out, err = run(capsys, [command, "--atlas-file", small_data["atlas"], "--jobs", jobs])
+    assert code == 2 and out == ""
+    assert "argument --jobs" in err
+    assert f"got {jobs}" in err or f"got {jobs!r}" in err
+
+
+def test_jobs_accepts_one_to_cpu_count():
+    parser = cli.build_parser()
+    for n in (1, os.cpu_count() or 1):
+        assert parser.parse_args(["table", "--jobs", str(n)]).jobs == n
+    assert parser.parse_args(["diff"]).jobs == 1
+
+
+def test_parser_built_once(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    # the shared parser keeps no state between runs
+    assert run(capsys, ["zf", "--graph6", "A_"])[:2] == (0, "1\n")
+    assert run(capsys, ["zf", "--graph6", "A_", "--atlas", "1"])[0] == 2
+    assert run(capsys, ["cc", "--graph6", "Bw"])[:2] == (0, "1\n")
 
 
 def test_diff_clean_subset(capsys, small_data):

@@ -7,6 +7,7 @@ from minrank_atlas.graphs import (
     Graph,
     articulation_points,
     bits,
+    blocks,
     complement,
     components,
     contains_induced,
@@ -89,6 +90,51 @@ def test_articulation_points():
     assert articulation_points(star) == 0b0001
     bowtie = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
     assert articulation_points(bowtie) == 0b00100
+
+
+def test_blocks_examples():
+    assert blocks(Graph.empty(1)) == [0b1]
+    assert sorted(blocks(Graph.path(4))) == [0b0011, 0b0110, 0b1100]
+    assert blocks(Graph.cycle(5)) == [0b11111]
+    bowtie = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
+    assert sorted(blocks(bowtie)) == [0b00111, 0b11100]
+    # triangle, a bridge to a pendant vertex, and an isolated vertex
+    g = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    assert sorted(blocks(g)) == [0b00111, 0b01100, 0b10000]
+
+
+def _cut_vertices_brute(g: Graph) -> int:
+    """v is a cut vertex iff deleting it adds a component."""
+    if g.order == 1:
+        return 0
+    before = len(components(g))
+    cut = 0
+    for v in range(g.order):
+        if len(components(induced_subgraph(g, g.vertex_mask ^ (1 << v)))) > before:
+            cut |= 1 << v
+    return cut
+
+
+def test_blocks_against_brute_force():
+    rng = random.Random(71)
+    for _ in range(400):
+        g = random_graph(rng, rng.randint(1, 9), rng.random() * 0.6)
+        bs = blocks(g)
+        for i, j in g.edges():
+            assert sum((b >> i) & (b >> j) & 1 for b in bs) == 1, (g, i, j)
+        cover = 0
+        for b in bs:
+            cover |= b
+        assert cover == g.vertex_mask
+        for a, b in combinations(bs, 2):
+            assert (a & b).bit_count() <= 1, g
+        for b in bs:
+            h = induced_subgraph(g, b)
+            assert is_connected(h)
+            if h.order == 1:
+                assert g.adj[b.bit_length() - 1] == 0
+            assert _cut_vertices_brute(h) == 0, (g, b)
+        assert articulation_points(g) == _cut_vertices_brute(g), g
 
 
 def test_tree_and_path_predicates():

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from minrank_atlas.graphs import Graph
+from minrank_atlas import minors
+from minrank_atlas.graphs import Graph, is_connected
 from minrank_atlas.minors import K4, K5, K23, K33, has_minor, is_outerplanar, is_planar
 
-from oracles import brute_has_minor, random_graph
+from oracles import brute_has_minor, random_graph, relabel
 
 
 def petersen() -> Graph:
@@ -77,3 +78,139 @@ def test_planarity_properties_random():
         if m <= 8:
             # K5 needs 10 edges, K3,3 needs 9, minors only lose edges
             assert planar
+
+
+def whole_graph_search(g: Graph) -> tuple[bool, bool]:
+    """(planar, outerplanar) by the minor search on all of g, no reductions."""
+    planar = not has_minor(g, K5) and not has_minor(g, K33)
+    outerplanar = not has_minor(g, K4) and not has_minor(g, K23)
+    return planar, outerplanar
+
+
+def test_block_tests_agree_with_whole_graph_search_on_atlas(atlas_graphs):
+    for number, g in atlas_graphs.items():
+        assert (is_planar(g), is_outerplanar(g)) == whole_graph_search(g), number
+
+
+def test_block_tests_agree_with_whole_graph_search_random():
+    rng = random.Random(61)
+    disconnected = 0
+    for _ in range(1000):
+        g = random_graph(rng, rng.randint(1, 9), rng.random())
+        disconnected += not is_connected(g)
+        assert (is_planar(g), is_outerplanar(g)) == whole_graph_search(g), g
+    assert disconnected >= 100
+
+
+def subdivide(g: Graph) -> Graph:
+    """g with every edge replaced by a path of length two."""
+    edges = []
+    for k, (i, j) in enumerate(g.edges()):
+        mid = g.order + k
+        edges += [(i, mid), (mid, j)]
+    return Graph.from_edges(g.order + g.size(), edges)
+
+
+def glue(g: Graph, h: Graph) -> Graph:
+    """g and h sharing one vertex: h's vertex 0 becomes g's last vertex."""
+    shift = g.order - 1
+    return Graph.from_edges(
+        g.order + h.order - 1,
+        list(g.edges()) + [(i + shift, j + shift) for i, j in h.edges()],
+    )
+
+
+def wheel(rim: int) -> Graph:
+    return Graph.from_edges(rim + 1, list(Graph.cycle(rim).edges()) + [(rim, i) for i in range(rim)])
+
+
+def fan_triangulation(n: int) -> Graph:
+    """Polygon 0..n-1 triangulated from vertex 0: outerplanar with m = 2n - 3."""
+    return Graph.from_edges(n, list(Graph.cycle(n).edges()) + [(0, i) for i in range(2, n - 1)])
+
+
+def grid(rows: int, cols: int) -> Graph:
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Graph.from_edges(rows * cols, edges)
+
+
+OCTAHEDRON = Graph.from_edges(6, [(i, j) for i in range(6) for j in range(i + 1, 6) if j != i + 3])
+K23_HUB_EDGE = Graph.from_edges(5, list(K23.edges()) + [(0, 1)])
+K4_PLUS_DEGREE_TWO = Graph.from_edges(5, list(K4.edges()) + [(4, 0), (4, 1)])
+
+# (name, graph, planar, outerplanar)
+HARD_CASES = [
+    ("K2,3", K23, True, False),
+    ("K2,3 + hub edge", K23_HUB_EDGE, True, False),
+    ("K4 + degree-2 vertex", K4_PLUS_DEGREE_TWO, True, False),
+    ("subdivided K4", subdivide(K4), True, False),
+    ("subdivided K5", subdivide(K5), False, False),
+    ("subdivided K3,3", subdivide(K33), False, False),
+    ("K5 - e", Graph.from_edges(5, [e for e in K5.edges() if e != (0, 1)]), True, False),
+    ("octahedron", OCTAHEDRON, True, False),
+    ("two K5 at a vertex", glue(K5, K5), False, False),
+    ("K5 with a pendant path", glue(K5, Graph.path(4)), False, False),
+    ("K3,3 with a pendant triangle", glue(K33, Graph.complete(3)), False, False),
+    ("K4 with a pendant edge", glue(K4, Graph.path(2)), True, False),
+    ("K2,3 glued to K4", glue(K23, K4), True, False),
+    ("triangles on a bridge", glue(glue(Graph.complete(3), Graph.path(2)), Graph.complete(3)), True, True),
+    ("K5 and an isolated vertex", Graph.from_edges(6, K5.edges()), False, False),
+    ("C6 and isolated vertices", Graph.from_edges(8, Graph.cycle(6).edges()), True, True),
+    ("spider", Graph.from_edges(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]), True, True),
+    ("3x3 grid", grid(3, 3), True, False),
+    ("3x4 grid", grid(3, 4), True, False),
+    ("ladder 2x4", grid(2, 4), True, True),
+] + [
+    (f"wheel W{rim}", wheel(rim), True, False) for rim in range(3, 8)
+] + [
+    (f"triangulated {n}-gon", fan_triangulation(n), True, True) for n in range(4, 9)
+]
+
+
+@pytest.mark.parametrize("name,g,planar,outerplanar", HARD_CASES, ids=[c[0] for c in HARD_CASES])
+def test_hard_cases(name, g, planar, outerplanar):
+    rng = random.Random(name)
+    for _ in range(3):
+        perm = list(range(g.order))
+        rng.shuffle(perm)
+        h = relabel(g, perm)
+        assert is_planar(h) == planar, perm
+        assert is_outerplanar(h) == outerplanar, perm
+
+
+def test_reductions_decide_without_search(monkeypatch):
+    def no_search(g, h):
+        raise AssertionError("has_minor called")
+
+    monkeypatch.setattr(minors, "has_minor", no_search)
+    # small blocks and blocks that suppress to order <= 4
+    assert is_planar(Graph.cycle(30)) and is_outerplanar(Graph.path(30))
+    assert is_planar(subdivide(K4)) and is_planar(glue(K4, K4))
+    assert is_outerplanar(glue(Graph.complete(3), Graph.complete(3)))
+    # m > 3n - 6, after suppression when needed; K5 has m = 3n - 5
+    assert not is_planar(K5) and not is_planar(subdivide(K5))
+    assert not is_planar(glue(Graph.path(3), Graph.complete(6)))
+    # m > 2n - 3 (m = 2n - 2 here, with a degree-2 vertex) and minimum degree >= 3
+    assert not is_outerplanar(K4_PLUS_DEGREE_TWO)
+    assert not is_outerplanar(K33) and not is_outerplanar(OCTAHEDRON)
+
+
+def test_planarity_against_networkx():
+    nx = pytest.importorskip("networkx")
+
+    def nx_planar(g: Graph, apex: bool = False) -> bool:
+        h = nx.Graph()
+        h.add_nodes_from(range(g.order + apex))
+        h.add_edges_from(g.edges())
+        if apex:
+            h.add_edges_from((g.order, v) for v in range(g.order))
+        return nx.check_planarity(h)[0]
+
+    rng = random.Random(67)
+    cases = [random_graph(rng, rng.randint(1, 9), rng.random()) for _ in range(1000)]
+    cases += [c[1] for c in HARD_CASES]
+    for g in cases:
+        # outerplanar iff adding a vertex joined to every vertex keeps it planar
+        assert is_planar(g) == nx_planar(g), g
+        assert is_outerplanar(g) == nx_planar(g, apex=True), g
