@@ -100,11 +100,15 @@ def zero_forcing_number(g: Graph) -> int:
 
     Searches cardinalities in increasing order, subsets in lexicographic
     order; sets missing an entire component are skipped since no force
-    can ever reach it.
+    can ever reach it.  The search starts at max(#components, min
+    degree): every component needs a vertex of B, and the first force
+    u -> w needs N[u] minus w inside B, which is deg(u) >= min degree
+    vertices (with no force at all, B is V, larger still).
     """
     full = g.vertex_mask
     comps = graphs.components(g)
-    for k in range(max(1, len(comps)), g.order + 1):
+    min_degree = min(row.bit_count() for row in g.adj)
+    for k in range(max(len(comps), min_degree), g.order + 1):
         for combo in combinations(range(g.order), k):
             b = 0
             for v in combo:

@@ -1,6 +1,13 @@
 """Data ingestion (atlas corpus, transcribed reference table), the
 full-table pipeline, and the computed-vs-reference diff.
 
+Atlas file contract: one graph6 string per line, and line k is atlas
+graph k.  Blank lines may follow the last graph but not precede it: a
+blank line earlier would make line numbers and positions disagree, so
+it is an error that names path:line.  Every line is validated on every
+read (read_atlas); a command decodes only the lines it uses, and
+load_atlas decodes them all.
+
 Reference-table TSV columns:
   atlas order size mr mr_by_hand lb ub con zfs_lb diam_lb cc_ub
   np_ub nop_ub path_ub is cv tree
@@ -19,11 +26,10 @@ Diff relations (the acceptance contract):
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from multiprocessing import Pool
 from typing import Iterable, Mapping
 
 from minrank_atlas.bounds import BoundsRow, ForbiddenList, combine
-from minrank_atlas.graph6 import from_graph6
+from minrank_atlas.graph6 import check_graph6, decode_graph6
 from minrank_atlas.graphs import Graph
 
 FIXTURE_COLUMNS = (
@@ -41,6 +47,8 @@ TABLE_COLUMNS = (
 
 @dataclass(frozen=True)
 class AtlasEntry:
+    """Atlas graph atlas_number, decoded from line atlas_number of the file."""
+
     atlas_number: int
     graph: Graph
 
@@ -70,6 +78,8 @@ class FixtureRow:
 
 @dataclass(frozen=True)
 class Mismatch:
+    """One diff finding: the reference value of a column against the computed one."""
+
     atlas_number: int
     column: str
     expected: object
@@ -78,6 +88,8 @@ class Mismatch:
 
 @dataclass
 class DiffReport:
+    """All findings of one diff; ok when there are none."""
+
     rows_checked: int
     mismatches: list[Mismatch]
 
@@ -92,18 +104,32 @@ class DiffReport:
         return out
 
 
-def load_atlas(path) -> list[AtlasEntry]:
-    """graph6 lines numbered from 1 in file order."""
+def read_atlas(path) -> list[bytes]:
+    """Every graph of an atlas file, validated and left for decode_graph6
+    to decode: item k - 1 is line k, atlas graph k."""
+    # surrogateescape hands a non-ASCII byte on to check_graph6, which
+    # reports it with its line and offset
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
+        lines = fh.read().split("\n")
     out = []
-    with open(path, encoding="ascii") as fh:
-        for ln, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                out.append(AtlasEntry(ln, from_graph6(line)))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{ln}: {exc}") from exc
+    blank = None
+    for ln, line in enumerate(lines, 1):
+        if not line.strip():
+            if blank is None:
+                blank = ln
+            continue
+        if blank is not None:
+            raise ValueError(f"{path}:{blank}: blank line before the last graph")
+        try:
+            out.append(check_graph6(line))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{ln}: {exc}") from exc
     return out
+
+
+def load_atlas(path) -> list[AtlasEntry]:
+    """Every graph of an atlas file, decoded and numbered from 1."""
+    return [AtlasEntry(a, decode_graph6(line)) for a, line in enumerate(read_atlas(path), 1)]
 
 
 def _parse_bool(token: str, where: str) -> bool:
@@ -207,6 +233,8 @@ def compute_all(
     entries = list(entries)
     if jobs <= 1:
         return {e.atlas_number: combine(e.graph, forbidden) for e in entries}
+    from multiprocessing import Pool  # only worker runs pay for the import
+
     with Pool(jobs) as pool:
         pairs = pool.map(
             _compute_worker, ((e, forbidden) for e in entries), chunksize=32

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
 from minrank_atlas import bounds, catalog, graphs, witness
-from minrank_atlas.graph6 import from_graph6
+from minrank_atlas.graph6 import decode_graph6, from_graph6
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -105,10 +104,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_target(args) -> graphs.Graph:
     if args.graph6 is not None:
         return from_graph6(args.graph6)
-    entries = catalog.load_atlas(args.atlas_file)
-    if not 1 <= args.atlas <= len(entries):
-        raise ValueError(f"atlas number {args.atlas} outside 1..{len(entries)}")
-    return entries[args.atlas - 1].graph
+    lines = catalog.read_atlas(args.atlas_file)
+    if not 1 <= args.atlas <= len(lines):
+        raise ValueError(f"atlas number {args.atlas} outside 1..{len(lines)}")
+    return decode_graph6(lines[args.atlas - 1])
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -119,13 +118,19 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
+def _json_line(payload) -> str:
+    import json  # only --json output needs it
+
+    return json.dumps(payload) + "\n"
+
+
 def cmd_bounds(args) -> int:
     g = _load_target(args)
     row = bounds.combine(g, bounds.read_forbidden_list(args.forbidden))
     label = str(args.atlas) if args.graph6 is None else "-"
     if args.json:
         number = args.atlas if args.graph6 is None else None
-        print(json.dumps(catalog.bounds_row_dict(number, row)))
+        sys.stdout.write(_json_line(catalog.bounds_row_dict(number, row)))
     else:
         print("\t".join(catalog.bounds_row_fields(label, row)))
     return EXIT_OK
@@ -137,7 +142,7 @@ def cmd_table(args) -> int:
     computed = catalog.compute_all(entries, forbidden, jobs=args.jobs)
     if args.json:
         payload = [catalog.bounds_row_dict(a, computed[a]) for a in sorted(computed)]
-        _emit(json.dumps(payload, indent=None) + "\n", args.out)
+        _emit(_json_line(payload), args.out)
     else:
         _emit("".join(line + "\n" for line in catalog.table_lines(computed)), args.out)
     return EXIT_OK
@@ -150,7 +155,7 @@ def cmd_diff(args) -> int:
     computed = catalog.compute_all(entries, forbidden, jobs=args.jobs)
     report = catalog.diff(fixtures, computed)
     if args.json:
-        print(json.dumps({
+        sys.stdout.write(_json_line({
             "rows_checked": report.rows_checked,
             "mismatches": [
                 {"atlas": m.atlas_number, "column": m.column,
@@ -171,21 +176,19 @@ def cmd_diff(args) -> int:
 
 
 def cmd_verify_witnesses(args) -> int:
-    entries = catalog.load_atlas(args.atlas_file)
+    lines = catalog.read_atlas(args.atlas_file)
     fixtures = catalog.load_fixtures(args.fixtures)
     lb_by_atlas = {f.atlas_number: f.lb for f in fixtures}
     with open(args.witnesses, encoding="utf-8") as fh:
         records = witness.parse_witness_file(fh.read(), lb_by_atlas)
-    graphs_by_atlas = {e.atlas_number: e.graph for e in entries}
     all_ok = True
     results = []
     for rec in sorted(records, key=lambda r: r.atlas_number):
-        g = graphs_by_atlas.get(rec.atlas_number)
-        if g is None:
+        if not 1 <= rec.atlas_number <= len(lines):
             raise ValueError(
                 f"witness for atlas {rec.atlas_number} has no graph in {args.atlas_file}"
             )
-        report = witness.verify_witness(rec, g)
+        report = witness.verify_witness(rec, decode_graph6(lines[rec.atlas_number - 1]))
         reasons = report.reasons()
         if rec.atlas_number in witness.KNOWN_UNWITNESSED:
             reasons.append("unexpected")
@@ -193,7 +196,7 @@ def cmd_verify_witnesses(args) -> int:
         all_ok &= ok
         results.append((rec.atlas_number, report.rank_found, ok, reasons))
     if args.json:
-        print(json.dumps([
+        sys.stdout.write(_json_line([
             {"atlas": a, "rank": r, "passed": ok, "reasons": reasons}
             for a, r, ok, reasons in results
         ]))

@@ -5,6 +5,11 @@ bytes carrying 18 bits for larger n), then ceil(n(n-1)/2 / 6) payload
 bytes of 63 + 6 bits each.  Payload bits walk the upper triangle in
 column-major pair order (0,1), (0,2), (1,2), (0,3), ... with zero
 padding to a byte boundary.
+
+Decoding is two steps: check_graph6 makes every validity check and
+builds nothing, decode_graph6 turns a checked line into a Graph.  The
+atlas reader checks every line of its file but decodes only the lines
+a command uses.
 """
 
 from __future__ import annotations
@@ -24,31 +29,33 @@ class Graph6Error(ValueError):
 
 def from_graph6(text: str) -> Graph:
     """Decode one headerless graph6 line (optional trailing newline)."""
-    s = text
-    if s.endswith("\n"):
-        s = s[:-1]
-    if s.endswith("\r"):
-        s = s[:-1]
-    if not s:
-        raise Graph6Error("empty graph6 string")
+    return decode_graph6(check_graph6(text))
+
+
+def check_graph6(text: str) -> bytes:
+    """Validate one headerless graph6 line (optional trailing newline) and
+    return its bytes without the line ending, ready for decode_graph6."""
     try:
-        data = s.encode("ascii")
+        data = text.encode("ascii")
     except UnicodeEncodeError as exc:
-        raise Graph6Error(f"non-ASCII character {s[exc.start]!r}", exc.start) from None
-    for off, b in enumerate(data):
-        if not 63 <= b <= 126:
-            raise Graph6Error(f"byte {b!r} outside graph6 range 63..126", off)
+        raise Graph6Error(f"non-ASCII character {text[exc.start]!r}", exc.start) from None
+    if data.endswith(b"\n"):
+        data = data[:-1]
+    if data.endswith(b"\r"):
+        data = data[:-1]
+    if not data:
+        raise Graph6Error("empty graph6 string")
+    if min(data) < 63 or max(data) > 126:  # the loop only finds the offset
+        for off, b in enumerate(data):
+            if not 63 <= b <= 126:
+                raise Graph6Error(f"byte {b!r} outside graph6 range 63..126", off)
 
     if data[0] == 126:  # extended size field
         if len(data) >= 2 and data[1] == 126:
             raise Graph6Error("8-byte size fields (n > 258047) are not supported", 0)
         if len(data) < 4:
             raise Graph6Error("truncated extended size field", len(data))
-        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
-        body_at = 4
-    else:
-        n = data[0] - 63
-        body_at = 1
+    n, body_at = _size_field(data)
     if n < 1:
         raise Graph6Error("graphs of order 0 are not supported", 0)
     if n > MAX_ORDER:
@@ -62,26 +69,32 @@ def from_graph6(text: str) -> Graph:
         )
     if len(data) - body_at > nbytes:
         raise Graph6Error("trailing garbage after payload", body_at + nbytes)
+    padding = nbytes * 6 - npairs  # < 6, so all of it is in the last byte
+    if nbytes and (data[-1] - 63) & ((1 << padding) - 1):
+        raise Graph6Error("nonzero padding bit", len(data) - 1)
+    return data
 
+
+def decode_graph6(data: bytes) -> Graph:
+    """Decode a line that check_graph6 accepted."""
+    n, body_at = _size_field(data)
     pairs = _PAIR_CACHE.get(n)
     if pairs is None:
         pairs = _PAIR_CACHE[n] = _pair_table(n)
+    payload = "".join([_GROUP_BITS[b] for b in data[body_at:]])
     rows = [0] * n
-    k = 0
-    for off in range(nbytes):
-        group = data[body_at + off] - 63
-        for shift in range(5, -1, -1):
-            bit = (group >> shift) & 1
-            if k >= npairs:
-                if bit:
-                    raise Graph6Error("nonzero padding bit", body_at + off)
-                continue
-            if bit:
-                i, j = pairs[k]
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            k += 1
+    for (i, j), bit in zip(pairs, payload):  # zip stops short of the padding
+        if bit == "1":
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
     return Graph(n, tuple(rows))
+
+
+def _size_field(data: bytes) -> tuple[int, int]:
+    """Order and payload offset of a line whose size field is complete."""
+    if data[0] == 126:
+        return ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63), 4
+    return data[0] - 63, 1
 
 
 def to_graph6(g: Graph) -> str:
@@ -109,3 +122,4 @@ def _pair_table(n: int) -> list[tuple[int, int]]:
 
 
 _PAIR_CACHE: dict[int, list[tuple[int, int]]] = {}
+_GROUP_BITS = {b: format(b - 63, "06b") for b in range(63, 127)}

@@ -4,16 +4,22 @@ extraction, and rank by fraction-free (Bareiss) elimination.
 Tokens are parsed into and stored as fractions.Fraction.  The rank
 scales each row to integers first and then eliminates over Python ints;
 there is no floating point anywhere on this path.
+
+`fractions` (which imports `decimal`) is imported where a Fraction is
+built, so commands that check no certificate never load it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
+from typing import TYPE_CHECKING
 
 from minrank_atlas.graphs import Graph
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 _RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?\Z")
 
@@ -27,7 +33,9 @@ def parse_rational(text: str) -> Fraction:
     den = int(m.group(2)) if m.group(2) is not None else 1
     if den == 0:
         raise ValueError(f"zero denominator in {text!r}")
-    return Fraction(num, den)
+    import fractions
+
+    return fractions.Fraction(num, den)
 
 
 @dataclass(frozen=True)
@@ -46,12 +54,13 @@ class RationalMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> RationalMatrix:
-        return cls(tuple(tuple(Fraction(x) for x in row) for row in rows))
+        import fractions
+
+        return cls(tuple(tuple(fractions.Fraction(x) for x in row) for row in rows))
 
     @classmethod
     def identity(cls, n: int) -> RationalMatrix:
-        one, zero = Fraction(1), Fraction(0)
-        return cls(tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
+        return cls.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def zero(cls, n: int) -> RationalMatrix:

@@ -26,6 +26,8 @@ KNOWN_UNWITNESSED = frozenset({558, 669, 678, 679, 791, 1086, 1135})
 
 @dataclass(frozen=True)
 class WitnessRecord:
+    """One parsed certificate and the rank it must reach."""
+
     atlas_number: int
     matrix: RationalMatrix
     claimed_rank: int
@@ -33,6 +35,8 @@ class WitnessRecord:
 
 @dataclass(frozen=True)
 class WitnessReport:
+    """Outcome of each certificate check; passed when all three hold."""
+
     atlas_number: int
     symmetric_ok: bool
     pattern_ok: bool

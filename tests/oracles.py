@@ -50,6 +50,26 @@ def tree_path_cover_brute(t: Graph) -> int:
     return t.order - best_edges
 
 
+def zero_forcing_scan(g: Graph) -> int:
+    """Zero forcing number by trying vertex sets smallest first, from size 1,
+    with a one-force-at-a-time closure over Python sets."""
+    nbrs = [set(bits(row)) for row in g.adj]
+    for k in range(1, g.order + 1):
+        for combo in combinations(range(g.order), k):
+            filled = set(combo)
+            forced = True
+            while forced:
+                forced = False
+                for v in list(filled):
+                    white = nbrs[v] - filled
+                    if len(white) == 1:
+                        filled |= white
+                        forced = True
+            if len(filled) == g.order:
+                return k
+    raise AssertionError("unreachable: the full vertex set always forces")
+
+
 def brute_contains_induced(g: Graph, pattern: Graph) -> bool:
     """Induced containment by trying every injective map V(pattern) -> V(g)."""
     pairs = list(combinations(range(pattern.order), 2))

@@ -29,6 +29,7 @@ from oracles import (
     random_tree,
     relabel,
     tree_path_cover_brute,
+    zero_forcing_scan,
 )
 
 
@@ -84,6 +85,14 @@ def test_zero_forcing_min_degree_bound():
         g = random_graph(rng, rng.randint(2, 7), rng.random())
         z = zero_forcing_number(g)
         assert z >= min(g.degree(v) for v in range(g.order))
+
+
+def test_zero_forcing_against_scan_from_one(atlas_graphs):
+    # the production search starts at max(#components, min degree)
+    rng = random.Random(2008)
+    seeded = [random_graph(rng, rng.randint(1, 9), rng.random()) for _ in range(300)]
+    for g in [*atlas_graphs.values(), *seeded]:
+        assert zero_forcing_number(g) == zero_forcing_scan(g), g
 
 
 def test_zfs_and_diam_gating(forbidden):

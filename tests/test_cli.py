@@ -1,5 +1,8 @@
 import json
+import multiprocessing
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -116,11 +119,30 @@ def test_jobs_out_of_range(capsys, monkeypatch, small_data, command, jobs):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was built")
 
-    monkeypatch.setattr(catalog, "Pool", no_pool)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     code, out, err = run(capsys, [command, "--atlas-file", small_data["atlas"], "--jobs", jobs])
     assert code == 2 and out == ""
     assert "argument --jobs" in err
     assert f"got {jobs}" in err or f"got {jobs!r}" in err
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs 2 needs two CPUs")
+def test_table_jobs_two_builds_a_pool_and_matches_one(capsys, monkeypatch, small_data):
+    # the pool that test_jobs_out_of_range patches is the one --jobs 2 builds
+    built = []
+    real_pool = multiprocessing.Pool
+
+    def counted_pool(*args, **kwargs):
+        built.append(args)
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", counted_pool)
+    argv = ["table", "--atlas-file", small_data["atlas"]]
+    code1, out1, _ = run(capsys, argv + ["--jobs", "1"])
+    assert built == []
+    code2, out2, _ = run(capsys, argv + ["--jobs", "2"])
+    assert built == [(2,)]
+    assert code1 == code2 == 0 and out1 == out2
 
 
 def test_jobs_accepts_one_to_cpu_count():
@@ -303,3 +325,125 @@ def test_derive_forbidden_atlas_missing_a_class(capsys, tmp_path, data_dir):
     assert code == 2 and out == ""
     assert "no corpus graph matches order 5 size 4" in err
     assert not (tmp_path / "fl.g6").exists()
+
+
+def _atlas_copy(tmp_path, data_dir, edit):
+    """The bundled atlas file with edit applied to its list of lines."""
+    lines = (data_dir / "atlas.g6").read_text().splitlines()
+    edit(lines)
+    path = tmp_path / "atlas.g6"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+ATLAS_COMMANDS = [
+    ["bounds", "--atlas", "5"],
+    ["zf", "--atlas", "5"],
+    ["table"],
+    ["diff"],
+    ["verify-witnesses"],
+    ["derive-forbidden"],
+]
+
+
+@pytest.mark.parametrize("argv", ATLAS_COMMANDS, ids=lambda a: a[0])
+def test_blank_line_before_last_graph_is_an_error(capsys, tmp_path, data_dir, argv):
+    # were it skipped, graph 5 by position (order 3, size 1) and by line
+    # number (order 3, size 0) would differ
+    path = _atlas_copy(tmp_path, data_dir, lambda lines: lines.insert(3, ""))
+    extra = ["--out", str(tmp_path / "out")] if argv[0] == "derive-forbidden" else []
+    code, out, err = run(capsys, argv + ["--atlas-file", path] + extra)
+    assert code == 2 and out == ""
+    assert f"{path}:4: blank line before the last graph" in err
+
+
+def test_blank_lines_after_last_graph_are_allowed(capsys, tmp_path, data_dir):
+    path = _atlas_copy(tmp_path, data_dir, lambda lines: lines.extend(["", "  ", ""]))
+    code, out, _ = run(capsys, ["bounds", "--atlas", "1252", "--atlas-file", path])
+    assert code == 0 and out.startswith("1252\t7\t21\t")
+    code, out, _ = run(capsys, ["verify-witnesses", "--atlas-file", path])
+    assert code == 0 and len(out.splitlines()) == 35
+
+
+MALFORMED_900 = {
+    "out-of-range byte": ("F~ oO", "byte 32 outside graph6 range 63..126 (byte offset 2)"),
+    "nonzero padding bit": ("F~XoP", "nonzero padding bit (byte offset 4)"),
+    "truncated payload": ("F~Xo", "payload too short: need 4 bytes for order 7 (byte offset 4)"),
+}
+
+
+@pytest.mark.parametrize("argv", [["bounds", "--atlas", "1"], ["verify-witnesses"]],
+                         ids=lambda a: a[0])
+@pytest.mark.parametrize("fault", sorted(MALFORMED_900))
+def test_every_atlas_line_is_validated(capsys, tmp_path, data_dir, argv, fault):
+    # line 1 alone is decoded for `bounds --atlas 1`, and line 900 is
+    # certified by no witness: the error comes from validation alone
+    line, message = MALFORMED_900[fault]
+
+    def edit(lines):
+        assert lines[899] == "F~XoO"
+        lines[899] = line
+
+    path = _atlas_copy(tmp_path, data_dir, edit)
+    code, out, err = run(capsys, argv + ["--atlas-file", path])
+    assert code == 2 and out == ""
+    assert err == f"error: {path}:900: {message}\n"
+
+
+def test_non_ascii_atlas_byte_names_the_line(capsys, tmp_path, data_dir):
+    path = _atlas_copy(tmp_path, data_dir, lambda lines: lines.__setitem__(9, "Cé"))
+    code, out, err = run(capsys, ["bounds", "--atlas", "1", "--atlas-file", path])
+    assert code == 2 and out == ""
+    assert f"{path}:10: non-ASCII character" in err and "offset 1" in err
+
+
+def test_bounds_by_atlas_number_matches_table_rows(capsys, computed_table):
+    computed, _ = computed_table
+    for a in [*range(1, 1253, 25), 1252]:
+        code, out, _ = run(capsys, ["bounds", "--atlas", str(a)])
+        assert code == 0
+        assert out == "\t".join(catalog.bounds_row_fields(str(a), computed[a])) + "\n"
+
+
+COLD_START = """
+import sys
+before = set(sys.modules)
+from minrank_atlas import cli
+for argv in (["bounds", "--atlas", "1"], ["bounds", "--graph6", "DqK"]):
+    assert cli.main(argv) == 0
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_bounds_cold_start_skips_unused_imports():
+    # a fresh interpreter: the modules this process imported do not count
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", COLD_START], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    imported = set(proc.stdout.splitlines()[-1].split())
+    assert "minrank_atlas.bounds" in imported
+    assert not imported & {"multiprocessing", "fractions", "decimal", "json"}
+
+
+@pytest.mark.parametrize("command", ["bounds", "zf"])
+def test_atlas_zero_is_out_of_range(capsys, command):
+    code, out, err = run(capsys, [command, "--atlas", "0"] + DATA_FLAGS)
+    assert code == 2 and out == ""
+    assert "atlas number 0 outside 1..1252" in err
+
+
+def test_witness_for_atlas_zero_has_no_graph(capsys, tmp_path, data_dir):
+    # atlas 0 passes the witness parser once the reference table names it
+    fixture_lines = (data_dir / "table1.tsv").read_text().splitlines()
+    row1 = next(l for l in fixture_lines if l.startswith("1\t"))
+    fixtures = tmp_path / "t.tsv"
+    fixtures.write_text("\n".join(fixture_lines + ["0" + row1[1:]]) + "\n")
+    witnesses = tmp_path / "w.txt"
+    witnesses.write_text("atlas 0\nn 1\n0\n")
+    code, out, err = run(capsys, ["verify-witnesses", "--fixtures", str(fixtures),
+                                  "--witnesses", str(witnesses)])
+    assert code == 2 and out == ""
+    assert "witness for atlas 0 has no graph" in err

@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from minrank_atlas.graph6 import Graph6Error, from_graph6, to_graph6
+from minrank_atlas.graph6 import (
+    Graph6Error,
+    check_graph6,
+    decode_graph6,
+    from_graph6,
+    to_graph6,
+)
 from minrank_atlas.graphs import Graph
 
 from oracles import random_graph
@@ -67,20 +73,53 @@ def test_extended_size_field():
     ],
 )
 def test_malformed_inputs(text):
-    with pytest.raises(Graph6Error):
+    with pytest.raises(Graph6Error) as decoded:
         from_graph6(text)
+    with pytest.raises(Graph6Error) as checked:
+        check_graph6(text)
+    assert str(checked.value) == str(decoded.value)
+    assert checked.value.offset == decoded.value.offset
 
 
 def test_error_carries_offset():
-    with pytest.raises(Graph6Error) as exc:
-        from_graph6("A_X")
-    assert "offset" in str(exc.value)
+    for step in (from_graph6, check_graph6):
+        with pytest.raises(Graph6Error) as exc:
+            step("A_X")
+        assert "offset" in str(exc.value)
 
 
 @pytest.mark.parametrize("text, offset", [("Cé", 1), ("é", 0), ("D?\u200b", 2), ("A\uff3f", 1)])
 def test_non_ascii_rejected_with_offset(text, offset):
     # a non-ASCII character must not be read as '?' (63), a valid all-zero group
+    for step in (from_graph6, check_graph6):
+        with pytest.raises(Graph6Error) as exc:
+            step(text)
+        assert exc.value.offset == offset
+        assert "non-ASCII" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "text, offset",
+    [
+        ("A_ ", 2), ("A\x7f", 1), ("\x00A_", 0), ("A_X ", 3),  # range, then offset
+        ("A", 1), ("C", 1), ("F~Xo", 4),                       # payload too short
+        ("A__", 2), ("@?", 1),                                # trailing garbage
+        ("Aw", 1), ("B`", 1), ("F~XoP", 4),                    # nonzero padding bit
+        ("~", 1), ("~??", 3),                                 # truncated size field
+        ("?", 0), ("~~????????", 0), ("~?A?", 0),              # order 0, 8 bytes, > 64
+    ],
+)
+def test_check_reports_the_first_bad_byte(text, offset):
     with pytest.raises(Graph6Error) as exc:
-        from_graph6(text)
+        check_graph6(text)
     assert exc.value.offset == offset
-    assert "non-ASCII" in str(exc.value)
+
+
+def test_check_returns_the_line_without_its_ending():
+    rng = random.Random(31)
+    for n in range(1, 20):
+        g = random_graph(rng, n)
+        text = to_graph6(g)
+        for ending in ("", "\n", "\r\n"):
+            assert check_graph6(text + ending) == text.encode("ascii")
+        assert decode_graph6(text.encode("ascii")) == g
