@@ -140,12 +140,15 @@ def _parse_bool(token: str, where: str) -> bool:
     raise ValueError(f"{where}: expected T or F, got {token!r}")
 
 
-def _opt_int(token: str, where: str) -> int | None:
-    if token == "":
-        return None
+def _int(token: str, where: str) -> int:
+    # the file is read as ASCII, so only 0-9 pass: no sign, space or "_"
     if not token.isdigit():
-        raise ValueError(f"{where}: expected integer or blank, got {token!r}")
+        raise ValueError(f"{where}: expected integer, got {token!r}")
     return int(token)
+
+
+def _opt_int(token: str, where: str) -> int | None:
+    return None if token == "" else _int(token, where)
 
 
 def _opt_bool(token: str, where: str) -> bool | None:
@@ -171,13 +174,13 @@ def load_fixtures(path) -> list[FixtureRow]:
                 raise ValueError(f"{where}: expected {len(FIXTURE_COLUMNS)} fields, got {len(f)}")
             try:
                 row = FixtureRow(
-                    atlas_number=int(f[0]),
-                    order=int(f[1]),
-                    size=int(f[2]),
-                    mr=int(f[3]),
+                    atlas_number=_int(f[0], where),
+                    order=_int(f[1], where),
+                    size=_int(f[2], where),
+                    mr=_int(f[3], where),
                     mr_by_hand=_parse_bool(f[4], where),
-                    lb=int(f[5]),
-                    ub=int(f[6]),
+                    lb=_int(f[5], where),
+                    ub=_int(f[6], where),
                     con=_parse_bool(f[7], where),
                     zfs_lb=_opt_int(f[8], where),
                     diam_lb=_opt_int(f[9], where),

@@ -3,7 +3,9 @@ computations rely on.
 
 Vertices are 0-based.  A vertex set is a plain int used as a bitmask
 (bit v set <=> vertex v in the set), which keeps the inner loops of the
-solvers branch-light.  Graphs are immutable and hashable.
+solvers branch-light.  Graphs are immutable and hashable.  embeds is
+the one backtracking search, shared by induced containment, isomorphism
+and the minor test's subgraph step.
 """
 
 from __future__ import annotations
@@ -252,18 +254,25 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
 
 
 def contains_induced(g: Graph, pattern: Graph) -> bool:
-    """True iff some vertex subset of g induces a copy of pattern.
+    """True iff some vertex subset of g induces a copy of pattern: embeds
+    in its induced mode, which keeps non-adjacency as well as adjacency."""
+    return embeds(g, pattern, induced=True)
 
-    Backtracks over injective maps V(pattern) -> V(g) that keep both
-    adjacency and non-adjacency.  High-degree pattern vertices are placed
-    first, since they prune hardest; a candidate needs at least the
-    pattern vertex's degree, or exactly it when the orders match.
+
+def embeds(g: Graph, pattern: Graph, *, induced: bool) -> bool:
+    """True iff some injective map V(pattern) -> V(g) sends every pattern
+    edge to an edge and, when induced, every non-edge to a non-edge.
+
+    High-degree pattern vertices are placed first, since they prune
+    hardest; a candidate needs at least the pattern vertex's degree, or
+    exactly it when induced and the orders match.
     """
     k, n = pattern.order, g.order
     if k > n:
         return False
     verts = sorted(range(k), key=lambda v: -pattern.adj[v].bit_count())
     gdeg = [row.bit_count() for row in g.adj]
+    exact = induced and k == n
     image = [0] * k      # image[i] = g-vertex assigned to verts[i]
 
     def place(i: int, free: VertexSet) -> bool:
@@ -275,10 +284,10 @@ def contains_induced(g: Graph, pattern: Graph) -> bool:
         for e in range(i):
             if (pattern.adj[v] >> verts[e]) & 1:
                 cand &= g.adj[image[e]]
-            else:
+            elif induced:
                 cand &= ~g.adj[image[e]]
         for w in bits(cand):
-            if gdeg[w] < dv or (k == n and gdeg[w] != dv):
+            if gdeg[w] < dv or (exact and gdeg[w] != dv):
                 continue
             image[i] = w
             if place(i + 1, free ^ (1 << w)):

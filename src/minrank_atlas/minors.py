@@ -2,9 +2,9 @@
 and outerplanarity tests built on it.
 
 has_minor searches by the classic recursion: H is a minor of G iff H is
-a subgraph of G (vertex injection preserving edges) or H is a minor of
-some single-edge contraction of G.  It is exponential in the order of
-G; a visited set keeps repeated contractions from blowing up.
+a subgraph of G (the shared search graphs.embeds, not induced) or H is
+a minor of some single-edge contraction of G.  It is exponential in the
+order of G; a visited set keeps repeated contractions from blowing up.
 
 is_planar and is_outerplanar run it only where exact reductions leave
 a doubt.  K5, K3,3, K4 and K2,3 are 2-connected, so each such minor
@@ -18,7 +18,7 @@ not, since K2,3 suppresses to the outerplanar K4 - e.
 
 from __future__ import annotations
 
-from minrank_atlas.graphs import Graph, bits, blocks, induced_subgraph
+from minrank_atlas.graphs import Graph, bits, blocks, embeds, induced_subgraph
 
 K5 = Graph.complete(5)
 K4 = Graph.complete(4)
@@ -26,62 +26,14 @@ K33 = Graph.complete_bipartite(3, 3)
 K23 = Graph.complete_bipartite(2, 3)
 
 
-def _has_subgraph(g: Graph, h: Graph) -> bool:
-    """Injective map V(h) -> V(g) sending every h-edge to a g-edge."""
-    n, k = g.order, h.order
-    if k > n or h.size() > g.size():
-        return False
-    gdeg = sorted((g.degree(v) for v in range(n)), reverse=True)
-    hdeg = sorted((h.degree(v) for v in range(k)), reverse=True)
-    if any(dh > dg for dg, dh in zip(gdeg, hdeg)):
-        return False
-    order = sorted(range(k), key=lambda v: -h.degree(v))
-    image = [0] * k
-    used = 0
-
-    def place(t: int) -> bool:
-        nonlocal used
-        if t == k:
-            return True
-        v = order[t]
-        dv = h.degree(v)
-        for w in range(n):
-            if (used >> w) & 1 or g.degree(w) < dv:
-                continue
-            ok = True
-            for e in range(t):
-                if h.has_edge(v, order[e]) and not (g.adj[w] >> image[e]) & 1:
-                    ok = False
-                    break
-            if ok:
-                image[t] = w
-                used |= 1 << w
-                if place(t + 1):
-                    return True
-                used &= ~(1 << w)
-        return False
-
-    return place(0)
-
-
 def _contract(g: Graph, u: int, v: int) -> Graph:
     """Merge v into u and drop v; parallel edges and loops collapse away."""
-    merged = list(g.adj)
-    merged[u] |= merged[v]
-    keep = [w for w in range(g.order) if w != v]
-    index = {w: t for t, w in enumerate(keep)}
-    rows = []
-    for w in keep:
-        row_bits = merged[w]
-        if w == u:
-            row_bits &= ~(1 << u) & ~(1 << v)
-        elif (row_bits >> v) & 1:
-            row_bits = (row_bits & ~(1 << v)) | (1 << u)
-        out = 0
-        for x in bits(row_bits):
-            out |= 1 << index[x]
-        rows.append(out)
-    return Graph(g.order - 1, tuple(rows))
+    adj = list(g.adj)
+    moved = adj[v] & ~(1 << u)
+    adj[u] |= moved
+    for w in bits(moved):
+        adj[w] |= 1 << u
+    return induced_subgraph(Graph(g.order, tuple(adj)), g.vertex_mask ^ (1 << v))
 
 
 def has_minor(g: Graph, h: Graph) -> bool:
@@ -95,7 +47,7 @@ def has_minor(g: Graph, h: Graph) -> bool:
         if key in seen:
             return False
         seen.add(key)
-        if _has_subgraph(cur, h):
+        if embeds(cur, h, induced=False):
             return True
         if cur.order == h.order:
             return False

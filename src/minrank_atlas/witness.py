@@ -64,6 +64,10 @@ class WitnessParseError(ValueError):
         self.line = line
 
 
+def _is_digits(token: str) -> bool:
+    return token.isascii() and token.isdigit()  # isdigit alone takes U+0663, U+00B2
+
+
 def parse_witness_file(
     text: str, claimed_ranks: Mapping[int, int]
 ) -> list[WitnessRecord]:
@@ -88,7 +92,7 @@ def parse_witness_file(
             continue
         ln = i + 1
         parts = lines[i].split()
-        if len(parts) != 2 or parts[0] != "atlas" or not parts[1].isdigit():
+        if len(parts) != 2 or parts[0] != "atlas" or not _is_digits(parts[1]):
             raise WitnessParseError(ln, f"expected 'atlas <number>', got {lines[i]!r}")
         atlas_number = int(parts[1])
         if atlas_number in seen:
@@ -101,7 +105,7 @@ def parse_witness_file(
         if i >= len(lines):
             raise WitnessParseError(len(lines), "missing 'n <dimension>' header")
         parts = lines[i].split()
-        if len(parts) != 2 or parts[0] != "n" or not parts[1].isdigit():
+        if len(parts) != 2 or parts[0] != "n" or not _is_digits(parts[1]):
             raise WitnessParseError(i + 1, f"expected 'n <dimension>', got {lines[i]!r}")
         dim = int(parts[1])
         if dim < 1:

@@ -79,6 +79,16 @@ def brute_contains_induced(g: Graph, pattern: Graph) -> bool:
     )
 
 
+def brute_contains_subgraph(g: Graph, pattern: Graph) -> bool:
+    """Subgraph containment by trying every injective map V(pattern) -> V(g);
+    only pattern edges must land on edges, non-edges are free."""
+    pairs = list(pattern.edges())
+    return any(
+        all(g.has_edge(image[a], image[b]) for a, b in pairs)
+        for image in permutations(range(g.order), pattern.order)
+    )
+
+
 def brute_clique_cover(g: Graph) -> int:
     """Smallest family of cliques covering all edges, by raw enumeration.
 

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 
@@ -92,6 +93,17 @@ def test_load_fixtures_errors(tmp_path):
     bad_bool[7] = "Q"
     with pytest.raises(ValueError, match="T or F"):
         load_fixtures(_write_fixture(tmp_path, [bad_bool]))
+
+
+@pytest.mark.parametrize("token", ["+1", " 1", "1_0"], ids=["sign", "space", "underscore"])
+def test_load_fixtures_integer_cells_are_ascii_digits(tmp_path, token):
+    # every integer column, required (atlas, order, size, mr, lb, ub) and optional
+    for col in (0, 1, 2, 3, 5, 6, 8, 9, 10, 11, 12, 13):
+        row = GOOD_ROW.copy()
+        row[col] = token
+        message = f"t.tsv:2: expected integer, got {token!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_fixtures(_write_fixture(tmp_path, [row]))
 
 
 def test_corpus_integrity(atlas_entries, fixture_rows):

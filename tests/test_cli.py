@@ -191,6 +191,22 @@ def test_diff_flags_fault(capsys, small_data, tmp_path):
     assert flagged == ["14\tzfs_lb\t4\t3"]
 
 
+@pytest.mark.parametrize("token", ["+1", " 1", "1_0"], ids=["sign", "space", "underscore"])
+def test_non_digit_atlas_cell_exits_2_with_line(capsys, small_data, tmp_path, token):
+    # "+1" and " 1" must not read as atlas 1, nor "1_0" as atlas 10
+    lines = open(small_data["fixtures"]).read().splitlines()
+    assert lines[1].startswith("1\t")
+    lines[1] = token + lines[1][1:]
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("\n".join(lines) + "\n")
+    for command in ("diff", "verify-witnesses"):
+        code, out, err = run(capsys, [
+            command, "--atlas-file", small_data["atlas"], "--fixtures", str(bad),
+        ])
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}:2: expected integer, got {token!r}\n"
+
+
 def test_diff_counts_mismatches_by_column(capsys, small_data, tmp_path):
     lines = open(small_data["fixtures"]).read().splitlines()
     zfs, diam = FIXTURE_COLUMNS.index("zfs_lb"), FIXTURE_COLUMNS.index("diam_lb")

@@ -12,6 +12,7 @@ from minrank_atlas.graphs import (
     components,
     contains_induced,
     diameter,
+    embeds,
     induced_subgraph,
     is_connected,
     is_isomorphic,
@@ -22,6 +23,7 @@ from minrank_atlas.graphs import (
 
 from oracles import (
     brute_contains_induced,
+    brute_contains_subgraph,
     induced_subgraph_by_index,
     random_graph,
     relabel,
@@ -232,6 +234,29 @@ def test_embedding_search_against_brute_force():
         assert contains_induced(g, p) == brute_contains_induced(g, p)
         h = p if k == g.order else random_graph(rng, g.order, rng.random())
         assert is_isomorphic(g, h) == brute_contains_induced(g, h)
+
+
+def test_plain_embedding_against_brute_force():
+    rng = random.Random(41)
+    spanning_lower = 0
+    for _ in range(360):
+        g = random_graph(rng, rng.randint(1, 7), rng.random())
+        if rng.random() < 0.6:
+            # a relabeled subgraph of g with about a third of its edges
+            # dropped; at full order it spans g with lower degrees
+            k = g.order if rng.random() < 0.5 else rng.randint(1, g.order)
+            keep = sum(1 << v for v in rng.sample(range(g.order), k))
+            sub = induced_subgraph(g, keep)
+            sub = Graph.from_edges(k, [e for e in sub.edges() if rng.random() < 0.7])
+            p = relabel(sub, rng.sample(range(k), k))
+        else:
+            p = random_graph(rng, rng.randint(1, g.order), rng.random())
+        expected = brute_contains_subgraph(g, p)
+        assert embeds(g, p, induced=False) == expected, (g, p)
+        assert embeds(g, p, induced=True) == brute_contains_induced(g, p), (g, p)
+        if expected and p.order == g.order and p.degree_sequence() != g.degree_sequence():
+            spanning_lower += 1
+    assert spanning_lower >= 60
 
 
 def test_maximal_cliques_examples():

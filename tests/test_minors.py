@@ -25,6 +25,30 @@ def test_has_minor_basics():
     assert not has_minor(Graph.path(7), Graph.cycle(3))
 
 
+def contract_by_edge_list(g: Graph, u: int, v: int) -> Graph:
+    """g with v renamed u, loops and repeated edges dropped, and the
+    labels above v shifted down by one."""
+    def new(x: int) -> int:
+        x = u if x == v else x
+        return x - (x > v)
+
+    edges = {frozenset((new(a), new(b))) for a, b in g.edges()}
+    return Graph.from_edges(g.order - 1, [tuple(e) for e in edges if len(e) == 2])
+
+
+def test_contract_against_edge_list_construction():
+    rng = random.Random(43)
+    contracted = 0
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(2, 9), rng.random())
+        for i, j in g.edges():
+            for u, v in ((i, j), (j, i)):
+                got = minors._contract(g, u, v)
+                assert got == contract_by_edge_list(g, u, v), (g, u, v)
+                contracted += 1
+    assert contracted >= 3000
+
+
 def test_petersen_minors():
     p = petersen()
     assert has_minor(p, K5)

@@ -58,6 +58,18 @@ def test_parse_errors():
         parse_witness_file(good + "\n" + good, ranks)
 
 
+@pytest.mark.parametrize("text,line", [
+    ("atlas \u0663\nn 2\n0 1\n1 0\n", 1),      # Arabic-Indic three
+    ("atlas \u00b2\nn 2\n0 1\n1 0\n", 1),      # superscript two
+    ("atlas 3\nn \u0663\n0 1 1\n1 0 1\n1 1 0\n", 2),
+    ("atlas 3\nn \u00b2\n0 1\n1 0\n", 2),
+], ids=["atlas-arabic-indic", "atlas-superscript", "n-arabic-indic", "n-superscript"])
+def test_header_numbers_are_ascii_digits(text, line):
+    with pytest.raises(WitnessParseError, match=f"^line {line}: expected '(atlas|n) <") as info:
+        parse_witness_file(text, {3: 1})
+    assert info.value.line == line
+
+
 def test_verify_all_bundled(witness_records, atlas_graphs, fixtures_by_atlas):
     for rec in witness_records:
         report = verify_witness(rec, atlas_graphs[rec.atlas_number])
