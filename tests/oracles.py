@@ -9,6 +9,10 @@ from itertools import combinations, permutations, product
 
 from minrank_atlas.graphs import Graph, bits
 
+# Kuratowski's graphs: planar iff neither is a minor (Wagner)
+K5 = Graph.complete(5)
+K33 = Graph.complete_bipartite(3, 3)
+
 
 def gauss_jordan_rank(rows) -> int:
     """Rank by plain rational Gauss-Jordan reduction (normalized pivots)."""

@@ -9,12 +9,13 @@ import random
 import sys
 import time
 
-from minrank_atlas import bounds, catalog, graphs, witness
+from minrank_atlas import bounds, catalog, graphs, minors, witness
 from minrank_atlas.graph6 import from_graph6, to_graph6
 from minrank_atlas.ratmat import rank
 from minrank_atlas.witness import KNOWN_UNWITNESSED, verify_witness
 
 from oracles import gauss_jordan_rank, is_triangle_free, random_graph
+from test_minors import grid
 from test_witness import TABLE2_ATLAS
 
 
@@ -207,3 +208,16 @@ def test_criterion_8_oracle_properties(atlas_entries):
             violations.append("cc-triangle-free")
 
     report("8 oracle-properties", not violations, f"{len(violations)} violations")
+
+
+def test_criterion_9_grid_planarity():
+    times = []
+    ok = True
+    for rows, cols in ((3, 5), (8, 8)):
+        g = grid(rows, cols)
+        t0 = time.monotonic()
+        ok &= minors.is_planar(g)
+        elapsed = time.monotonic() - t0
+        ok &= elapsed < 1.0
+        times.append(f"{rows}x{cols} {elapsed * 1e3:.1f}ms")
+    report("9 grid-planarity", ok, ", ".join(times))

@@ -207,6 +207,27 @@ def test_non_digit_atlas_cell_exits_2_with_line(capsys, small_data, tmp_path, to
         assert err == f"error: {bad}:2: expected integer, got {token!r}\n"
 
 
+@pytest.mark.parametrize("command", ["diff", "verify-witnesses", "derive-forbidden", "bounds"])
+def test_non_ascii_byte_names_the_line(capsys, small_data, tmp_path, data_dir, command):
+    if command == "bounds":
+        lines = (data_dir / "forbidden_mr2.g6").read_text().splitlines()
+        lines[2] = "\u00e9" + lines[2][1:]
+        argv, flag, ln = ["bounds", "--atlas", "5"], "--forbidden", 3
+    else:
+        lines = open(small_data["fixtures"]).read().splitlines()
+        lines[1] = "\u0663" + lines[1][1:]  # ARABIC-INDIC DIGIT THREE as the atlas cell
+        argv, flag, ln = [command], "--fixtures", 2
+    bad = tmp_path / "bad"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out_path = tmp_path / "fl.g6"
+    if command == "derive-forbidden":
+        argv += ["--out", str(out_path)]
+    code, out, err = run(capsys, argv + ["--atlas-file", small_data["atlas"], flag, str(bad)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad}:{ln}: "), err
+    assert not out_path.exists()
+
+
 def test_diff_counts_mismatches_by_column(capsys, small_data, tmp_path):
     lines = open(small_data["fixtures"]).read().splitlines()
     zfs, diam = FIXTURE_COLUMNS.index("zfs_lb"), FIXTURE_COLUMNS.index("diam_lb")

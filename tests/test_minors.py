@@ -4,9 +4,9 @@ import pytest
 
 from minrank_atlas import minors
 from minrank_atlas.graphs import Graph, is_connected
-from minrank_atlas.minors import K4, K5, K23, K33, has_minor, is_outerplanar, is_planar
+from minrank_atlas.minors import K4, K23, has_minor, is_outerplanar, is_planar
 
-from oracles import brute_has_minor, random_graph, relabel
+from oracles import K5, K33, brute_has_minor, random_graph, relabel
 
 
 def petersen() -> Graph:
@@ -111,19 +111,30 @@ def whole_graph_search(g: Graph) -> tuple[bool, bool]:
     return planar, outerplanar
 
 
-def test_block_tests_agree_with_whole_graph_search_on_atlas(atlas_graphs):
-    for number, g in atlas_graphs.items():
-        assert (is_planar(g), is_outerplanar(g)) == whole_graph_search(g), number
+def no_search(g, h):
+    raise AssertionError("has_minor called")
 
 
-def test_block_tests_agree_with_whole_graph_search_random():
+def agree_with_whole_graph_search(cases, monkeypatch):
+    """is_outerplanar, then is_planar with has_minor patched to raise,
+    against the whole-graph search run before the patch."""
+    expected = [whole_graph_search(g) for g in cases]
+    for g, (_, outerplanar) in zip(cases, expected):
+        assert is_outerplanar(g) == outerplanar, g
+    monkeypatch.setattr(minors, "has_minor", no_search)
+    for g, (planar, _) in zip(cases, expected):
+        assert is_planar(g) == planar, g
+
+
+def test_block_tests_agree_with_whole_graph_search_on_atlas(atlas_graphs, monkeypatch):
+    agree_with_whole_graph_search(list(atlas_graphs.values()), monkeypatch)
+
+
+def test_block_tests_agree_with_whole_graph_search_random(monkeypatch):
     rng = random.Random(61)
-    disconnected = 0
-    for _ in range(1000):
-        g = random_graph(rng, rng.randint(1, 9), rng.random())
-        disconnected += not is_connected(g)
-        assert (is_planar(g), is_outerplanar(g)) == whole_graph_search(g), g
-    assert disconnected >= 100
+    cases = [random_graph(rng, rng.randint(1, 9), rng.random()) for _ in range(1000)]
+    assert sum(not is_connected(g) for g in cases) >= 100
+    agree_with_whole_graph_search(cases, monkeypatch)
 
 
 def subdivide(g: Graph) -> Graph:
@@ -193,26 +204,27 @@ HARD_CASES = [
 
 
 @pytest.mark.parametrize("name,g,planar,outerplanar", HARD_CASES, ids=[c[0] for c in HARD_CASES])
-def test_hard_cases(name, g, planar, outerplanar):
+def test_hard_cases(name, g, planar, outerplanar, monkeypatch):
+    # the planar column is what whole-graph has_minor(., K5) and
+    # has_minor(., K33) answer; subdivided K3,3 and the 3x4 grid take
+    # seconds there, so the search is not rerun here
     rng = random.Random(name)
     for _ in range(3):
         perm = list(range(g.order))
         rng.shuffle(perm)
         h = relabel(g, perm)
-        assert is_planar(h) == planar, perm
         assert is_outerplanar(h) == outerplanar, perm
+        with monkeypatch.context() as m:
+            m.setattr(minors, "has_minor", no_search)
+            assert is_planar(h) == planar, perm
 
 
 def test_reductions_decide_without_search(monkeypatch):
-    def no_search(g, h):
-        raise AssertionError("has_minor called")
-
     monkeypatch.setattr(minors, "has_minor", no_search)
-    # small blocks and blocks that suppress to order <= 4
+    # small blocks; is_planar never searches
     assert is_planar(Graph.cycle(30)) and is_outerplanar(Graph.path(30))
     assert is_planar(subdivide(K4)) and is_planar(glue(K4, K4))
     assert is_outerplanar(glue(Graph.complete(3), Graph.complete(3)))
-    # m > 3n - 6, after suppression when needed; K5 has m = 3n - 5
     assert not is_planar(K5) and not is_planar(subdivide(K5))
     assert not is_planar(glue(Graph.path(3), Graph.complete(6)))
     # m > 2n - 3 (m = 2n - 2 here, with a degree-2 vertex) and minimum degree >= 3
@@ -220,17 +232,17 @@ def test_reductions_decide_without_search(monkeypatch):
     assert not is_outerplanar(K33) and not is_outerplanar(OCTAHEDRON)
 
 
-def test_planarity_against_networkx():
+def nx_planar(g: Graph, apex: bool = False) -> bool:
     nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(range(g.order + apex))
+    h.add_edges_from(g.edges())
+    if apex:
+        h.add_edges_from((g.order, v) for v in range(g.order))
+    return nx.check_planarity(h)[0]
 
-    def nx_planar(g: Graph, apex: bool = False) -> bool:
-        h = nx.Graph()
-        h.add_nodes_from(range(g.order + apex))
-        h.add_edges_from(g.edges())
-        if apex:
-            h.add_edges_from((g.order, v) for v in range(g.order))
-        return nx.check_planarity(h)[0]
 
+def test_planarity_against_networkx():
     rng = random.Random(67)
     cases = [random_graph(rng, rng.randint(1, 9), rng.random()) for _ in range(1000)]
     cases += [c[1] for c in HARD_CASES]
@@ -238,3 +250,29 @@ def test_planarity_against_networkx():
         # outerplanar iff adding a vertex joined to every vertex keeps it planar
         assert is_planar(g) == nx_planar(g), g
         assert is_outerplanar(g) == nx_planar(g, apex=True), g
+
+
+def with_pendant_trees(g: Graph, rng, extra: int) -> Graph:
+    """g with extra new vertices, each joined to one earlier vertex."""
+    edges = list(g.edges()) + [(rng.randrange(v), v) for v in range(g.order, g.order + extra)]
+    return Graph.from_edges(g.order + extra, edges)
+
+
+def test_planarity_against_networkx_beyond_the_minor_search():
+    # orders the minor search could not reach in test time; is_outerplanar
+    # still runs it, so it stays checked at order <= 9 above
+    rng = random.Random(71)
+    cases = [
+        random_graph(rng, n, p)
+        for n in range(10, 17)
+        for p in (0.15, 0.25, 0.35, 0.5)
+        for _ in range(8)
+    ]
+    cases += [grid(r, c) for r in range(2, 9) for c in range(r, 9)]
+    cases += [wheel(rim) for rim in range(8, 15)]
+    cases += [petersen(), glue(K33, K33)]
+    for _ in range(4):
+        cases += [with_pendant_trees(subdivide(h), rng, 10) for h in (K5, K33)]
+    planar = [is_planar(g) for g in cases]
+    assert planar == [nx_planar(g) for g in cases]
+    assert 60 <= sum(planar) <= len(cases) - 60
