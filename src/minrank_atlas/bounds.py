@@ -290,26 +290,22 @@ class ForbiddenDerivationError(ValueError):
 class AtlasIndex:
     """Isomorphism class -> atlas number (1-based position) over a corpus.
 
-    Buckets by (order, size, degree sequence).  Every candidate is
-    confirmed, singletons included, since a user corpus need not hold
-    every class; with equal orders the induced search is a bijection test.
+    Buckets by graphs.class_key.  Every candidate is confirmed,
+    singletons included, since a user corpus need not hold every class;
+    with equal orders the induced search is a bijection test.
     """
 
     def __init__(self, corpus: Sequence[Graph]):
-        self._buckets: dict[tuple[int, int, tuple[int, ...]], list[tuple[int, Graph]]] = {}
+        self._buckets: dict[tuple, list[tuple[int, Graph]]] = {}
         for a, g in enumerate(corpus, 1):
-            self._buckets.setdefault(_class_key(g), []).append((a, g))
+            self._buckets.setdefault(graphs.class_key(g), []).append((a, g))
 
     def atlas_number(self, h: Graph) -> int:
         """Atlas number of the corpus graph isomorphic to h; LookupError if none."""
-        for a, g in self._buckets.get(_class_key(h), ()):
+        for a, g in self._buckets.get(graphs.class_key(h), ()):
             if graphs.contains_induced(g, h):
                 return a
         raise LookupError(f"no corpus graph matches order {h.order} size {h.size()}")
-
-
-def _class_key(g: Graph) -> tuple[int, int, tuple[int, ...]]:
-    return g.order, g.size(), g.degree_sequence()
 
 
 def derive_forbidden_list(
@@ -403,7 +399,10 @@ def read_forbidden_list(path) -> ForbiddenList:
                 patterns.append(from_graph6(stripped))
             except ValueError as exc:
                 raise ValueError(f"{path}:{ln}: {exc}") from exc
-    return ForbiddenList(tuple(patterns))
+    try:
+        return ForbiddenList(tuple(patterns))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_forbidden_list(path, forbidden: ForbiddenList) -> None:

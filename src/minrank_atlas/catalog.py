@@ -6,7 +6,8 @@ graph k.  Blank lines may follow the last graph but not precede it: a
 blank line earlier would make line numbers and positions disagree, so
 it is an error that names path:line.  Every line is validated on every
 read (read_atlas); a command decodes only the lines it uses, and
-load_atlas decodes them all.
+load_atlas decodes them all.  Either way item k - 1 of the returned
+list is atlas graph k, and every consumer numbers from that position.
 
 Reference-table TSV columns:
   atlas order size mr mr_by_hand lb ub con zfs_lb diam_lb cc_ub
@@ -26,7 +27,8 @@ Diff relations (the acceptance contract):
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Iterable, Mapping
+from itertools import starmap
+from typing import Iterable, Mapping, Sequence
 
 from minrank_atlas.bounds import BoundsRow, ForbiddenList, combine
 from minrank_atlas.graph6 import check_graph6, decode_graph6
@@ -43,14 +45,6 @@ TABLE_COLUMNS = (
     "zfs_lb", "diam_lb", "cc_ub", "np_ub", "nop_ub", "path_ub",
     "is", "cv", "tree",
 )
-
-
-@dataclass(frozen=True)
-class AtlasEntry:
-    """Atlas graph atlas_number, decoded from line atlas_number of the file."""
-
-    atlas_number: int
-    graph: Graph
 
 
 @dataclass(frozen=True)
@@ -127,9 +121,9 @@ def read_atlas(path) -> list[bytes]:
     return out
 
 
-def load_atlas(path) -> list[AtlasEntry]:
-    """Every graph of an atlas file, decoded and numbered from 1."""
-    return [AtlasEntry(a, decode_graph6(line)) for a, line in enumerate(read_atlas(path), 1)]
+def load_atlas(path) -> list[Graph]:
+    """Every graph of an atlas file, decoded: item k - 1 is atlas graph k."""
+    return [decode_graph6(line) for line in read_atlas(path)]
 
 
 def _parse_bool(token: str, where: str) -> bool:
@@ -209,16 +203,16 @@ def load_fixtures(path) -> list[FixtureRow]:
 
 
 def corpus_integrity_mismatches(
-    entries: Iterable[AtlasEntry], fixtures: Iterable[FixtureRow]
+    corpus: Sequence[Graph], fixtures: Iterable[FixtureRow]
 ) -> list[Mismatch]:
-    """Order/size of each corpus graph against the transcribed columns."""
-    graphs_by_atlas = {e.atlas_number: e.graph for e in entries}
+    """Order/size of each corpus graph (item k - 1 is atlas graph k)
+    against the transcribed columns."""
     out = []
     for row in fixtures:
-        g = graphs_by_atlas.get(row.atlas_number)
-        if g is None:
+        if not 1 <= row.atlas_number <= len(corpus):
             out.append(Mismatch(row.atlas_number, "present", "graph", None))
             continue
+        g = corpus[row.atlas_number - 1]
         if g.order != row.order:
             out.append(Mismatch(row.atlas_number, "order", row.order, g.order))
         if g.size() != row.size:
@@ -226,31 +220,29 @@ def corpus_integrity_mismatches(
     return out
 
 
-def _compute_worker(args) -> tuple[int, BoundsRow]:
-    entry, forbidden = args
-    return entry.atlas_number, combine(entry.graph, forbidden)
-
-
 def compute_all(
-    entries: Iterable[AtlasEntry], forbidden: ForbiddenList, jobs: int = 1
+    corpus: Iterable[Graph], forbidden: ForbiddenList, jobs: int = 1
 ) -> dict[int, BoundsRow]:
-    """Bounds row per atlas entry; result is independent of jobs."""
-    entries = list(entries)
+    """Bounds row per corpus graph, keyed by atlas number (position + 1);
+    the result is independent of jobs."""
+    work = [(g, forbidden) for g in corpus]
     if jobs <= 1:
-        return {e.atlas_number: combine(e.graph, forbidden) for e in entries}
-    from multiprocessing import Pool  # only worker runs pay for the import
+        rows = list(starmap(combine, work))
+    else:
+        from multiprocessing import Pool  # only worker runs pay for the import
 
-    with Pool(jobs) as pool:
-        pairs = pool.map(
-            _compute_worker, ((e, forbidden) for e in entries), chunksize=32
-        )
-    return dict(pairs)
+        with Pool(jobs) as pool:
+            rows = pool.starmap(combine, work, chunksize=32)
+    return dict(enumerate(rows, 1))
 
+
+# Column name -> row field where they differ: "is" is a Python keyword,
+# so FixtureRow and BoundsRow hold that column as is_flag.
+_FIELD = {"is": "is_flag"}
+_COLUMN = {fld: col for col, fld in _FIELD.items()}
 
 _CONNECTED_EQUAL = (
-    ("zfs_lb", "zfs_lb"), ("diam_lb", "diam_lb"), ("cc_ub", "cc_ub"),
-    ("np_ub", "np_ub"), ("nop_ub", "nop_ub"), ("path_ub", "path_ub"),
-    ("is", "is_flag"), ("cv", "cv"), ("tree", "tree"),
+    "zfs_lb", "diam_lb", "cc_ub", "np_ub", "nop_ub", "path_ub", "is", "cv", "tree",
 )
 
 
@@ -276,11 +268,11 @@ def diff(
         if c.lb != f.lb:
             mismatches.append(Mismatch(a, "lb", f.lb, c.lb))
         if f.con:
-            for fcol, ccol in _CONNECTED_EQUAL:
-                want = getattr(f, "is_flag" if fcol == "is" else fcol)
-                got = getattr(c, ccol)
+            for col in _CONNECTED_EQUAL:
+                name = _FIELD.get(col, col)
+                want, got = getattr(f, name), getattr(c, name)
                 if want != got:
-                    mismatches.append(Mismatch(a, fcol, want, got))
+                    mismatches.append(Mismatch(a, col, want, got))
         if c.ub < f.ub:
             mismatches.append(Mismatch(a, "ub", f">= {f.ub}", c.ub))
         if not c.lb <= f.mr <= c.ub:
@@ -302,16 +294,13 @@ def _cell(v) -> str:
 
 def bounds_row_fields(atlas_label: str, row: BoundsRow) -> list[str]:
     """TSV cells for one computed row, in TABLE_COLUMNS order."""
-    return [atlas_label] + [
-        _cell(getattr(row, "is_flag" if col == "is" else col))
-        for col in TABLE_COLUMNS[1:]
-    ]
+    return [atlas_label] + [_cell(getattr(row, _FIELD.get(col, col))) for col in TABLE_COLUMNS[1:]]
 
 
 def bounds_row_dict(atlas_number: int | None, row: BoundsRow) -> dict:
     out: dict = {"atlas": atlas_number}
     for fld in fields(BoundsRow):
-        out["is" if fld.name == "is_flag" else fld.name] = getattr(row, fld.name)
+        out[_COLUMN.get(fld.name, fld.name)] = getattr(row, fld.name)
     return out
 
 

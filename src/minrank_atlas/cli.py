@@ -137,9 +137,9 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_table(args) -> int:
-    entries = catalog.load_atlas(args.atlas_file)
+    corpus = catalog.load_atlas(args.atlas_file)
     forbidden = bounds.read_forbidden_list(args.forbidden)
-    computed = catalog.compute_all(entries, forbidden, jobs=args.jobs)
+    computed = catalog.compute_all(corpus, forbidden, jobs=args.jobs)
     if args.json:
         payload = [catalog.bounds_row_dict(a, computed[a]) for a in sorted(computed)]
         _emit(_json_line(payload), args.out)
@@ -149,10 +149,10 @@ def cmd_table(args) -> int:
 
 
 def cmd_diff(args) -> int:
-    entries = catalog.load_atlas(args.atlas_file)
+    corpus = catalog.load_atlas(args.atlas_file)
     fixtures = catalog.load_fixtures(args.fixtures)
     forbidden = bounds.read_forbidden_list(args.forbidden)
-    computed = catalog.compute_all(entries, forbidden, jobs=args.jobs)
+    computed = catalog.compute_all(corpus, forbidden, jobs=args.jobs)
     report = catalog.diff(fixtures, computed)
     if args.json:
         sys.stdout.write(_json_line({
@@ -179,8 +179,7 @@ def cmd_verify_witnesses(args) -> int:
     lines = catalog.read_atlas(args.atlas_file)
     fixtures = catalog.load_fixtures(args.fixtures)
     lb_by_atlas = {f.atlas_number: f.lb for f in fixtures}
-    with open(args.witnesses, encoding="utf-8") as fh:
-        records = witness.parse_witness_file(fh.read(), lb_by_atlas)
+    records = witness.read_witness_file(args.witnesses, lb_by_atlas)
     all_ok = True
     results = []
     for rec in sorted(records, key=lambda r: r.atlas_number):
@@ -208,9 +207,8 @@ def cmd_verify_witnesses(args) -> int:
 
 
 def cmd_derive_forbidden(args) -> int:
-    entries = catalog.load_atlas(args.atlas_file)
+    corpus = catalog.load_atlas(args.atlas_file)
     fixtures = catalog.load_fixtures(args.fixtures)
-    corpus = [e.graph for e in entries]
     mr_by_atlas = {f.atlas_number: f.mr for f in fixtures}
     try:
         derived = bounds.derive_forbidden_list(corpus, mr_by_atlas)

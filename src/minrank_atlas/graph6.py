@@ -14,6 +14,8 @@ a command uses.
 
 from __future__ import annotations
 
+import functools
+
 from minrank_atlas.graphs import MAX_ORDER, Graph
 
 
@@ -78,12 +80,9 @@ def check_graph6(text: str) -> bytes:
 def decode_graph6(data: bytes) -> Graph:
     """Decode a line that check_graph6 accepted."""
     n, body_at = _size_field(data)
-    pairs = _PAIR_CACHE.get(n)
-    if pairs is None:
-        pairs = _PAIR_CACHE[n] = _pair_table(n)
     payload = "".join([_GROUP_BITS[b] for b in data[body_at:]])
     rows = [0] * n
-    for (i, j), bit in zip(pairs, payload):  # zip stops short of the padding
+    for (i, j), bit in zip(_pairs(n), payload):  # zip stops short of the padding
         if bit == "1":
             rows[i] |= 1 << j
             rows[j] |= 1 << i
@@ -102,24 +101,16 @@ def to_graph6(g: Graph) -> str:
     n = g.order
     if n > 62:
         raise ValueError("single-byte size field requires order <= 62")
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append((g.adj[i] >> j) & 1)
-    while len(bits) % 6:
-        bits.append(0)
-    out = [chr(n + 63)]
-    for k in range(0, len(bits), 6):
-        group = 0
-        for b in bits[k : k + 6]:
-            group = (group << 1) | b
-        out.append(chr(group + 63))
-    return "".join(out)
+    payload = "".join(["1" if (g.adj[i] >> j) & 1 else "0" for i, j in _pairs(n)])
+    payload += "0" * (-len(payload) % 6)
+    groups = [chr(int(payload[k : k + 6], 2) + 63) for k in range(0, len(payload), 6)]
+    return chr(n + 63) + "".join(groups)
 
 
-def _pair_table(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for j in range(1, n) for i in range(j)]
+@functools.cache  # one entry per order, and orders stop at MAX_ORDER
+def _pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The upper-triangle pairs of order n in payload bit order."""
+    return tuple((i, j) for j in range(1, n) for i in range(j))
 
 
-_PAIR_CACHE: dict[int, list[tuple[int, int]]] = {}
 _GROUP_BITS = {b: format(b - 63, "06b") for b in range(63, 127)}

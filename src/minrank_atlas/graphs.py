@@ -243,14 +243,16 @@ def induced_subgraph(g: Graph, s: VertexSet) -> Graph:
     return Graph(len(rows), tuple(rows))
 
 
+def class_key(g: Graph) -> tuple[int, int, tuple[int, ...]]:
+    """(order, size, degree sequence): isomorphic graphs share it, so only
+    graphs with equal keys need the bijection search."""
+    return g.order, g.size(), g.degree_sequence()
+
+
 def is_isomorphic(g: Graph, h: Graph) -> bool:
-    """Adjacency-preserving bijection test: degree prefilter, then the
+    """Adjacency-preserving bijection test: class_key prefilter, then the
     induced-embedding search, which between equal orders is a bijection."""
-    if g.order != h.order or g.size() != h.size():
-        return False
-    if g.degree_sequence() != h.degree_sequence():
-        return False
-    return contains_induced(h, g)
+    return class_key(g) == class_key(h) and contains_induced(h, g)
 
 
 def contains_induced(g: Graph, pattern: Graph) -> bool:

@@ -62,6 +62,7 @@ class WitnessParseError(ValueError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
+        self.message = message
 
 
 def _is_digits(token: str) -> bool:
@@ -135,6 +136,18 @@ def parse_witness_file(
             WitnessRecord(atlas_number, RationalMatrix(tuple(rows)), claimed_ranks[atlas_number])
         )
     return records
+
+
+def read_witness_file(path, claimed_ranks: Mapping[int, int]) -> list[WitnessRecord]:
+    """parse_witness_file over a file; errors name path:line."""
+    # surrogateescape, as for the other data files: a non-ASCII byte fails
+    # the token check of its line (and is allowed in a comment)
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
+        text = fh.read()
+    try:
+        return parse_witness_file(text, claimed_ranks)
+    except WitnessParseError as exc:
+        raise ValueError(f"{path}:{exc.line}: {exc.message}") from exc
 
 
 def verify_witness(record: WitnessRecord, g: Graph) -> WitnessReport:

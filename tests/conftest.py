@@ -17,13 +17,14 @@ def data_dir() -> Path:
 
 
 @pytest.fixture(scope="session")
-def atlas_entries():
+def atlas_corpus():
+    """Item k - 1 is atlas graph k."""
     return catalog.load_atlas(DATA / "atlas.g6")
 
 
 @pytest.fixture(scope="session")
-def atlas_graphs(atlas_entries):
-    return {e.atlas_number: e.graph for e in atlas_entries}
+def atlas_graphs(atlas_corpus):
+    return dict(enumerate(atlas_corpus, 1))
 
 
 @pytest.fixture(scope="session")
@@ -42,15 +43,14 @@ def forbidden():
 
 
 @pytest.fixture(scope="session")
-def computed_table(atlas_entries, forbidden):
+def computed_table(atlas_corpus, forbidden):
     """Full-corpus bounds rows plus the wall time the run took."""
     t0 = time.monotonic()
-    rows = catalog.compute_all(atlas_entries, forbidden)
+    rows = catalog.compute_all(atlas_corpus, forbidden)
     return rows, time.monotonic() - t0
 
 
 @pytest.fixture(scope="session")
 def witness_records(fixture_rows):
     lb = {f.atlas_number: f.lb for f in fixture_rows}
-    text = (DATA / "witnesses.txt").read_text()
-    return witness.parse_witness_file(text, lb)
+    return witness.read_witness_file(DATA / "witnesses.txt", lb)

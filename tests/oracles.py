@@ -199,3 +199,19 @@ def relabel(g: Graph, perm: list[int]) -> Graph:
         for j in bits(g.adj[i]):
             rows[perm[i]] |= 1 << perm[j]
     return Graph(g.order, tuple(rows))
+
+
+def graph6_by_integer(g: Graph) -> str:
+    """graph6 line (order <= 62) packed into one big integer: the pair
+    bits in column-major order, zero-padded, then cut into 6-bit groups
+    from the top."""
+    n = g.order
+    x = count = 0
+    for j in range(1, n):
+        for i in range(j):
+            x = (x << 1) | g.has_edge(i, j)
+            count += 1
+    pad = -count % 6
+    x <<= pad
+    groups = [(x >> k) & 63 for k in range(count + pad - 6, -1, -6)]
+    return "".join(chr(63 + b) for b in [n] + groups)

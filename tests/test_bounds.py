@@ -20,7 +20,7 @@ from minrank_atlas.bounds import (
     zero_forcing_number,
     zf_closure,
 )
-from minrank_atlas.graphs import Graph, is_isomorphic, is_tree, contains_induced
+from minrank_atlas.graphs import Graph, class_key, is_isomorphic, is_tree, contains_induced
 
 from oracles import (
     brute_clique_cover,
@@ -259,10 +259,9 @@ def test_bounds_row_validation():
                   cv=False, tree=False, lb=1, ub=1, mr_exact=None)
 
 
-def test_derive_forbidden_matches_bundle(atlas_graphs, fixture_rows, forbidden):
-    corpus = [atlas_graphs[a] for a in sorted(atlas_graphs)]
+def test_derive_forbidden_matches_bundle(atlas_corpus, atlas_graphs, fixture_rows, forbidden):
     mr = {f.atlas_number: f.mr for f in fixture_rows}
-    derived = derive_forbidden_list(corpus, mr)
+    derived = derive_forbidden_list(atlas_corpus, mr)
     assert len(derived.patterns) == len(forbidden.patterns)
     for got, want in zip(derived.patterns, forbidden.patterns):
         assert is_isomorphic(got, want)
@@ -277,16 +276,14 @@ def test_derive_forbidden_matches_bundle(atlas_graphs, fixture_rows, forbidden):
                 assert not contains_induced(p, q)
 
 
-def test_derive_forbidden_reports_gaps(atlas_graphs):
-    corpus = [atlas_graphs[a] for a in sorted(atlas_graphs)]
+def test_derive_forbidden_reports_gaps(atlas_corpus):
     with pytest.raises(ForbiddenDerivationError) as exc:
-        derive_forbidden_list(corpus, {14: 3})
+        derive_forbidden_list(atlas_corpus, {14: 3})
     assert 14 in exc.value.gaps
 
 
-def test_atlas_index_finds_relabelled_graphs(atlas_graphs):
-    corpus = [atlas_graphs[a] for a in sorted(atlas_graphs)]
-    index = AtlasIndex(corpus)
+def test_atlas_index_finds_relabelled_graphs(atlas_corpus, atlas_graphs):
+    index = AtlasIndex(atlas_corpus)
     rng = random.Random(113)
     small = [a for a, g in atlas_graphs.items() if g.order <= 6]
     assert len(small) == 208
@@ -297,22 +294,27 @@ def test_atlas_index_finds_relabelled_graphs(atlas_graphs):
         assert index.atlas_number(relabel(g, perm)) == a
 
 
-def test_atlas_index_confirms_every_bucket(atlas_graphs):
-    # truncate just before the first graph whose (order, size, degree
-    # sequence) key an earlier graph already has: its bucket is nonempty
-    # but holds another class, so the lookup must still fail
-    corpus = [atlas_graphs[a] for a in sorted(atlas_graphs)]
+def test_atlas_index_confirms_every_bucket(atlas_corpus):
+    # truncate just before the first graph whose class key an earlier
+    # graph already has: its bucket is nonempty but holds another class,
+    # so the lookup must still fail
     seen = set()
-    for cut, g in enumerate(corpus):
-        key = (g.order, g.size(), g.degree_sequence())
+    for cut, g in enumerate(atlas_corpus):
+        key = class_key(g)
         if key in seen:
             break
         seen.add(key)
-    index = AtlasIndex(corpus[:cut])
+    index = AtlasIndex(atlas_corpus[:cut])
     with pytest.raises(LookupError):
-        index.atlas_number(corpus[cut])
+        index.atlas_number(atlas_corpus[cut])
     with pytest.raises(LookupError):
         index.atlas_number(Graph.complete(7))
+    # the key is a class invariant: no relabeling moves a graph to another bucket
+    rng = random.Random(29)
+    for g in atlas_corpus:
+        perm = list(range(g.order))
+        rng.shuffle(perm)
+        assert class_key(relabel(g, perm)) == class_key(g)
 
 
 def test_read_write_forbidden_round_trip(tmp_path, forbidden):

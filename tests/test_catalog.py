@@ -18,15 +18,14 @@ from minrank_atlas.catalog import (
 from minrank_atlas.graphs import Graph, is_isomorphic
 
 
-def test_load_atlas_spot_entries(atlas_entries):
-    assert len(atlas_entries) == 1252
-    assert atlas_entries[0].atlas_number == 1
-    assert atlas_entries[0].graph == Graph.empty(1)
-    g52 = atlas_entries[51].graph
+def test_load_atlas_spot_entries(atlas_corpus):
+    assert len(atlas_corpus) == 1252
+    assert atlas_corpus[0] == Graph.empty(1)
+    g52 = atlas_corpus[51]
     assert (g52.order, g52.size()) == (5, 10)
-    g1252 = atlas_entries[1251].graph
+    g1252 = atlas_corpus[1251]
     assert (g1252.order, g1252.size()) == (7, 21)
-    assert is_isomorphic(atlas_entries[13].graph, Graph.path(4))
+    assert is_isomorphic(atlas_corpus[13], Graph.path(4))
 
 
 def test_load_atlas_error_names_line(tmp_path):
@@ -106,22 +105,25 @@ def test_load_fixtures_integer_cells_are_ascii_digits(tmp_path, token):
             load_fixtures(_write_fixture(tmp_path, [row]))
 
 
-def test_corpus_integrity(atlas_entries, fixture_rows):
-    assert corpus_integrity_mismatches(atlas_entries, fixture_rows) == []
+def test_corpus_integrity(atlas_corpus, fixture_rows):
+    assert corpus_integrity_mismatches(atlas_corpus, fixture_rows) == []
 
 
-def test_corpus_integrity_catches_faults(atlas_entries, fixture_rows):
+def test_corpus_integrity_catches_faults(atlas_corpus, fixture_rows):
     broken = dataclasses.replace(fixture_rows[0], size=99)
-    out = corpus_integrity_mismatches(atlas_entries, [broken])
+    out = corpus_integrity_mismatches(atlas_corpus, [broken])
     assert len(out) == 1 and out[0].column == "size"
+    beyond = dataclasses.replace(fixture_rows[0], atlas_number=len(atlas_corpus) + 1)
+    out = corpus_integrity_mismatches(atlas_corpus, [beyond])
+    assert [(m.atlas_number, m.column) for m in out] == [(1253, "present")]
 
 
-def test_compute_row_spots(atlas_entries, forbidden):
-    row52 = combine(atlas_entries[51].graph, forbidden)
+def test_compute_row_spots(atlas_corpus, forbidden):
+    row52 = combine(atlas_corpus[51], forbidden)
     assert (row52.lb, row52.ub) == (1, 1)
-    row1 = combine(atlas_entries[0].graph, forbidden)
+    row1 = combine(atlas_corpus[0], forbidden)
     assert (row1.lb, row1.ub, row1.mr_exact, row1.zfs_lb, row1.cc_ub) == (0, 0, 0, 0, 0)
-    row175 = combine(atlas_entries[174].graph, forbidden)
+    row175 = combine(atlas_corpus[174], forbidden)
     assert row175.np_ub == 2
 
 
@@ -160,6 +162,18 @@ def test_diff_flags_single_perturbation(fixture_rows):
     assert report.by_column() == {"zfs_lb": 1}
 
 
+def test_is_column_is_the_is_flag_field(fixtures_by_atlas):
+    # "is" is a keyword, so the column lives in the is_flag field of both row types
+    f = dataclasses.replace(fixtures_by_atlas[7], is_flag=False, cv=False)
+    row = dataclasses.replace(_echo_rows([f])[7], is_flag=True)
+    cells = dict(zip(catalog.TABLE_COLUMNS, catalog.bounds_row_fields("7", row)))
+    assert (cells["is"], cells["cv"]) == ("T", "F")
+    as_json = catalog.bounds_row_dict(7, row)
+    assert (as_json["is"], as_json["cv"]) == (True, False) and "is_flag" not in as_json
+    report = diff([f], {7: row})
+    assert [(m.column, m.expected, m.computed) for m in report.mismatches] == [("is", False, True)]
+
+
 def test_diff_requires_matching_domain(fixture_rows):
     with pytest.raises(ValueError, match="no computed row"):
         diff(fixture_rows[:5], {})
@@ -176,13 +190,13 @@ def test_diff_checks_ub_one_sided(fixtures_by_atlas):
     assert {m.column for m in report.mismatches} == {"lb", "ub", "mr_bracket"}
 
 
-def test_compute_all_jobs_agree(atlas_entries, forbidden):
-    slice_ = atlas_entries[:60]
+def test_compute_all_jobs_agree(atlas_corpus, forbidden):
+    slice_ = atlas_corpus[:60]
     assert compute_all(slice_, forbidden, jobs=1) == compute_all(slice_, forbidden, jobs=2)
 
 
-def test_table_lines_shape(atlas_entries, forbidden):
-    rows = compute_all(atlas_entries[:18], forbidden)
+def test_table_lines_shape(atlas_corpus, forbidden):
+    rows = compute_all(atlas_corpus[:18], forbidden)
     lines = list(table_lines(rows))
     assert lines[0].startswith("atlas\torder\tsize\tlb\tub\tmr_exact")
     assert len(lines) == 19

@@ -1,6 +1,8 @@
+import argparse
 import json
 import multiprocessing
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -152,6 +154,26 @@ def test_jobs_accepts_one_to_cpu_count():
     assert parser.parse_args(["diff"]).jobs == 1
 
 
+def test_readme_cli_examples_parse(monkeypatch):
+    # every example in README's CLI block parses, and every command has one;
+    # --jobs is bounded by the CPU count, so the host's count is not the README's
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    examples = [l.split("#", 1)[0] for l in block.splitlines() if l.startswith("minrank-atlas ")]
+    assert examples
+    parser = cli.build_parser()
+    commands = set()
+    for example in examples:
+        try:
+            args = parser.parse_args(shlex.split(example)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {example}")
+        commands.add(args.command)
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert commands == set(subparsers.choices)
+
+
 def test_parser_built_once(capsys):
     assert cli.build_parser() is cli.build_parser()
     # the shared parser keeps no state between runs
@@ -207,18 +229,25 @@ def test_non_digit_atlas_cell_exits_2_with_line(capsys, small_data, tmp_path, to
         assert err == f"error: {bad}:2: expected integer, got {token!r}\n"
 
 
-@pytest.mark.parametrize("command", ["diff", "verify-witnesses", "derive-forbidden", "bounds"])
+@pytest.mark.parametrize(
+    "command", ["diff", "verify-witnesses", "derive-forbidden", "bounds", "witnesses"]
+)
 def test_non_ascii_byte_names_the_line(capsys, small_data, tmp_path, data_dir, command):
     if command == "bounds":
         lines = (data_dir / "forbidden_mr2.g6").read_text().splitlines()
         lines[2] = "\u00e9" + lines[2][1:]
         argv, flag, ln = ["bounds", "--atlas", "5"], "--forbidden", 3
+    elif command == "witnesses":
+        lines = (data_dir / "witnesses.txt").read_text().splitlines()
+        assert lines[4:6] == ["atlas 721", "n 7"]
+        lines[6] = "\udcff" + lines[6]  # a raw 0xff byte before the first matrix token
+        argv, flag, ln = ["verify-witnesses"], "--witnesses", 7
     else:
         lines = open(small_data["fixtures"]).read().splitlines()
         lines[1] = "\u0663" + lines[1][1:]  # ARABIC-INDIC DIGIT THREE as the atlas cell
         argv, flag, ln = [command], "--fixtures", 2
     bad = tmp_path / "bad"
-    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
     out_path = tmp_path / "fl.g6"
     if command == "derive-forbidden":
         argv += ["--out", str(out_path)]
@@ -301,7 +330,15 @@ def test_verify_witnesses_parse_error(capsys, tmp_path):
     bad = tmp_path / "w.txt"
     bad.write_text("atlas zzz\n")
     code, _, err = run(capsys, ["verify-witnesses", "--witnesses", str(bad)])
-    assert code == 2 and "line 1" in err
+    assert code == 2 and err.startswith(f"error: {bad}:1: "), err
+
+
+def test_comment_only_forbidden_list_exits_2(capsys, tmp_path):
+    empty = tmp_path / "fl.g6"
+    empty.write_text("# no patterns\n\n")
+    code, out, err = run(capsys, ["bounds", "--atlas", "5", "--forbidden", str(empty)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {empty}: forbidden list must be nonempty\n"
 
 
 def test_derive_forbidden_idempotent(capsys, tmp_path, data_dir):

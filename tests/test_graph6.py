@@ -11,7 +11,7 @@ from minrank_atlas.graph6 import (
 )
 from minrank_atlas.graphs import Graph
 
-from oracles import random_graph
+from oracles import graph6_by_integer, random_graph
 
 
 def test_decode_k2():
@@ -38,8 +38,18 @@ def test_trailing_newline_accepted():
 def test_corpus_round_trip(data_dir):
     lines = (data_dir / "atlas.g6").read_text().splitlines()
     assert len(lines) == 1252
+    # derive-forbidden writes to_graph6 output, so its file is pinned too
+    lines += (data_dir / "forbidden_mr2.g6").read_text().splitlines()
+    assert len(lines) == 1257
     for line in lines:
         assert to_graph6(from_graph6(line)) == line
+
+
+def test_encoder_against_integer_packing():
+    rng = random.Random(62)
+    for n in list(range(1, 63)) + [rng.randint(1, 62) for _ in range(200)]:
+        g = random_graph(rng, n, rng.random())
+        assert to_graph6(g) == graph6_by_integer(g)
 
 
 def test_random_round_trip():
