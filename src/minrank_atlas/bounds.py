@@ -11,7 +11,8 @@ Bound semantics (n = order, connected g unless noted):
   not a path     mr <= n - 2
   forbidden-free mr <= 2
   tree           mr = n - P(g) exactly (P = path cover number)
-Disconnected graphs: every bound is the sum over components.
+Disconnected graphs: every bound is the sum over components
+(disjoint_union_row).
 """
 
 from __future__ import annotations
@@ -161,14 +162,16 @@ def clique_cover_number(g: Graph) -> int:
     return best
 
 
-def np_upper_bound(g: Graph) -> int | None:
-    """order - 4 when g is nonplanar, else None.  Meaningful for connected g."""
-    return g.order - 4 if not is_planar(g) else None
+def np_upper_bound(g: Graph, block_sets: list[VertexSet] | None = None) -> int | None:
+    """order - 4 when g is nonplanar, else None.  Meaningful for connected g.
+    block_sets, when given, is graphs.blocks(g)."""
+    return g.order - 4 if not is_planar(g, block_sets) else None
 
 
-def nop_upper_bound(g: Graph) -> int | None:
-    """order - 3 when g is not outerplanar, else None."""
-    return g.order - 3 if not is_outerplanar(g) else None
+def nop_upper_bound(g: Graph, block_sets: list[VertexSet] | None = None) -> int | None:
+    """order - 3 when g is not outerplanar, else None.  block_sets, when
+    given, is graphs.blocks(g)."""
+    return g.order - 3 if not is_outerplanar(g, block_sets) else None
 
 
 def path_upper_bound(g: Graph) -> int | None:
@@ -211,39 +214,53 @@ def tree_minimum_rank(t: Graph) -> int:
     return t.order - tree_path_cover_number(t)
 
 
+def disjoint_union_row(parts: Sequence[BoundsRow]) -> BoundsRow:
+    """Row of the disjoint union of two or more graphs, from their rows:
+    order, size, lb, ub and mr_exact (when every part has one) are sums,
+    cv holds when some part has a cut vertex, and every connected-only
+    column is blank."""
+    exact = None
+    if all(p.mr_exact is not None for p in parts):
+        exact = sum(p.mr_exact for p in parts)
+    return BoundsRow(
+        order=sum(p.order for p in parts),
+        size=sum(p.size for p in parts),
+        con=False,
+        zfs_lb=None,
+        diam_lb=None,
+        cc_ub=None,
+        np_ub=None,
+        nop_ub=None,
+        path_ub=None,
+        is_flag=None,
+        cv=any(p.cv for p in parts),
+        tree=False,
+        lb=sum(p.lb for p in parts),
+        ub=sum(p.ub for p in parts),
+        mr_exact=exact,
+    )
+
+
 def combine(g: Graph, forbidden: ForbiddenList) -> BoundsRow:
-    """Fold every bound into one row; disconnected graphs sum over components."""
+    """Fold every bound into one row; disconnected graphs sum over components.
+
+    A connected row computes graphs.blocks once: cv comes from it, and
+    the planarity and outerplanarity tests take it.
+    """
     comps = graphs.components(g)
-    cv = bool(graphs.articulation_points(g))
     if len(comps) > 1:
-        parts = [combine(graphs.induced_subgraph(g, c), forbidden) for c in comps]
-        exact = None
-        if all(p.mr_exact is not None for p in parts):
-            exact = sum(p.mr_exact for p in parts)
-        return BoundsRow(
-            order=g.order,
-            size=g.size(),
-            con=False,
-            zfs_lb=None,
-            diam_lb=None,
-            cc_ub=None,
-            np_ub=None,
-            nop_ub=None,
-            path_ub=None,
-            is_flag=None,
-            cv=cv,
-            tree=False,
-            lb=sum(p.lb for p in parts),
-            ub=sum(p.ub for p in parts),
-            mr_exact=exact,
+        return disjoint_union_row(
+            [combine(graphs.induced_subgraph(g, c), forbidden) for c in comps]
         )
 
     n = g.order
+    block_sets = graphs.blocks(g)
+    cv = bool(graphs.articulation_points(g, block_sets))
     zfs = n - zero_forcing_number(g)
     diam = graphs.diameter(g)
     cc = clique_cover_number(g)
-    np_ub = np_upper_bound(g)
-    nop_ub = nop_upper_bound(g)
+    np_ub = np_upper_bound(g, block_sets)
+    nop_ub = nop_upper_bound(g, block_sets)
     path_ub = path_upper_bound(g)
     forb = is_forbidden_mr2(g, forbidden)
     tree = graphs.is_tree(g)
@@ -292,18 +309,26 @@ class AtlasIndex:
 
     Buckets by graphs.class_key.  Every candidate is confirmed,
     singletons included, since a user corpus need not hold every class;
-    with equal orders the induced search is a bijection test.
+    with equal orders the induced search is a bijection test.  Each
+    answer is remembered under the looked-up graph's adj tuple for the
+    life of the index object, so a repeated lookup searches nothing.
+    Callers build one index per command, and nothing outlives it.
     """
 
     def __init__(self, corpus: Sequence[Graph]):
         self._buckets: dict[tuple, list[tuple[int, Graph]]] = {}
         for a, g in enumerate(corpus, 1):
             self._buckets.setdefault(graphs.class_key(g), []).append((a, g))
+        self._answers: dict[tuple[int, ...], int] = {}
 
     def atlas_number(self, h: Graph) -> int:
         """Atlas number of the corpus graph isomorphic to h; LookupError if none."""
+        known = self._answers.get(h.adj)
+        if known is not None:
+            return known
         for a, g in self._buckets.get(graphs.class_key(h), ()):
             if graphs.contains_induced(g, h):
+                self._answers[h.adj] = a
                 return a
         raise LookupError(f"no corpus graph matches order {h.order} size {h.size()}")
 

@@ -1,6 +1,9 @@
 """Data ingestion (atlas corpus, transcribed reference table), the
 full-table pipeline, and the computed-vs-reference diff.
 
+compute_all combines each isomorphism class once: a disconnected
+graph's row is summed from the rows of its components' classes.
+
 Atlas file contract: one graph6 string per line, and line k is atlas
 graph k.  Blank lines may follow the last graph but not precede it: a
 blank line earlier would make line numbers and positions disagree, so
@@ -30,7 +33,8 @@ from dataclasses import dataclass, fields
 from itertools import starmap
 from typing import Iterable, Mapping, Sequence
 
-from minrank_atlas.bounds import BoundsRow, ForbiddenList, combine
+from minrank_atlas import graphs
+from minrank_atlas.bounds import AtlasIndex, BoundsRow, ForbiddenList, combine, disjoint_union_row
 from minrank_atlas.graph6 import check_graph6, decode_graph6
 from minrank_atlas.graphs import Graph
 
@@ -221,11 +225,21 @@ def corpus_integrity_mismatches(
 
 
 def compute_all(
-    corpus: Iterable[Graph], forbidden: ForbiddenList, jobs: int = 1
+    corpus: Sequence[Graph], forbidden: ForbiddenList, jobs: int = 1
 ) -> dict[int, BoundsRow]:
     """Bounds row per corpus graph, keyed by atlas number (position + 1);
-    the result is independent of jobs."""
-    work = [(g, forbidden) for g in corpus]
+    the result is independent of jobs.
+
+    combine runs on the connected graphs only, in this process or in a
+    pool of jobs workers.  A component of a disconnected graph is
+    connected, so the row computed for its class, found through one
+    AtlasIndex over the corpus, is its row; disjoint_union_row sums
+    them.  Only a component whose class the corpus lacks is combined on
+    its own.  The index and its answers live for this call only.
+    """
+    comps = [graphs.components(g) for g in corpus]
+    connected = [a for a, c in enumerate(comps, 1) if len(c) == 1]
+    work = [(corpus[a - 1], forbidden) for a in connected]
     if jobs <= 1:
         rows = list(starmap(combine, work))
     else:
@@ -233,7 +247,23 @@ def compute_all(
 
         with Pool(jobs) as pool:
             rows = pool.starmap(combine, work, chunksize=32)
-    return dict(enumerate(rows, 1))
+    connected_rows = dict(zip(connected, rows))
+    index = AtlasIndex(corpus)
+
+    def component_row(h: Graph) -> BoundsRow:
+        try:
+            return connected_rows[index.atlas_number(h)]
+        except LookupError:
+            return combine(h, forbidden)
+
+    out = {}
+    for a, (g, cs) in enumerate(zip(corpus, comps), 1):
+        if len(cs) == 1:
+            out[a] = connected_rows[a]
+        else:
+            parts = [component_row(graphs.induced_subgraph(g, c)) for c in cs]
+            out[a] = disjoint_union_row(parts)
+    return out
 
 
 # Column name -> row field where they differ: "is" is a Python keyword,

@@ -200,11 +200,11 @@ def blocks(g: Graph) -> list[VertexSet]:
     return out
 
 
-def articulation_points(g: Graph) -> VertexSet:
+def articulation_points(g: Graph, block_sets: list[VertexSet] | None = None) -> VertexSet:
     """Vertices whose removal increases the component count: those that
-    lie in two or more blocks."""
+    lie in two or more blocks.  block_sets, when given, is blocks(g)."""
     seen = cut = 0
-    for b in blocks(g):
+    for b in blocks(g) if block_sets is None else block_sets:
         cut |= seen & b
         seen |= b
     return cut

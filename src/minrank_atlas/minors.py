@@ -157,14 +157,17 @@ def _planar_block(adj, block: VertexSet) -> bool:
         masks.append(_mask(faces[-1]))
 
 
-def is_planar(g: Graph) -> bool:
-    """Path addition on every block of order >= 5."""
-    return all(_planar_block(g.adj, b) for b in blocks(g) if b.bit_count() > 4)
+def is_planar(g: Graph, block_sets: list[VertexSet] | None = None) -> bool:
+    """Path addition on every block of order >= 5.  block_sets, when
+    given, is blocks(g)."""
+    block_sets = blocks(g) if block_sets is None else block_sets
+    return all(_planar_block(g.adj, b) for b in block_sets if b.bit_count() > 4)
 
 
-def is_outerplanar(g: Graph) -> bool:
-    """No K4 minor and no K2,3 minor, tested block by block."""
-    for block in blocks(g):
+def is_outerplanar(g: Graph, block_sets: list[VertexSet] | None = None) -> bool:
+    """No K4 minor and no K2,3 minor, tested block by block.  block_sets,
+    when given, is blocks(g)."""
+    for block in blocks(g) if block_sets is None else block_sets:
         if block.bit_count() <= 3:
             continue
         b = induced_subgraph(g, block)

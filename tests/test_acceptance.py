@@ -60,7 +60,7 @@ def test_criterion_2_column_reproduction(computed_table, fixture_rows):
                 c.zfs_lb, c.diam_lb, 3 if c.is_flag else 0
             ):
                 bad.append((f.atlas_number, "lb-rule"))
-    ok = not bad and elapsed < 60.0
+    ok = not bad and elapsed < 10.0
     report(
         "2 column-reproduction",
         ok,

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from minrank_atlas import bounds
+from minrank_atlas import bounds, graphs
 from minrank_atlas.bounds import (
     AtlasIndex,
     BoundsRow,
@@ -282,16 +282,28 @@ def test_derive_forbidden_reports_gaps(atlas_corpus):
     assert 14 in exc.value.gaps
 
 
-def test_atlas_index_finds_relabelled_graphs(atlas_corpus, atlas_graphs):
+def test_atlas_index_finds_relabelled_graphs(atlas_corpus, atlas_graphs, monkeypatch):
     index = AtlasIndex(atlas_corpus)
     rng = random.Random(113)
     small = [a for a, g in atlas_graphs.items() if g.order <= 6]
     assert len(small) == 208
+    searches = []
+    real = graphs.contains_induced
+    monkeypatch.setattr(graphs, "contains_induced", lambda g, p: searches.append(p) or real(g, p))
+    looked_up = []
     for a in small:
         g = atlas_graphs[a]
         perm = list(range(g.order))
         rng.shuffle(perm)
-        assert index.atlas_number(relabel(g, perm)) == a
+        looked_up.append((a, relabel(g, perm)))
+    for a, h in looked_up:
+        assert index.atlas_number(h) == a
+    first = len(searches)
+    assert first >= len(small)
+    # every graph again: the index remembers its answers and searches no more
+    for a, h in looked_up:
+        assert index.atlas_number(h) == a
+    assert len(searches) == first
 
 
 def test_atlas_index_confirms_every_bucket(atlas_corpus):

@@ -15,7 +15,7 @@ from minrank_atlas.catalog import (
     load_fixtures,
     table_lines,
 )
-from minrank_atlas.graphs import Graph, is_isomorphic
+from minrank_atlas.graphs import Graph, is_connected, is_isomorphic
 
 
 def test_load_atlas_spot_entries(atlas_corpus):
@@ -191,8 +191,34 @@ def test_diff_checks_ub_one_sided(fixtures_by_atlas):
 
 
 def test_compute_all_jobs_agree(atlas_corpus, forbidden):
+    # 29 of these 60 rows are disconnected, so the workers' rows feed the sums
     slice_ = atlas_corpus[:60]
-    assert compute_all(slice_, forbidden, jobs=1) == compute_all(slice_, forbidden, jobs=2)
+    rows = compute_all(slice_, forbidden, jobs=1)
+    assert sum(not r.con for r in rows.values()) == 29
+    assert rows == compute_all(slice_, forbidden, jobs=2)
+
+
+def test_disconnected_rows_equal_direct_combine(atlas_corpus, computed_table, forbidden):
+    # compute_all sums the rows of the components' classes; combine
+    # recomputes every component from scratch
+    computed, _ = computed_table
+    disconnected = [a for a, g in enumerate(atlas_corpus, 1) if not is_connected(g)]
+    assert len(disconnected) == 256
+    for a in disconnected:
+        assert computed[a] == combine(atlas_corpus[a - 1], forbidden), a
+
+
+def test_compute_all_combines_a_class_the_corpus_lacks(atlas_corpus, forbidden, monkeypatch):
+    # line 3 (K2) overwritten by line 4's graph: no corpus graph is a K2,
+    # so the K2 components of K2+K1, 2K2, ... fall back to combine
+    corpus = list(atlas_corpus[:60])
+    corpus[2] = corpus[3]
+    real = catalog.combine
+    combined = []
+    monkeypatch.setattr(catalog, "combine", lambda g, fb: combined.append(g) or real(g, fb))
+    rows = compute_all(corpus, forbidden)
+    assert Graph.complete(2) in combined
+    assert rows == {a: real(g, forbidden) for a, g in enumerate(corpus, 1)}
 
 
 def test_table_lines_shape(atlas_corpus, forbidden):

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import multiprocessing
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from minrank_atlas import catalog, cli
+from minrank_atlas import bounds, catalog, cli, graphs
 from minrank_atlas.catalog import FIXTURE_COLUMNS
 
 DATA_FLAGS = ["--atlas-file", "data/atlas.g6"]
@@ -521,3 +522,50 @@ def test_witness_for_atlas_zero_has_no_graph(capsys, tmp_path, data_dir):
                                   "--witnesses", str(witnesses)])
     assert code == 2 and out == ""
     assert "witness for atlas 0 has no graph" in err
+
+
+TABLE_SHA256 = {
+    "tsv": "9b29ebf3c819b1d1b81199452c1e0785382f788e2e379ce8830e006ec5c5bc9b",
+    "json": "aaf4b31698964d037e20abc7e7dde8b44f444503018c9c5d310a21e5854510d2",
+}
+
+
+@pytest.mark.parametrize("form", ["tsv", "json"])
+def test_table_bytes_are_pinned(capsys, monkeypatch, tmp_path, computed_table, form):
+    # the session's rows through the command's own rendering: any changed
+    # cell, column name or ordering moves the hash
+    computed, _ = computed_table
+    monkeypatch.setattr(catalog, "compute_all", lambda corpus, forbidden, jobs: computed)
+    out = tmp_path / "table"
+    argv = ["table", "--out", str(out)] + (["--json"] if form == "json" else [])
+    assert run(capsys, argv)[0] == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == TABLE_SHA256[form]
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    """Patch module.name to record one item per call; return the record."""
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(None) or real(*a))
+    return calls
+
+
+def test_no_result_outlives_a_diff(capsys, monkeypatch):
+    # each command combines the 996 connected classes once, and a second
+    # command in the same process starts again from nothing
+    calls = _count_calls(monkeypatch, bounds, "zero_forcing_number")
+    for _ in range(2):
+        calls.clear()
+        code, out, _ = run(capsys, ["diff"])
+        assert code == 0 and out.endswith("# checked 1162 rows: ok\n")
+        assert len(calls) == 996
+
+
+def test_no_lookup_outlives_a_derivation(capsys, monkeypatch, tmp_path):
+    calls = _count_calls(monkeypatch, graphs, "contains_induced")
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        assert run(capsys, ["derive-forbidden", "--out", str(tmp_path / "fl.g6")])[0] == 0
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
