@@ -9,7 +9,8 @@ Bound semantics (n = order, connected g unless noted):
   nonplanar      mr <= n - 4
   not outerplanar mr <= n - 3
   not a path     mr <= n - 2
-  forbidden-free mr <= 2
+  no induced forbidden pattern and no induced K3,3,3
+                 mr <= 2 (Barrett-van der Holst-Loewy); with one, mr >= 3
   tree           mr = n - P(g) exactly (P = path cover number)
 Disconnected graphs: every bound is the sum over components
 (disjoint_union_row).
@@ -79,21 +80,28 @@ class ForbiddenList:
             raise ValueError("forbidden list must be nonempty")
 
 
+def _closure(adj: tuple[int, ...], filled: VertexSet) -> VertexSet:
+    """zf_closure without the input check: each round walks the filled
+    bits inline and lets every vertex with one unfilled neighbour force."""
+    while True:
+        grown = rest = filled
+        while rest:
+            low = rest & -rest
+            unfilled = adj[low.bit_length() - 1] & ~grown
+            if unfilled and unfilled & (unfilled - 1) == 0:
+                grown |= unfilled
+            rest ^= low
+        if grown == filled:
+            return filled
+        filled = grown
+
+
 def zf_closure(g: Graph, filled: VertexSet) -> VertexSet:
     """Least superset of filled closed under the color-change rule
     (a filled vertex with exactly one unfilled neighbor forces it)."""
     if filled & ~g.vertex_mask:
         raise ValueError("filled set has bits outside the graph")
-    adj = g.adj
-    while True:
-        grown = filled
-        for v in bits(filled):
-            unfilled = adj[v] & ~grown
-            if unfilled and unfilled & (unfilled - 1) == 0:
-                grown |= unfilled
-        if grown == filled:
-            return filled
-        filled = grown
+    return _closure(g.adj, filled)
 
 
 def zero_forcing_number(g: Graph) -> int:
@@ -106,17 +114,18 @@ def zero_forcing_number(g: Graph) -> int:
     u -> w needs N[u] minus w inside B, which is deg(u) >= min degree
     vertices (with no force at all, B is V, larger still).
     """
+    adj = g.adj
     full = g.vertex_mask
     comps = graphs.components(g)
-    min_degree = min(row.bit_count() for row in g.adj)
+    several = len(comps) > 1
+    singletons = [1 << v for v in range(g.order)]
+    min_degree = min(row.bit_count() for row in adj)
     for k in range(max(len(comps), min_degree), g.order + 1):
-        for combo in combinations(range(g.order), k):
-            b = 0
-            for v in combo:
-                b |= 1 << v
-            if any(not b & c for c in comps):
+        for combo in combinations(singletons, k):
+            b = sum(combo)
+            if several and any(not b & c for c in comps):
                 continue
-            if zf_closure(g, b) == full:
+            if _closure(adj, b) == full:
                 return k
     raise AssertionError("unreachable: the full vertex set always forces")
 
@@ -125,26 +134,30 @@ def clique_cover_number(g: Graph) -> int:
     """Minimum number of cliques covering every edge (exact branch and bound).
 
     Candidates are maximal cliques only: any clique in a cover can be
-    enlarged to a maximal one without increasing the count.
+    enlarged to a maximal one without increasing the count.  Edge {i<j}
+    is bit i*n + j, so row i's edges are (adj[i] above i) << i*n, and a
+    clique's are its own vertex bits above i shifted the same way.  The
+    search branches on the lowest uncovered edge, over the cliques that
+    hold both of its ends.
     """
-    edges = list(g.edges())
-    m = len(edges)
-    if m == 0:
+    n = g.order
+    uncovered = 0
+    for i, row in enumerate(g.adj):
+        uncovered |= (row >> (i + 1)) << (i * n + i + 1)
+    if not uncovered:
         return 0
-    eindex = {e: i for i, e in enumerate(edges)}
-    cmasks = []
+    cliques = []
     for c in graphs.maximal_cliques(g):
-        vs = list(bits(c))
-        if len(vs) < 2:
-            continue
-        em = 0
-        for a in range(len(vs)):
-            for b in range(a + 1, len(vs)):
-                em |= 1 << eindex[(vs[a], vs[b])]
-        cmasks.append(em)
-    per_edge = [[em for em in cmasks if (em >> i) & 1] for i in range(m)]
-    max_clique_edges = max(em.bit_count() for em in cmasks)
-    best = m + 1
+        if c & (c - 1):
+            em = 0
+            rest = c
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                em |= rest << ((low.bit_length() - 1) * n)
+            cliques.append((c, em))
+    max_clique_edges = max(em.bit_count() for _, em in cliques)
+    best = uncovered.bit_count() + 1
 
     def descend(uncovered: int, count: int) -> None:
         nonlocal best
@@ -154,11 +167,13 @@ def clique_cover_number(g: Graph) -> int:
         need = (uncovered.bit_count() + max_clique_edges - 1) // max_clique_edges
         if count + need >= best:
             return
-        e = (uncovered & -uncovered).bit_length() - 1
-        for em in per_edge[e]:
-            descend(uncovered & ~em, count + 1)
+        i, j = divmod((uncovered & -uncovered).bit_length() - 1, n)
+        ends = (1 << i) | (1 << j)
+        for c, em in cliques:
+            if c & ends == ends:
+                descend(uncovered & ~em, count + 1)
 
-    descend((1 << m) - 1, 0)
+    descend(uncovered, 0)
     return best
 
 
@@ -174,14 +189,27 @@ def nop_upper_bound(g: Graph, block_sets: list[VertexSet] | None = None) -> int 
     return g.order - 3 if not is_outerplanar(g, block_sets) else None
 
 
-def path_upper_bound(g: Graph) -> int | None:
-    """order - 2 when g is not a path, else None."""
-    return g.order - 2 if not graphs.is_path(g) else None
+def path_upper_bound(g: Graph, tree: bool | None = None) -> int | None:
+    """order - 2 when g is not a path, else None.  tree, when given, is
+    graphs.is_tree(g)."""
+    if tree is None:
+        tree = graphs.is_tree(g)
+    return None if tree and max(map(int.bit_count, g.adj)) <= 2 else g.order - 2
+
+
+# Barrett, van der Holst and Loewy, "Graphs whose minimal rank is two"
+# (ELA 11, 2004): over the reals, mr(G) <= 2 iff G has no induced P4,
+# dart, ltimes, P3 + K2, 3K2 or K3,3,3.  The list derived from the atlas
+# holds the first five; K3,3,3 has order 9, so no atlas graph shows it.
+K333 = Graph.from_edges(9, [(i, j) for i in range(9) for j in range(i + 1, 9) if i // 3 != j // 3])
 
 
 def is_forbidden_mr2(g: Graph, forbidden: ForbiddenList) -> bool:
-    """True iff g contains some forbidden pattern as an induced subgraph."""
-    return any(graphs.contains_induced(g, p) for p in forbidden.patterns)
+    """True iff g contains some forbidden pattern, or from order 9 on
+    K333, as an induced subgraph."""
+    return any(graphs.contains_induced(g, p) for p in forbidden.patterns) or (
+        g.order >= 9 and graphs.contains_induced(g, K333)
+    )
 
 
 def tree_path_cover_number(t: Graph) -> int:
@@ -245,7 +273,8 @@ def combine(g: Graph, forbidden: ForbiddenList) -> BoundsRow:
     """Fold every bound into one row; disconnected graphs sum over components.
 
     A connected row computes graphs.blocks once: cv comes from it, and
-    the planarity and outerplanarity tests take it.
+    the planarity and outerplanarity tests take it.  It counts edges
+    once too: it is a tree iff it has n - 1, and the path test reads that.
     """
     comps = graphs.components(g)
     if len(comps) > 1:
@@ -254,6 +283,8 @@ def combine(g: Graph, forbidden: ForbiddenList) -> BoundsRow:
         )
 
     n = g.order
+    size = g.size()
+    tree = size == n - 1  # g is connected
     block_sets = graphs.blocks(g)
     cv = bool(graphs.articulation_points(g, block_sets))
     zfs = n - zero_forcing_number(g)
@@ -261,9 +292,8 @@ def combine(g: Graph, forbidden: ForbiddenList) -> BoundsRow:
     cc = clique_cover_number(g)
     np_ub = np_upper_bound(g, block_sets)
     nop_ub = nop_upper_bound(g, block_sets)
-    path_ub = path_upper_bound(g)
+    path_ub = path_upper_bound(g, tree)
     forb = is_forbidden_mr2(g, forbidden)
-    tree = graphs.is_tree(g)
 
     lb = max(zfs, diam, 3 if forb else 0)
     ubs = [cc, n - 1]
@@ -275,7 +305,7 @@ def combine(g: Graph, forbidden: ForbiddenList) -> BoundsRow:
     ub = min(ubs)
     return BoundsRow(
         order=n,
-        size=g.size(),
+        size=size,
         con=True,
         zfs_lb=zfs,
         diam_lb=diam,
@@ -345,17 +375,12 @@ def derive_forbidden_list(
     deletion of theirs is so certified, mr <= 2 when they sit induced
     inside a recorded mr <= 2 graph.  A deletion that neither route
     settles makes its candidate undecidable and is reported as a gap.
+    mr_by_atlas is keyed by atlas number, corpus position + 1; a key
+    past the corpus names no graph and goes unread (the command line
+    rejects it first, with catalog.check_atlas_number).
     """
-    beyond = sorted(a for a in mr_by_atlas if not 1 <= a <= len(corpus))
-    if beyond:
-        raise ValueError(
-            f"reference row for atlas {beyond[0]} has no graph: "
-            f"the corpus holds atlas 1..{len(corpus)}"
-        )
     atlas_of = AtlasIndex(corpus).atlas_number
-    le2_hosts = [
-        corpus[a - 1] for a, mr in sorted(mr_by_atlas.items()) if mr <= 2
-    ]
+    le2_hosts = [g for a, g in enumerate(corpus, 1) if mr_by_atlas.get(a, 3) <= 2]
     cert: dict[int, str | None] = {}
 
     def certify(a: int) -> str | None:

@@ -125,6 +125,13 @@ def read_atlas(path) -> list[bytes]:
     return out
 
 
+def check_atlas_number(a: int, count: int, path) -> None:
+    """The atlas-position rule: the atlas file at path, holding count
+    graphs, has atlas numbers 1..count and no other."""
+    if not 1 <= a <= count:
+        raise ValueError(f"{path} has no atlas {a}: it holds atlas 1..{count}")
+
+
 def load_atlas(path) -> list[Graph]:
     """Every graph of an atlas file, decoded: item k - 1 is atlas graph k."""
     return [decode_graph6(line) for line in read_atlas(path)]

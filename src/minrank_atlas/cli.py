@@ -105,8 +105,7 @@ def _load_target(args) -> graphs.Graph:
     if args.graph6 is not None:
         return from_graph6(args.graph6)
     lines = catalog.read_atlas(args.atlas_file)
-    if not 1 <= args.atlas <= len(lines):
-        raise ValueError(f"atlas number {args.atlas} outside 1..{len(lines)}")
+    catalog.check_atlas_number(args.atlas, len(lines), args.atlas_file)
     return decode_graph6(lines[args.atlas - 1])
 
 
@@ -183,10 +182,7 @@ def cmd_verify_witnesses(args) -> int:
     all_ok = True
     results = []
     for rec in sorted(records, key=lambda r: r.atlas_number):
-        if not 1 <= rec.atlas_number <= len(lines):
-            raise ValueError(
-                f"witness for atlas {rec.atlas_number} has no graph in {args.atlas_file}"
-            )
+        catalog.check_atlas_number(rec.atlas_number, len(lines), args.atlas_file)
         report = witness.verify_witness(rec, decode_graph6(lines[rec.atlas_number - 1]))
         reasons = report.reasons()
         if rec.atlas_number in witness.KNOWN_UNWITNESSED:
@@ -210,6 +206,8 @@ def cmd_derive_forbidden(args) -> int:
     corpus = catalog.load_atlas(args.atlas_file)
     fixtures = catalog.load_fixtures(args.fixtures)
     mr_by_atlas = {f.atlas_number: f.mr for f in fixtures}
+    for a in mr_by_atlas:
+        catalog.check_atlas_number(a, len(corpus), args.atlas_file)
     try:
         derived = bounds.derive_forbidden_list(corpus, mr_by_atlas)
     except bounds.ForbiddenDerivationError as exc:

@@ -111,17 +111,19 @@ class Graph:
 
 def components(g: Graph) -> list[VertexSet]:
     """Maximal connected vertex sets, ascending by smallest vertex."""
+    adj = g.adj
     seen = 0
     out = []
     for v in range(g.order):
         if (seen >> v) & 1:
             continue
-        comp = 1 << v
-        frontier = comp
+        comp = frontier = 1 << v
         while frontier:
             grown = 0
-            for u in bits(frontier):
-                grown |= g.adj[u]
+            while frontier:
+                low = frontier & -frontier
+                grown |= adj[low.bit_length() - 1]
+                frontier ^= low
             frontier = grown & ~comp
             comp |= frontier
         out.append(comp)
@@ -135,16 +137,18 @@ def is_connected(g: Graph) -> bool:
 
 def diameter(g: Graph) -> int:
     """Largest BFS distance over vertex pairs; rejects disconnected input."""
+    adj = g.adj
     best = 0
     full = g.vertex_mask
     for v in range(g.order):
-        reached = 1 << v
-        frontier = reached
+        reached = frontier = 1 << v
         dist = 0
         while True:
             grown = 0
-            for u in bits(frontier):
-                grown |= g.adj[u]
+            while frontier:
+                low = frontier & -frontier
+                grown |= adj[low.bit_length() - 1]
+                frontier ^= low
             frontier = grown & ~reached
             if not frontier:
                 break
@@ -165,6 +169,7 @@ def blocks(g: Graph) -> list[VertexSet]:
     one block.
     """
     n = g.order
+    adj = g.adj
     disc = [-1] * n
     low = [0] * n
     stack: list[int] = []
@@ -176,7 +181,10 @@ def blocks(g: Graph) -> list[VertexSet]:
         disc[u] = low[u] = timer
         timer += 1
         stack.append(u)
-        for w in bits(g.adj[u]):
+        rest = adj[u]
+        while rest:
+            w = (rest & -rest).bit_length() - 1
+            rest ^= 1 << w
             if disc[w] == -1:
                 dfs(w, u)
                 low[u] = min(low[u], low[w])
@@ -195,7 +203,7 @@ def blocks(g: Graph) -> list[VertexSet]:
         if disc[v] == -1:
             dfs(v, -1)
             stack.pop()  # the root stays stacked below its last block
-            if not g.adj[v]:
+            if not adj[v]:
                 out.append(1 << v)
     return out
 
@@ -308,18 +316,25 @@ def maximal_cliques(g: Graph) -> list[VertexSet]:
         if not p and not x:
             out.append(r)
             return
-        pivot = -1
+        pivot_row = 0
         best = -1
-        for u in bits(p | x):
-            c = (adj[u] & p).bit_count()
+        rest = p | x
+        while rest:
+            low = rest & -rest
+            row = adj[low.bit_length() - 1]
+            c = (row & p).bit_count()
             if c > best:
                 best = c
-                pivot = u
-        for v in bits(p & ~adj[pivot]):
-            bit = 1 << v
-            expand(r | bit, p & adj[v], x & adj[v])
-            p &= ~bit
+                pivot_row = row
+            rest ^= low
+        cand = p & ~pivot_row
+        while cand:
+            bit = cand & -cand
+            row = adj[bit.bit_length() - 1]
+            expand(r | bit, p & row, x & row)
+            p ^= bit
             x |= bit
+            cand ^= bit
 
     expand(0, g.vertex_mask, 0)
     return sorted(out)

@@ -1,7 +1,10 @@
 """Planarity by path addition, and outerplanarity by minor containment.
 
-is_planar runs Demoucron-Malgrange-Pertuiset path addition (1964) on
-each block of order >= 5; smaller blocks are planar.  A block is
+is_planar works block by block and first counts the block's edges m.
+A block with m < 9 is planar, by Kuratowski's theorem: K3,3 has 9 edges
+and K5 10, and a subdivision has at least as many.  A block of order
+n with m > 3n - 6 is not planar, by Euler's formula.  The rest run
+Demoucron-Malgrange-Pertuiset path addition (1964).  A block is
 2-connected, so it has a cycle H to start from, and every face of H
 and of what grows on it is bounded by a cycle.  The fragments of G
 relative to H are the chords of H and the components of G - H with
@@ -158,10 +161,24 @@ def _planar_block(adj, block: VertexSet) -> bool:
 
 
 def is_planar(g: Graph, block_sets: list[VertexSet] | None = None) -> bool:
-    """Path addition on every block of order >= 5.  block_sets, when
+    """Every block planar.  A block with m < 9 edges is planar, since
+    K3,3 has 9 edges and K5 10 (Kuratowski), and one with m > 3n - 6 is
+    not (Euler); path addition decides the rest.  block_sets, when
     given, is blocks(g)."""
-    block_sets = blocks(g) if block_sets is None else block_sets
-    return all(_planar_block(g.adj, b) for b in block_sets if b.bit_count() > 4)
+    adj = g.adj
+    for block in blocks(g) if block_sets is None else block_sets:
+        twice = 0
+        rest = block
+        while rest:
+            low = rest & -rest
+            twice += (adj[low.bit_length() - 1] & block).bit_count()
+            rest ^= low
+        m = twice // 2
+        if m < 9:
+            continue
+        if m > 3 * block.bit_count() - 6 or not _planar_block(adj, block):
+            return False
+    return True
 
 
 def is_outerplanar(g: Graph, block_sets: list[VertexSet] | None = None) -> bool:

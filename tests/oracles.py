@@ -7,7 +7,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from minrank_atlas.graphs import Graph, bits
+from minrank_atlas.graphs import Graph, bits, maximal_cliques
 
 # Kuratowski's graphs: planar iff neither is a minor (Wagner)
 K5 = Graph.complete(5)
@@ -120,6 +120,44 @@ def brute_clique_cover(g: Graph) -> int:
             if acc == full:
                 return k
     raise AssertionError("edges always coverable by themselves")
+
+
+def clique_cover_by_edge_index(g: Graph) -> int:
+    """Clique cover number by branch and bound over maximal cliques, with
+    edges numbered through an index dict and one clique list per edge."""
+    edges = list(g.edges())
+    m = len(edges)
+    if m == 0:
+        return 0
+    eindex = {e: i for i, e in enumerate(edges)}
+    cmasks = []
+    for c in maximal_cliques(g):
+        vs = list(bits(c))
+        if len(vs) < 2:
+            continue
+        em = 0
+        for a in range(len(vs)):
+            for b in range(a + 1, len(vs)):
+                em |= 1 << eindex[(vs[a], vs[b])]
+        cmasks.append(em)
+    per_edge = [[em for em in cmasks if (em >> i) & 1] for i in range(m)]
+    max_clique_edges = max(em.bit_count() for em in cmasks)
+    best = m + 1
+
+    def descend(uncovered: int, count: int) -> None:
+        nonlocal best
+        if not uncovered:
+            best = count
+            return
+        need = (uncovered.bit_count() + max_clique_edges - 1) // max_clique_edges
+        if count + need >= best:
+            return
+        e = (uncovered & -uncovered).bit_length() - 1
+        for em in per_edge[e]:
+            descend(uncovered & ~em, count + 1)
+
+    descend((1 << m) - 1, 0)
+    return best
 
 
 def brute_has_minor(g: Graph, h: Graph) -> bool:

@@ -24,6 +24,7 @@ from minrank_atlas.graphs import Graph, class_key, is_isomorphic, is_tree, conta
 
 from oracles import (
     brute_clique_cover,
+    clique_cover_by_edge_index,
     is_triangle_free,
     random_graph,
     random_tree,
@@ -126,6 +127,14 @@ def test_clique_cover_triangle_free_equals_size():
         assert clique_cover_number(g) == g.size()
 
 
+def test_clique_cover_against_edge_index_search(atlas_graphs):
+    rng = random.Random(1010)
+    seeded = [random_graph(rng, rng.randint(1, 10), rng.random()) for _ in range(300)]
+    assert max(g.order for g in seeded) == 10
+    for g in [*atlas_graphs.values(), *seeded]:
+        assert clique_cover_number(g) == clique_cover_by_edge_index(g), g
+
+
 def test_clique_cover_brute_agreement():
     rng = random.Random(73)
     for _ in range(40):
@@ -161,6 +170,40 @@ def test_forbidden_flag_with_bundled_list(forbidden):
     assert is_forbidden_mr2(three_k2, forbidden)
     two_k2 = Graph.from_edges(4, [(0, 1), (2, 3)])
     assert not is_forbidden_mr2(two_k2, forbidden)
+
+
+def test_k333_forces_minimum_rank_three(forbidden):
+    """mr(K3,3,3) = 3 (Barrett-van der Holst-Loewy, ELA 11, 2004), so a
+    graph holding it induced has mr >= 3.  Suppose rank A = 2.  Then
+    A = X D X^T with rows x_i in R^2 and D = diag(+-1, +-1).  The three
+    vertices of a part are pairwise non-adjacent, so they need pairwise
+    D-orthogonal nonzero vectors.  With D definite that is impossible in
+    R^2.  With D = diag(1, -1) all three lie on one null line; there are
+    only two, so two parts share one, and are then D-orthogonal although
+    every edge joins them.
+    """
+    k333 = bounds.K333
+    assert k333.order == 9 and k333.size() == 27
+    assert all(k333.degree(v) == 6 for v in range(9))
+    rng = random.Random(333)
+    for extra in (1, 2, 3):  # orders 10-12
+        n = 9 + extra
+        # a pendant path of `extra` vertices hung on vertex 8
+        pendant = [(v, v + 1) for v in range(8, n - 1)]
+        g = relabel(Graph.from_edges(n, list(k333.edges()) + pendant), rng.sample(range(n), n))
+        assert contains_induced(g, k333)
+        row = combine(g, forbidden)
+        assert row.is_flag and row.lb >= 3 and row.ub >= 3
+        assert row.mr_exact is None or row.mr_exact >= 3
+        # K3,3,extra+3: complete multipartite, so no pattern of the
+        # derived list is induced in it and K3,3,3 alone sets the flag
+        part = [min(v // 3, 2) for v in range(n)]
+        multi = [(i, j) for i in range(n) for j in range(i + 1, n) if part[i] != part[j]]
+        h = relabel(Graph.from_edges(n, multi), rng.sample(range(n), n))
+        assert not any(contains_induced(h, p) for p in forbidden.patterns)
+        assert is_forbidden_mr2(h, forbidden)
+    # K4,4 (mr 2) holds no K3,3,3
+    assert not is_forbidden_mr2(Graph.complete_bipartite(4, 4), forbidden)
 
 
 def test_forbidden_list_requires_patterns():

@@ -67,6 +67,16 @@ def test_bounds_json(capsys):
     assert row["np_ub"] == 1 and row["is"] is False
 
 
+def test_bounds_k333_has_minimum_rank_above_two(capsys):
+    # K3,3,3 (order 9) holds none of the derived order <= 6 patterns
+    code, out, _ = run(capsys, ["bounds", "--graph6", "HFzf~z{"])
+    assert code == 0
+    fields = out.rstrip("\n").split("\t")
+    assert fields[catalog.TABLE_COLUMNS.index("is")] == "T"
+    assert fields[catalog.TABLE_COLUMNS.index("lb")] == "3"
+    assert fields[catalog.TABLE_COLUMNS.index("mr_exact")] == ""
+
+
 def test_bounds_bad_targets(capsys):
     code, _, err = run(capsys, ["bounds", "--atlas", "99999"] + DATA_FLAGS)
     assert code == 2 and "99999" in err
@@ -386,6 +396,18 @@ def test_derive_forbidden_short_atlas(capsys, short_atlas, tmp_path):
     assert not (tmp_path / "fl.g6").exists()
 
 
+@pytest.mark.parametrize("command, number", [
+    ("bounds", 101),            # the --atlas argument
+    ("verify-witnesses", 721),  # the first certificate past the file
+    ("derive-forbidden", 101),  # the first reference row past the file
+])
+def test_atlas_number_past_the_file_names_it(capsys, short_atlas, tmp_path, command, number):
+    extra = {"bounds": ["--atlas", "101"], "derive-forbidden": ["--out", str(tmp_path / "fl.g6")]}
+    code, out, err = run(capsys, [command, "--atlas-file", short_atlas] + extra.get(command, []))
+    assert code == 2 and out == ""
+    assert err == f"error: {short_atlas} has no atlas {number}: it holds atlas 1..100\n"
+
+
 def test_derive_forbidden_atlas_missing_a_class(capsys, tmp_path, data_dir):
     # atlas 32 replaced by a copy of atlas 31: a one-vertex deletion of a
     # larger graph then has no corpus match
@@ -507,7 +529,7 @@ def test_bounds_cold_start_skips_unused_imports():
 def test_atlas_zero_is_out_of_range(capsys, command):
     code, out, err = run(capsys, [command, "--atlas", "0"] + DATA_FLAGS)
     assert code == 2 and out == ""
-    assert "atlas number 0 outside 1..1252" in err
+    assert "data/atlas.g6 has no atlas 0: it holds atlas 1..1252" in err
 
 
 def test_witness_for_atlas_zero_has_no_graph(capsys, tmp_path, data_dir):
@@ -521,7 +543,7 @@ def test_witness_for_atlas_zero_has_no_graph(capsys, tmp_path, data_dir):
     code, out, err = run(capsys, ["verify-witnesses", "--fixtures", str(fixtures),
                                   "--witnesses", str(witnesses)])
     assert code == 2 and out == ""
-    assert "witness for atlas 0 has no graph" in err
+    assert "data/atlas.g6 has no atlas 0: it holds atlas 1..1252" in err
 
 
 TABLE_SHA256 = {

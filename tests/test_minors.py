@@ -232,6 +232,25 @@ def test_reductions_decide_without_search(monkeypatch):
     assert not is_outerplanar(K33) and not is_outerplanar(OCTAHEDRON)
 
 
+def test_path_addition_runs_only_between_the_edge_count_exits(atlas_graphs, monkeypatch):
+    # is_planar settles a block with m < 9 (planar) or m > 3n - 6 (not)
+    # from its edge count; path addition sees only the blocks in between
+    seen = []
+    planar_block = minors._planar_block
+
+    def counted(adj, block):
+        n = block.bit_count()
+        m = sum((adj[v] & block).bit_count() for v in range(len(adj)) if block >> v & 1) // 2
+        seen.append((n, m))
+        return planar_block(adj, block)
+
+    monkeypatch.setattr(minors, "_planar_block", counted)
+    for g in atlas_graphs.values():
+        is_planar(g)
+    assert seen
+    assert all(9 <= m <= 3 * n - 6 for n, m in seen), seen
+
+
 def nx_planar(g: Graph, apex: bool = False) -> bool:
     nx = pytest.importorskip("networkx")
     h = nx.Graph()
