@@ -18,9 +18,9 @@ Disconnected graphs: every bound is the sum over components
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Mapping, Sequence
 from itertools import combinations
-from typing import Mapping, Sequence
 
 from minrank_atlas import graphs
 from minrank_atlas.graph6 import from_graph6, to_graph6
@@ -28,8 +28,10 @@ from minrank_atlas.graphs import Graph, VertexSet, bits
 from minrank_atlas.minors import is_outerplanar, is_planar
 
 
-@dataclass(frozen=True)
-class BoundsRow:
+class BoundsRow(namedtuple("BoundsRow", (
+    "order", "size", "con", "zfs_lb", "diam_lb", "cc_ub", "np_ub", "nop_ub",
+    "path_ub", "is_flag", "cv", "tree", "lb", "ub", "mr_exact",
+))):
     """Computed analogue of one table row.
 
     Connected-only columns (zfs_lb, diam_lb, cc_ub, np_ub, nop_ub,
@@ -38,23 +40,10 @@ class BoundsRow:
     mr_exact is set only when the bounds pin the minimum rank.
     """
 
-    order: int
-    size: int
-    con: bool
-    zfs_lb: int | None
-    diam_lb: int | None
-    cc_ub: int | None
-    np_ub: int | None
-    nop_ub: int | None
-    path_ub: int | None
-    is_flag: bool | None
-    cv: bool
-    tree: bool
-    lb: int
-    ub: int
-    mr_exact: int | None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.lb > self.ub:
             raise ValueError(f"lb {self.lb} exceeds ub {self.ub}")
         if self.mr_exact is not None and not self.lb <= self.mr_exact <= self.ub:
@@ -67,17 +56,19 @@ class BoundsRow:
             for v in gated + (self.np_ub, self.nop_ub, self.path_ub)
         ):
             raise ValueError("disconnected row carries a connected-only column")
+        return self
 
 
-@dataclass(frozen=True)
-class ForbiddenList:
+class ForbiddenList(namedtuple("ForbiddenList", ("patterns",))):
     """Minimal graphs whose induced presence forces minimum rank >= 3."""
 
-    patterns: tuple[Graph, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, patterns: tuple[Graph, ...]):
+        self = super().__new__(cls, patterns)
         if not self.patterns:
             raise ValueError("forbidden list must be nonempty")
+        return self
 
 
 def _closure(adj: tuple[int, ...], filled: VertexSet) -> VertexSet:

@@ -29,9 +29,9 @@ Diff relations (the acceptance contract):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from collections import namedtuple
+from collections.abc import Iterable, Mapping, Sequence
 from itertools import starmap
-from typing import Iterable, Mapping, Sequence
 
 from minrank_atlas import graphs
 from minrank_atlas.bounds import AtlasIndex, BoundsRow, ForbiddenList, combine, disjoint_union_row
@@ -51,45 +51,25 @@ TABLE_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class FixtureRow:
+class FixtureRow(namedtuple("FixtureRow", (
+    "atlas_number", "order", "size", "mr", "mr_by_hand", "lb", "ub", "con",
+    "zfs_lb", "diam_lb", "cc_ub", "np_ub", "nop_ub", "path_ub", "is_flag", "cv", "tree",
+))):
     """One transcribed reference row; None marks a blank cell."""
 
-    atlas_number: int
-    order: int
-    size: int
-    mr: int
-    mr_by_hand: bool
-    lb: int
-    ub: int
-    con: bool
-    zfs_lb: int | None
-    diam_lb: int | None
-    cc_ub: int | None
-    np_ub: int | None
-    nop_ub: int | None
-    path_ub: int | None
-    is_flag: bool | None
-    cv: bool | None
-    tree: bool | None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(namedtuple("Mismatch", ("atlas_number", "column", "expected", "computed"))):
     """One diff finding: the reference value of a column against the computed one."""
 
-    atlas_number: int
-    column: str
-    expected: object
-    computed: object
+    __slots__ = ()
 
 
-@dataclass
-class DiffReport:
+class DiffReport(namedtuple("DiffReport", ("rows_checked", "mismatches"))):
     """All findings of one diff; ok when there are none."""
 
-    rows_checked: int
-    mismatches: list[Mismatch]
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -336,8 +316,8 @@ def bounds_row_fields(atlas_label: str, row: BoundsRow) -> list[str]:
 
 def bounds_row_dict(atlas_number: int | None, row: BoundsRow) -> dict:
     out: dict = {"atlas": atlas_number}
-    for fld in fields(BoundsRow):
-        out[_COLUMN.get(fld.name, fld.name)] = getattr(row, fld.name)
+    for name in BoundsRow._fields:
+        out[_COLUMN.get(name, name)] = getattr(row, name)
     return out
 
 

@@ -10,8 +10,7 @@ and the minor test's subgraph step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
 MAX_ORDER = 64
 
@@ -26,14 +25,19 @@ def bits(mask: VertexSet) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
 class Graph:
-    """Undirected simple graph: adj[i] has bit j set iff {i,j} is an edge."""
+    """Undirected simple graph: adj[i] has bit j set iff {i,j} is an edge.
 
+    Immutable: equality and hashing are on (order, adj).
+    """
+
+    __slots__ = ("order", "adj")
     order: int
     adj: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, order: int, adj: tuple[int, ...]) -> None:
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "adj", adj)
         n = self.order
         if not 1 <= n <= MAX_ORDER:
             raise ValueError(f"order must be in 1..{MAX_ORDER}, got {n}")
@@ -49,6 +53,28 @@ class Graph:
             for j in range(i + 1, n):
                 if (self.adj[i] >> j) & 1 != (self.adj[j] >> i) & 1:
                     raise ValueError(f"asymmetric adjacency at ({i},{j})")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.order, self.adj) == (other.order, other.adj)
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.adj))
+
+    def __repr__(self) -> str:
+        return f"Graph(order={self.order!r}, adj={self.adj!r})"
+
+    def __reduce__(self):
+        # pickle (the --jobs pool) rebuilds through __init__, which
+        # revalidates, since __setattr__ refuses the default slot restore
+        return (Graph, (self.order, self.adj))
 
     @classmethod
     def from_edges(cls, order: int, edges) -> Graph:

@@ -12,12 +12,12 @@ built, so commands that check no certificate never load it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from math import lcm
-from typing import TYPE_CHECKING
 
 from minrank_atlas.graphs import Graph
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     from fractions import Fraction
 
@@ -38,19 +38,20 @@ def parse_rational(text: str) -> Fraction:
     return fractions.Fraction(num, den)
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
+class RationalMatrix(namedtuple("RationalMatrix", ("rows",))):
     """Square matrix of Fractions, stored as a tuple of row tuples."""
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, rows: tuple[tuple[Fraction, ...], ...]):
+        self = super().__new__(cls, rows)
         n = len(self.rows)
         if n == 0:
             raise ValueError("empty matrix")
         for row in self.rows:
             if len(row) != n:
                 raise ValueError(f"matrix is not square: {n}x{len(row)} row")
+        return self
 
     @classmethod
     def from_rows(cls, rows) -> RationalMatrix:

@@ -7,8 +7,8 @@ do not fix a vertex labeling), and the exact rational rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from collections import namedtuple
+from collections.abc import Mapping
 
 from minrank_atlas.graphs import Graph, is_isomorphic
 from minrank_atlas.ratmat import (
@@ -24,24 +24,18 @@ from minrank_atlas.ratmat import (
 KNOWN_UNWITNESSED = frozenset({558, 669, 678, 679, 791, 1086, 1135})
 
 
-@dataclass(frozen=True)
-class WitnessRecord:
+class WitnessRecord(namedtuple("WitnessRecord", ("atlas_number", "matrix", "claimed_rank"))):
     """One parsed certificate and the rank it must reach."""
 
-    atlas_number: int
-    matrix: RationalMatrix
-    claimed_rank: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(namedtuple("WitnessReport", (
+    "atlas_number", "symmetric_ok", "pattern_ok", "rank_found", "rank_ok",
+))):
     """Outcome of each certificate check; passed when all three hold."""
 
-    atlas_number: int
-    symmetric_ok: bool
-    pattern_ok: bool
-    rank_found: int
-    rank_ok: bool
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

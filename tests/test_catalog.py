@@ -1,4 +1,3 @@
-import dataclasses
 import re
 
 import pytest
@@ -110,10 +109,10 @@ def test_corpus_integrity(atlas_corpus, fixture_rows):
 
 
 def test_corpus_integrity_catches_faults(atlas_corpus, fixture_rows):
-    broken = dataclasses.replace(fixture_rows[0], size=99)
+    broken = fixture_rows[0]._replace(size=99)
     out = corpus_integrity_mismatches(atlas_corpus, [broken])
     assert len(out) == 1 and out[0].column == "size"
-    beyond = dataclasses.replace(fixture_rows[0], atlas_number=len(atlas_corpus) + 1)
+    beyond = fixture_rows[0]._replace(atlas_number=len(atlas_corpus) + 1)
     out = corpus_integrity_mismatches(atlas_corpus, [beyond])
     assert [(m.atlas_number, m.column) for m in out] == [(1253, "present")]
 
@@ -152,8 +151,8 @@ def test_diff_flags_single_perturbation(fixture_rows):
     subset = [f for f in fixture_rows if f.atlas_number <= 52]
     rows = _echo_rows(subset)
     target = next(f for f in subset if f.con and f.zfs_lb is not None and f.zfs_lb > 0)
-    rows[target.atlas_number] = dataclasses.replace(
-        rows[target.atlas_number], zfs_lb=target.zfs_lb - 1
+    rows[target.atlas_number] = rows[target.atlas_number]._replace(
+        zfs_lb=target.zfs_lb - 1
     )
     report = diff(subset, rows)
     assert len(report.mismatches) == 1
@@ -164,8 +163,8 @@ def test_diff_flags_single_perturbation(fixture_rows):
 
 def test_is_column_is_the_is_flag_field(fixtures_by_atlas):
     # "is" is a keyword, so the column lives in the is_flag field of both row types
-    f = dataclasses.replace(fixtures_by_atlas[7], is_flag=False, cv=False)
-    row = dataclasses.replace(_echo_rows([f])[7], is_flag=True)
+    f = fixtures_by_atlas[7]._replace(is_flag=False, cv=False)
+    row = _echo_rows([f])[7]._replace(is_flag=True)
     cells = dict(zip(catalog.TABLE_COLUMNS, catalog.bounds_row_fields("7", row)))
     assert (cells["is"], cells["cv"]) == ("T", "F")
     as_json = catalog.bounds_row_dict(7, row)
@@ -183,9 +182,9 @@ def test_diff_checks_ub_one_sided(fixtures_by_atlas):
     # computed ub above the reference is allowed; below is flagged
     f = fixtures_by_atlas[7]  # K3: connected, not a tree, lb = ub = 1
     echo = _echo_rows([f])[7]
-    looser = dataclasses.replace(echo, ub=f.ub + 1, mr_exact=None)
+    looser = echo._replace(ub=f.ub + 1, mr_exact=None)
     assert diff([f], {7: looser}).ok
-    tighter = dataclasses.replace(echo, ub=f.ub - 1, lb=f.lb - 1, mr_exact=None)
+    tighter = echo._replace(ub=f.ub - 1, lb=f.lb - 1, mr_exact=None)
     report = diff([f], {7: tighter})
     assert {m.column for m in report.mismatches} == {"lb", "ub", "mr_bracket"}
 
@@ -228,3 +227,15 @@ def test_table_lines_shape(atlas_corpus, forbidden):
     assert len(lines) == 19
     assert lines[1].split("\t")[0] == "1"
     assert list(table_lines(rows)) == lines
+
+
+def test_atlas_file_is_the_networkx_atlas(atlas_corpus):
+    # an independent transcription of the same atlas: line k of the file is
+    # networkx's graph k with the same vertex labels, not merely isomorphic
+    nx = pytest.importorskip("networkx")
+    reference = nx.graph_atlas_g()
+    assert len(atlas_corpus) == len(reference) - 1 == 1252  # networkx 0 is the null graph
+    for k, g in enumerate(atlas_corpus, 1):
+        h = reference[k]
+        assert sorted(h.nodes) == list(range(g.order)), k
+        assert sorted(tuple(sorted(e)) for e in h.edges) == list(g.edges()), k

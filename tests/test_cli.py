@@ -522,7 +522,8 @@ def test_bounds_cold_start_skips_unused_imports():
     assert proc.returncode == 0, proc.stderr
     imported = set(proc.stdout.splitlines()[-1].split())
     assert "minrank_atlas.bounds" in imported
-    assert not imported & {"multiprocessing", "fractions", "decimal", "json"}
+    assert not imported & {"multiprocessing", "fractions", "decimal", "json",
+                           "dataclasses", "inspect", "typing"}
 
 
 @pytest.mark.parametrize("command", ["bounds", "zf"])

@@ -1,0 +1,67 @@
+"""The record types' contract: fields, equality, hashing, immutability,
+validation and pickling.  compute_all(jobs=2) pickles graphs, forbidden
+lists and rows to its workers, so a record that does not round-trip
+fails here instead of hanging the pool."""
+
+import pickle
+
+import pytest
+
+from minrank_atlas.bounds import BoundsRow, combine
+from minrank_atlas.graphs import Graph
+
+ROW = dict(order=2, size=1, con=True, zfs_lb=1, diam_lb=1, cc_ub=1,
+           np_ub=None, nop_ub=None, path_ub=None, is_flag=False,
+           cv=False, tree=True, lb=1, ub=1, mr_exact=1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda fb: Graph.path(5),
+    lambda fb: fb,
+    lambda fb: combine(Graph.cycle(5), fb),
+    lambda fb: combine(Graph.from_edges(4, [(0, 1), (2, 3)]), fb),
+])
+def test_pickle_round_trip(forbidden, make):
+    value = make(forbidden)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(value, protocol))
+        assert back == value and type(back) is type(value)
+
+
+def test_a_graph_unpickles_through_its_validating_constructor():
+    assert Graph.path(3).__reduce__() == (Graph, (3, (2, 5, 2)))
+
+
+def test_graph_fields_are_read_only():
+    g = Graph.path(3)
+    for name in ("order", "adj", "other"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+    assert (g.order, g.adj) == (3, (2, 5, 2))
+
+
+def test_graph_equality_hash_and_repr():
+    a = Graph.from_edges(3, [(0, 1), (1, 2)])
+    b = Graph.path(3)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b, Graph.cycle(3)}) == 2
+    assert a != Graph.empty(3) and a != (3, (2, 5, 2))
+    assert repr(a) == "Graph(order=3, adj=(2, 5, 2))"
+
+
+def test_bounds_row_fields_and_validation():
+    row = BoundsRow(**ROW)
+    assert BoundsRow._fields == tuple(ROW)
+    assert BoundsRow(*ROW.values()) == row and hash(BoundsRow(**ROW)) == hash(row)
+    with pytest.raises(AttributeError):
+        row.lb = 0
+    bad = [
+        dict(ub=2, mr_exact=3),  # mr_exact outside [lb, ub]
+        dict(ub=2, mr_exact=0),
+        dict(is_flag=None),  # connected row missing a column
+    ]
+    for change in bad:
+        with pytest.raises(ValueError):
+            BoundsRow(**{**ROW, **change})
