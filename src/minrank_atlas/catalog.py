@@ -29,6 +29,7 @@ Diff relations (the acceptance contract):
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import starmap
@@ -105,10 +106,15 @@ def read_atlas(path) -> list[bytes]:
     return out
 
 
+def has_atlas_number(a: int, count: int) -> bool:
+    """The atlas-position rule: an atlas of count graphs has atlas
+    numbers 1..count and no other."""
+    return 1 <= a <= count
+
+
 def check_atlas_number(a: int, count: int, path) -> None:
-    """The atlas-position rule: the atlas file at path, holding count
-    graphs, has atlas numbers 1..count and no other."""
-    if not 1 <= a <= count:
+    """has_atlas_number for the atlas file at path, or a ValueError."""
+    if not has_atlas_number(a, count):
         raise ValueError(f"{path} has no atlas {a}: it holds atlas 1..{count}")
 
 
@@ -143,50 +149,79 @@ def _opt_bool(token: str, where: str) -> bool | None:
     return _parse_bool(token, where)
 
 
+# a well-formed row: the cells _int, _parse_bool, _opt_int and _opt_bool
+# accept, by column ([0-9], not \d: only ASCII digits pass _int)
+_FIXTURE_LINE = "\t".join(
+    ["([0-9]+)"] * 4 + ["([TF])"] + ["([0-9]+)"] * 2 + ["([TF])"]
+    + ["([0-9]*)"] * 6 + ["([TF]?)"] * 3
+) + "\n?"
+_OPT_BOOL = {"": None, "T": True, "F": False}
+
+
+def _row_from_groups(g: Sequence[str]) -> FixtureRow:
+    """The row of a line that _FIXTURE_LINE matched, from its groups."""
+    (atlas, order, size, mr, by_hand, lb, ub, con,
+     zfs, diam, cc, np_, nop, path_, is_flag, cv, tree) = g
+    return FixtureRow(
+        int(atlas), int(order), int(size), int(mr), by_hand == "T", int(lb), int(ub), con == "T",
+        int(zfs) if zfs else None, int(diam) if diam else None, int(cc) if cc else None,
+        int(np_) if np_ else None, int(nop) if nop else None, int(path_) if path_ else None,
+        _OPT_BOOL[is_flag], _OPT_BOOL[cv], _OPT_BOOL[tree],
+    )
+
+
+def _row_from_fields(line: str, where: str) -> FixtureRow:
+    """The row of any line, cell by cell: the error names the first bad cell."""
+    f = line.rstrip("\n").split("\t")
+    if len(f) != len(FIXTURE_COLUMNS):
+        raise ValueError(f"{where}: expected {len(FIXTURE_COLUMNS)} fields, got {len(f)}")
+    return FixtureRow(
+        atlas_number=_int(f[0], where),
+        order=_int(f[1], where),
+        size=_int(f[2], where),
+        mr=_int(f[3], where),
+        mr_by_hand=_parse_bool(f[4], where),
+        lb=_int(f[5], where),
+        ub=_int(f[6], where),
+        con=_parse_bool(f[7], where),
+        zfs_lb=_opt_int(f[8], where),
+        diam_lb=_opt_int(f[9], where),
+        cc_ub=_opt_int(f[10], where),
+        np_ub=_opt_int(f[11], where),
+        nop_ub=_opt_int(f[12], where),
+        path_ub=_opt_int(f[13], where),
+        is_flag=_opt_bool(f[14], where),
+        cv=_opt_bool(f[15], where),
+        tree=_opt_bool(f[16], where),
+    )
+
+
 def load_fixtures(path) -> list[FixtureRow]:
     """Load the transcribed reference table, sorted by atlas number."""
     rows: list[FixtureRow] = []
     seen: set[int] = set()
+    # compiled here, not at import: a command that reads no reference
+    # table does not pay for it, and re caches it across calls
+    well_formed = re.compile(_FIXTURE_LINE).fullmatch
     # surrogateescape, as in read_atlas: a non-ASCII byte fails a cell check
     with open(path, encoding="ascii", errors="surrogateescape") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if tuple(header) != FIXTURE_COLUMNS:
             raise ValueError(f"{path}:1: unexpected header {header}")
         for ln, line in enumerate(fh, 2):
-            if not line.strip():
+            m = well_formed(line)
+            if m:
+                row = _row_from_groups(m.groups())
+            elif not line.strip():
                 continue
-            where = f"{path}:{ln}"
-            f = line.rstrip("\n").split("\t")
-            if len(f) != len(FIXTURE_COLUMNS):
-                raise ValueError(f"{where}: expected {len(FIXTURE_COLUMNS)} fields, got {len(f)}")
-            try:
-                row = FixtureRow(
-                    atlas_number=_int(f[0], where),
-                    order=_int(f[1], where),
-                    size=_int(f[2], where),
-                    mr=_int(f[3], where),
-                    mr_by_hand=_parse_bool(f[4], where),
-                    lb=_int(f[5], where),
-                    ub=_int(f[6], where),
-                    con=_parse_bool(f[7], where),
-                    zfs_lb=_opt_int(f[8], where),
-                    diam_lb=_opt_int(f[9], where),
-                    cc_ub=_opt_int(f[10], where),
-                    np_ub=_opt_int(f[11], where),
-                    nop_ub=_opt_int(f[12], where),
-                    path_ub=_opt_int(f[13], where),
-                    is_flag=_opt_bool(f[14], where),
-                    cv=_opt_bool(f[15], where),
-                    tree=_opt_bool(f[16], where),
-                )
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}" if where not in str(exc) else str(exc)) from exc
+            else:
+                row = _row_from_fields(line, f"{path}:{ln}")
             if row.lb > row.ub:
-                raise ValueError(f"{where}: lb {row.lb} exceeds ub {row.ub}")
+                raise ValueError(f"{path}:{ln}: lb {row.lb} exceeds ub {row.ub}")
             if not row.lb <= row.mr <= row.ub:
-                raise ValueError(f"{where}: mr {row.mr} outside [{row.lb}, {row.ub}]")
+                raise ValueError(f"{path}:{ln}: mr {row.mr} outside [{row.lb}, {row.ub}]")
             if row.atlas_number in seen:
-                raise ValueError(f"{where}: duplicate atlas number {row.atlas_number}")
+                raise ValueError(f"{path}:{ln}: duplicate atlas number {row.atlas_number}")
             seen.add(row.atlas_number)
             rows.append(row)
     rows.sort(key=lambda r: r.atlas_number)
@@ -200,7 +235,7 @@ def corpus_integrity_mismatches(
     against the transcribed columns."""
     out = []
     for row in fixtures:
-        if not 1 <= row.atlas_number <= len(corpus):
+        if not has_atlas_number(row.atlas_number, len(corpus)):
             out.append(Mismatch(row.atlas_number, "present", "graph", None))
             continue
         g = corpus[row.atlas_number - 1]

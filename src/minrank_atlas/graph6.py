@@ -7,7 +7,8 @@ column-major pair order (0,1), (0,2), (1,2), (0,3), ... with zero
 padding to a byte boundary.
 
 Decoding is two steps: check_graph6 makes every validity check and
-builds nothing, decode_graph6 turns a checked line into a Graph.  The
+builds nothing, decode_graph6 turns a checked line into a Graph by
+looking up, per payload byte, the pairs that its value sets.  The
 atlas reader checks every line of its file but decodes only the lines
 a command uses.
 """
@@ -80,10 +81,9 @@ def check_graph6(text: str) -> bytes:
 def decode_graph6(data: bytes) -> Graph:
     """Decode a line that check_graph6 accepted."""
     n, body_at = _size_field(data)
-    payload = "".join([_GROUP_BITS[b] for b in data[body_at:]])
     rows = [0] * n
-    for (i, j), bit in zip(_pairs(n), payload):  # zip stops short of the padding
-        if bit == "1":
+    for sets, b in zip(_byte_pairs(n), data[body_at:]):
+        for i, j in sets[b - 63]:
             rows[i] |= 1 << j
             rows[j] |= 1 << i
     return Graph(n, tuple(rows))
@@ -113,4 +113,15 @@ def _pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for j in range(1, n) for i in range(j))
 
 
-_GROUP_BITS = {b: format(b - 63, "06b") for b in range(63, 127)}
+@functools.cache  # one entry per order, as _pairs
+def _byte_pairs(n: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+    """Item k, v: the pairs of order n that payload byte k sets when its
+    value is 63 + v (six bits, the first pair in the high bit)."""
+    pairs = _pairs(n)
+    return tuple(
+        tuple(
+            tuple(p for bit, p in enumerate(pairs[k : k + 6]) if v & (32 >> bit))
+            for v in range(64)
+        )
+        for k in range(0, len(pairs), 6)
+    )

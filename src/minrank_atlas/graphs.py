@@ -6,10 +6,22 @@ Vertices are 0-based.  A vertex set is a plain int used as a bitmask
 solvers branch-light.  Graphs are immutable and hashable.  embeds is
 the one backtracking search, shared by induced containment, isomorphism
 and the minor test's subgraph step.
+
+Every construction is validated on the whole adjacency matrix at once.
+The n rows are packed into one int, row i in bits [i*w, (i+1)*w) with
+w the smallest of 8/16/32/64 that is >= n (struct rejects a negative,
+too wide or non-int row).  One AND with the diagonal finds a loop;
+log2(w) delta swaps (Hacker's Delight, section 7-3) transpose the
+packed matrix, and the graph is symmetric iff the transpose equals it.
+That test also finds a bit at or beyond column n, whose mirror would
+lie in a row the matrix does not have.  Only a graph that fails is
+scanned row by row and pair by pair, so that the message names the
+first fault.
 """
 
 from __future__ import annotations
 
+import struct
 from collections.abc import Iterator
 
 MAX_ORDER = 64
@@ -25,10 +37,52 @@ def bits(mask: VertexSet) -> Iterator[int]:
         mask ^= low
 
 
+def _unit_rows(rows: int, width: int) -> int:
+    """The int with bit 0 of each of rows consecutive width-bit fields set."""
+    return ((1 << (rows * width)) - 1) // ((1 << width) - 1)
+
+
+_LAYOUTS: list = [None] * (MAX_ORDER + 1)  # per order, filled on first use
+
+
+def _layout(n: int):
+    """Order n's row packer, the mask of its diagonal, and the delta
+    swaps that transpose its packed matrix."""
+    w = 8
+    while w < n:
+        w *= 2
+    swaps = []
+    s = w // 2
+    while s:  # swap the top-right and bottom-left s x s blocks of each 2s x 2s block
+        top_rows = ((1 << (s * w)) - 1) * _unit_rows(w // (2 * s), 2 * s * w)
+        right_cols = (((1 << s) - 1) << s) * _unit_rows(w // (2 * s), 2 * s)
+        swaps.append((s * (w - 1), top_rows & right_cols * _unit_rows(w, w)))
+        s //= 2
+    code = {8: "B", 16: "H", 32: "I", 64: "Q"}[w]
+    _LAYOUTS[n] = layout = (struct.Struct(f"<{n}{code}").pack, _unit_rows(n, w + 1), tuple(swaps))
+    return layout
+
+
+def _raise_first_fault(n: int, adj) -> None:
+    """Raise for the first bad row, loop or asymmetric pair of adj."""
+    full = (1 << n) - 1
+    for i, row in enumerate(adj):
+        if row & ~full:
+            raise ValueError(f"row {i} has bits outside 0..{n - 1}")
+        if (row >> i) & 1:
+            raise ValueError(f"loop at vertex {i}")
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (adj[i] >> j) & 1 != (adj[j] >> i) & 1:
+                raise ValueError(f"asymmetric adjacency at ({i},{j})")
+
+
 class Graph:
     """Undirected simple graph: adj[i] has bit j set iff {i,j} is an edge.
 
-    Immutable: equality and hashing are on (order, adj).
+    Immutable: equality and hashing are on (order, adj).  The constructor
+    checks the packed matrix: no bit on the diagonal, and equal to its
+    transpose (see the module docstring).
     """
 
     __slots__ = ("order", "adj")
@@ -38,21 +92,23 @@ class Graph:
     def __init__(self, order: int, adj: tuple[int, ...]) -> None:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "adj", adj)
-        n = self.order
+        n = order
         if not 1 <= n <= MAX_ORDER:
             raise ValueError(f"order must be in 1..{MAX_ORDER}, got {n}")
-        if len(self.adj) != n:
-            raise ValueError(f"expected {n} adjacency rows, got {len(self.adj)}")
-        full = (1 << n) - 1
-        for i, row in enumerate(self.adj):
-            if row & ~full:
-                raise ValueError(f"row {i} has bits outside 0..{n - 1}")
-            if (row >> i) & 1:
-                raise ValueError(f"loop at vertex {i}")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if (self.adj[i] >> j) & 1 != (self.adj[j] >> i) & 1:
-                    raise ValueError(f"asymmetric adjacency at ({i},{j})")
+        if len(adj) != n:
+            raise ValueError(f"expected {n} adjacency rows, got {len(adj)}")
+        # a list index, not a dict key: a float order raises TypeError
+        pack, diagonal, swaps = _LAYOUTS[n] or _layout(n)
+        try:
+            m = int.from_bytes(pack(*adj), "little")
+        except struct.error:  # a negative, too wide or non-int row: the scan names it
+            m = diagonal
+        t = m
+        for shift, mask in swaps:
+            d = ((t >> shift) ^ t) & mask
+            t ^= d ^ (d << shift)
+        if m & diagonal or t != m:
+            _raise_first_fault(n, adj)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -7,11 +7,32 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from minrank_atlas.graphs import Graph, bits, maximal_cliques
+from minrank_atlas.graphs import MAX_ORDER, Graph, bits, maximal_cliques
 
 # Kuratowski's graphs: planar iff neither is a minor (Wagner)
 K5 = Graph.complete(5)
 K33 = Graph.complete_bipartite(3, 3)
+
+
+def graph_fault(order: int, adj) -> str | None:
+    """The message Graph(order, adj) must raise, or None when it is valid:
+    the rule read row by row and then pair by pair (i < j, ascending)."""
+    n = order
+    if not 1 <= n <= MAX_ORDER:
+        return f"order must be in 1..{MAX_ORDER}, got {n}"
+    if len(adj) != n:
+        return f"expected {n} adjacency rows, got {len(adj)}"
+    full = (1 << n) - 1
+    for i, row in enumerate(adj):
+        if row & ~full:
+            return f"row {i} has bits outside 0..{n - 1}"
+        if (row >> i) & 1:
+            return f"loop at vertex {i}"
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (adj[i] >> j) & 1 != (adj[j] >> i) & 1:
+                return f"asymmetric adjacency at ({i},{j})"
+    return None
 
 
 def gauss_jordan_rank(rows) -> int:

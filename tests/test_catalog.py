@@ -104,6 +104,26 @@ def test_load_fixtures_integer_cells_are_ascii_digits(tmp_path, token):
             load_fixtures(_write_fixture(tmp_path, [row]))
 
 
+def test_fixture_line_pattern_agrees_with_cell_parsers(data_dir):
+    # load_fixtures builds a well-formed row from the pattern's groups and
+    # runs the cell parsers only on a line the pattern rejects
+    well_formed = re.compile(catalog._FIXTURE_LINE).fullmatch
+    lines = (data_dir / "table1.tsv").read_text().splitlines(keepends=True)[1:]
+    assert len(lines) == 1162
+    for ln, line in enumerate(lines, 2):
+        m = well_formed(line)
+        assert m, line
+        fast = catalog._row_from_groups(m.groups())
+        slow = catalog._row_from_fields(line, f"table1.tsv:{ln}")
+        assert [(type(v), v) for v in fast] == [(type(v), v) for v in slow]
+    assert well_formed("\t".join(GOOD_ROW) + "\n")
+    # a sign, a space, a non-ASCII byte, a blank required cell, a stray CR
+    for col, token in ((1, "+1"), (1, "1 "), (0, "\udcd9"), (1, ""), (4, ""), (16, "T\r")):
+        row = GOOD_ROW.copy()
+        row[col] = token
+        assert not well_formed("\t".join(row) + "\n")
+
+
 def test_corpus_integrity(atlas_corpus, fixture_rows):
     assert corpus_integrity_mismatches(atlas_corpus, fixture_rows) == []
 

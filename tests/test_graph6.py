@@ -59,6 +59,17 @@ def test_random_round_trip():
         assert from_graph6(to_graph6(g)) == g
 
 
+def test_round_trip_at_orders_8_9_62():
+    # 8 and 9 straddle Graph's 8-bit row field, and 62 is the largest
+    # order with a one-byte size field; the oracle encoder is independent
+    rng = random.Random(8962)
+    for n in (8, 9, 62):
+        for p in (0.0, 0.3, 1.0):
+            g = random_graph(rng, n, p)
+            assert from_graph6(graph6_by_integer(g)) == g
+            assert from_graph6(to_graph6(g)) == g
+
+
 def test_extended_size_field():
     # order 63 via '~' + three 6-bit groups; empty payload of 326 bytes
     npairs = 63 * 62 // 2

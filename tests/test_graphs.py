@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from minrank_atlas import graphs
 from minrank_atlas.graphs import (
     Graph,
     articulation_points,
@@ -31,16 +32,42 @@ from oracles import (
 
 
 def test_graph_validation():
-    with pytest.raises(ValueError):
-        Graph(0, ())
-    with pytest.raises(ValueError):
-        Graph(2, (0b10,))  # wrong row count
-    with pytest.raises(ValueError):
-        Graph(2, (0b01, 0b10))  # loop at 0
-    with pytest.raises(ValueError):
-        Graph(2, (0b10, 0b00))  # asymmetric
-    with pytest.raises(ValueError):
-        Graph(2, (0b100, 0b000))  # bit outside range
+    cases = [
+        (0, (), "order must be in 1..64, got 0"),
+        (65, (0,) * 65, "order must be in 1..64, got 65"),
+        (2, (0b10,), "expected 2 adjacency rows, got 1"),
+        (2, (0b01, 0b10), "loop at vertex 0"),
+        (2, (0b10, 0b00), "asymmetric adjacency at (0,1)"),
+        (2, (0b100, 0b000), "row 0 has bits outside 0..1"),
+        (2, (0b10, -2), "row 1 has bits outside 0..1"),  # negative row
+        (9, (1 << 9,) + (0,) * 8, "row 0 has bits outside 0..8"),  # inside the 16-bit field
+        (8, (0,) * 7 + (1 << 8,), "row 7 has bits outside 0..7"),  # past the 8-bit field
+        # the first fault by row wins, and pairs are scanned (0,1), (0,2), ...
+        (3, (0b110, 0b000, 0b101), "loop at vertex 2"),
+        (3, (0b100, 0b100, 0b000), "asymmetric adjacency at (0,2)"),
+    ]
+    for order, adj, message in cases:
+        with pytest.raises(ValueError) as exc:
+            Graph(order, adj)
+        assert str(exc.value) == message
+    with pytest.raises(TypeError):
+        Graph(2, (0b10, 1.0))  # a non-int row
+    with pytest.raises(TypeError):
+        Graph(2.0, (0b10, 0b01))  # a non-int order
+
+
+def test_valid_graphs_pass_without_the_scan(monkeypatch):
+    # the packed-matrix check alone accepts a valid graph: the row-and-pair
+    # scan, which would accept it too, runs only after a fault
+    def scan(n, adj):
+        raise AssertionError(f"scanned a valid graph of order {n}")
+
+    monkeypatch.setattr(graphs, "_raise_first_fault", scan)
+    rng = random.Random(64)
+    for n in range(1, 65):
+        for p in (0.0, 0.5, 1.0):
+            g = random_graph(rng, n, p)
+            assert Graph(n, g.adj) == g
 
 
 def test_size_families():

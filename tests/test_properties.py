@@ -1,6 +1,7 @@
-"""Property tests: the bound columns are graph invariants, and the graph6
-reader fails only with its own error.  Derandomized, so every run draws
-the same examples."""
+"""Property tests: Graph accepts and rejects exactly as the row-and-pair
+rule of oracles.graph_fault, the bound columns are graph invariants, and
+the graph6 reader fails only with its own error.  Derandomized, so every
+run draws the same examples."""
 
 import pytest
 
@@ -11,9 +12,51 @@ from minrank_atlas.bounds import combine
 from minrank_atlas.graph6 import Graph6Error, from_graph6
 from minrank_atlas.graphs import Graph
 
-from oracles import relabel
+from oracles import graph_fault, relabel
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150, database=None)
+
+CORRUPTIONS = ("none", "one-sided edge", "loop", "bit past column n", "negative row", "row count")
+
+
+@st.composite
+def adjacency_case(draw):
+    """A valid adjacency tuple of order 1..64, most often at the edges of
+    the 8/16/32/64-bit row fields, with at most one corruption."""
+    n = draw(st.one_of(st.sampled_from([1, 2, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64]), st.integers(1, 64)))
+    upper = draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1))
+    rows = [0] * n
+    for i, j in ((i, j) for j in range(1, n) for i in range(j)):
+        if upper & 1:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+        upper >>= 1
+    kind = draw(st.sampled_from(CORRUPTIONS))
+    v = draw(st.integers(0, n - 1))
+    if kind == "one-sided edge" and n > 1:
+        rows[v] ^= 1 << draw(st.integers(0, n - 1).filter(lambda u: u != v))
+    elif kind == "loop":
+        rows[v] |= 1 << v
+    elif kind == "bit past column n":
+        rows[v] |= 1 << draw(st.one_of(st.integers(n, 64), st.integers(n, 2 * n + 70)))
+    elif kind == "negative row":
+        rows[v] = ~rows[v]
+    elif kind == "row count":
+        rows = rows[:-1] if draw(st.booleans()) else rows + [0]
+    return n, tuple(rows)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(adjacency_case())
+def test_graph_validates_as_the_oracle(case):
+    n, adj = case
+    expected = graph_fault(n, adj)
+    if expected is None:
+        assert Graph(n, adj).adj == adj
+    else:
+        with pytest.raises(ValueError) as exc:
+            Graph(n, adj)
+        assert str(exc.value) == expected
 
 
 @st.composite
