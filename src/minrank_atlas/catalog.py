@@ -29,7 +29,6 @@ Diff relations (the acceptance contract):
 
 from __future__ import annotations
 
-import re
 from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import starmap
@@ -123,99 +122,56 @@ def load_atlas(path) -> list[Graph]:
     return [decode_graph6(line) for line in read_atlas(path)]
 
 
-def _parse_bool(token: str, where: str) -> bool:
+def _parse_bool(token: str) -> bool:
     if token == "T":
         return True
     if token == "F":
         return False
-    raise ValueError(f"{where}: expected T or F, got {token!r}")
+    raise ValueError(f"expected T or F, got {token!r}")
 
 
-def _int(token: str, where: str) -> int:
+def _int(token: str) -> int:
     # the file is read as ASCII, non-ASCII bytes as lone surrogates, so
     # only 0-9 pass: no sign, space, "_" or other digit
     if not token.isdigit():
-        raise ValueError(f"{where}: expected integer, got {token!r}")
+        raise ValueError(f"expected integer, got {token!r}")
     return int(token)
 
 
-def _opt_int(token: str, where: str) -> int | None:
-    return None if token == "" else _int(token, where)
+def _opt_int(token: str) -> int | None:
+    return None if token == "" else _int(token)
 
 
-def _opt_bool(token: str, where: str) -> bool | None:
-    if token == "":
-        return None
-    return _parse_bool(token, where)
+def _opt_bool(token: str) -> bool | None:
+    return None if token == "" else _parse_bool(token)
 
 
-# a well-formed row: the cells _int, _parse_bool, _opt_int and _opt_bool
-# accept, by column ([0-9], not \d: only ASCII digits pass _int)
-_FIXTURE_LINE = "\t".join(
-    ["([0-9]+)"] * 4 + ["([TF])"] + ["([0-9]+)"] * 2 + ["([TF])"]
-    + ["([0-9]*)"] * 6 + ["([TF]?)"] * 3
-) + "\n?"
-_OPT_BOOL = {"": None, "T": True, "F": False}
-
-
-def _row_from_groups(g: Sequence[str]) -> FixtureRow:
-    """The row of a line that _FIXTURE_LINE matched, from its groups."""
-    (atlas, order, size, mr, by_hand, lb, ub, con,
-     zfs, diam, cc, np_, nop, path_, is_flag, cv, tree) = g
-    return FixtureRow(
-        int(atlas), int(order), int(size), int(mr), by_hand == "T", int(lb), int(ub), con == "T",
-        int(zfs) if zfs else None, int(diam) if diam else None, int(cc) if cc else None,
-        int(np_) if np_ else None, int(nop) if nop else None, int(path_) if path_ else None,
-        _OPT_BOOL[is_flag], _OPT_BOOL[cv], _OPT_BOOL[tree],
-    )
-
-
-def _row_from_fields(line: str, where: str) -> FixtureRow:
-    """The row of any line, cell by cell: the error names the first bad cell."""
-    f = line.rstrip("\n").split("\t")
-    if len(f) != len(FIXTURE_COLUMNS):
-        raise ValueError(f"{where}: expected {len(FIXTURE_COLUMNS)} fields, got {len(f)}")
-    return FixtureRow(
-        atlas_number=_int(f[0], where),
-        order=_int(f[1], where),
-        size=_int(f[2], where),
-        mr=_int(f[3], where),
-        mr_by_hand=_parse_bool(f[4], where),
-        lb=_int(f[5], where),
-        ub=_int(f[6], where),
-        con=_parse_bool(f[7], where),
-        zfs_lb=_opt_int(f[8], where),
-        diam_lb=_opt_int(f[9], where),
-        cc_ub=_opt_int(f[10], where),
-        np_ub=_opt_int(f[11], where),
-        nop_ub=_opt_int(f[12], where),
-        path_ub=_opt_int(f[13], where),
-        is_flag=_opt_bool(f[14], where),
-        cv=_opt_bool(f[15], where),
-        tree=_opt_bool(f[16], where),
-    )
+# the cell parser of each column of FIXTURE_COLUMNS
+_CELLS = (
+    (_int,) * 4 + (_parse_bool,) + (_int,) * 2 + (_parse_bool,)
+    + (_opt_int,) * 6 + (_opt_bool,) * 3
+)
 
 
 def load_fixtures(path) -> list[FixtureRow]:
     """Load the transcribed reference table, sorted by atlas number."""
     rows: list[FixtureRow] = []
     seen: set[int] = set()
-    # compiled here, not at import: a command that reads no reference
-    # table does not pay for it, and re caches it across calls
-    well_formed = re.compile(_FIXTURE_LINE).fullmatch
     # surrogateescape, as in read_atlas: a non-ASCII byte fails a cell check
     with open(path, encoding="ascii", errors="surrogateescape") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if tuple(header) != FIXTURE_COLUMNS:
             raise ValueError(f"{path}:1: unexpected header {header}")
         for ln, line in enumerate(fh, 2):
-            m = well_formed(line)
-            if m:
-                row = _row_from_groups(m.groups())
-            elif not line.strip():
+            if not line.strip():
                 continue
-            else:
-                row = _row_from_fields(line, f"{path}:{ln}")
+            f = line.rstrip("\n").split("\t")
+            if len(f) != len(FIXTURE_COLUMNS):
+                raise ValueError(f"{path}:{ln}: expected {len(FIXTURE_COLUMNS)} fields, got {len(f)}")
+            try:
+                row = FixtureRow(*[cell(token) for cell, token in zip(_CELLS, f)])
+            except ValueError as exc:  # the first bad cell, left to right
+                raise ValueError(f"{path}:{ln}: {exc}") from exc
             if row.lb > row.ub:
                 raise ValueError(f"{path}:{ln}: lb {row.lb} exceeds ub {row.ub}")
             if not row.lb <= row.mr <= row.ub:

@@ -8,9 +8,8 @@ padding to a byte boundary.
 
 Decoding is two steps: check_graph6 makes every validity check and
 builds nothing, decode_graph6 turns a checked line into a Graph by
-looking up, per payload byte, the pairs that its value sets.  The
-atlas reader checks every line of its file but decodes only the lines
-a command uses.
+walking the set bits of each payload byte.  The atlas reader checks
+every line of its file but decodes only the lines a command uses.
 """
 
 from __future__ import annotations
@@ -81,11 +80,18 @@ def check_graph6(text: str) -> bytes:
 def decode_graph6(data: bytes) -> Graph:
     """Decode a line that check_graph6 accepted."""
     n, body_at = _size_field(data)
+    pairs = _pairs(n)
     rows = [0] * n
-    for sets, b in zip(_byte_pairs(n), data[body_at:]):
-        for i, j in sets[b - 63]:
+    # the byte at pair first carries pairs first..first+5, the first in
+    # its high bit; padding bits are zero, so a set bit names a pair
+    for first, b in zip(range(0, len(pairs), 6), data[body_at:]):
+        bits = b - 63
+        while bits:
+            top = bits.bit_length()
+            i, j = pairs[first + 6 - top]
             rows[i] |= 1 << j
             rows[j] |= 1 << i
+            bits ^= 1 << (top - 1)
     return Graph(n, tuple(rows))
 
 
@@ -111,17 +117,3 @@ def to_graph6(g: Graph) -> str:
 def _pairs(n: int) -> tuple[tuple[int, int], ...]:
     """The upper-triangle pairs of order n in payload bit order."""
     return tuple((i, j) for j in range(1, n) for i in range(j))
-
-
-@functools.cache  # one entry per order, as _pairs
-def _byte_pairs(n: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
-    """Item k, v: the pairs of order n that payload byte k sets when its
-    value is 63 + v (six bits, the first pair in the high bit)."""
-    pairs = _pairs(n)
-    return tuple(
-        tuple(
-            tuple(p for bit, p in enumerate(pairs[k : k + 6]) if v & (32 >> bit))
-            for v in range(64)
-        )
-        for k in range(0, len(pairs), 6)
-    )

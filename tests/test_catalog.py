@@ -104,24 +104,23 @@ def test_load_fixtures_integer_cells_are_ascii_digits(tmp_path, token):
             load_fixtures(_write_fixture(tmp_path, [row]))
 
 
-def test_fixture_line_pattern_agrees_with_cell_parsers(data_dir):
-    # load_fixtures builds a well-formed row from the pattern's groups and
-    # runs the cell parsers only on a line the pattern rejects
-    well_formed = re.compile(catalog._FIXTURE_LINE).fullmatch
-    lines = (data_dir / "table1.tsv").read_text().splitlines(keepends=True)[1:]
-    assert len(lines) == 1162
-    for ln, line in enumerate(lines, 2):
-        m = well_formed(line)
-        assert m, line
-        fast = catalog._row_from_groups(m.groups())
-        slow = catalog._row_from_fields(line, f"table1.tsv:{ln}")
-        assert [(type(v), v) for v in fast] == [(type(v), v) for v in slow]
-    assert well_formed("\t".join(GOOD_ROW) + "\n")
-    # a sign, a space, a non-ASCII byte, a blank required cell, a stray CR
-    for col, token in ((1, "+1"), (1, "1 "), (0, "\udcd9"), (1, ""), (4, ""), (16, "T\r")):
-        row = GOOD_ROW.copy()
-        row[col] = token
-        assert not well_formed("\t".join(row) + "\n")
+def test_load_fixtures_cell_grammar_by_column(tmp_path):
+    # a blank cell passes only in an optional column (zfs_lb onward) and
+    # "T" only in a flag column; the message names the column's kind
+    for col, name in enumerate(FixtureRow._fields):
+        is_flag = name in ("mr_by_hand", "con", "is_flag", "cv", "tree")
+        optional = col >= FixtureRow._fields.index("zfs_lb")
+        for token, value, ok in (("", None, optional), ("T", True, is_flag)):
+            row = GOOD_ROW.copy()
+            row[col] = token
+            p = _write_fixture(tmp_path, [row])
+            if ok:
+                assert getattr(load_fixtures(p)[0], name) is value
+            else:
+                kind = "T or F" if is_flag else "integer"
+                message = f"t.tsv:2: expected {kind}, got {token!r}"
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    load_fixtures(p)
 
 
 def test_corpus_integrity(atlas_corpus, fixture_rows):
