@@ -14,6 +14,14 @@ Bound semantics (n = order, connected g unless noted):
   tree           mr = n - P(g) exactly (P = path cover number)
 Disconnected graphs: every bound is the sum over components
 (disjoint_union_row).
+
+combine computes the upper bounds first and starts the zero forcing
+search at n - ub, ub the least of cc, np, nop, path, n - 1 and the tree
+rank: Z(g) >= M(g) = n - mr(g) (AIM Minimum Rank-Special Graphs Work
+Group, LAA 428, 2008), and mr <= ub.  The mr <= 2 bound stays out of
+that minimum.  It holds only when the forbidden list is complete, and
+a list read with --forbidden may not be; the other bounds are theorems
+about g alone.
 """
 
 from __future__ import annotations
@@ -95,15 +103,19 @@ def zf_closure(g: Graph, filled: VertexSet) -> VertexSet:
     return _closure(g.adj, filled)
 
 
-def zero_forcing_number(g: Graph) -> int:
+def zero_forcing_number(g: Graph, *, at_least: int = 0) -> int:
     """Smallest |B| whose closure fills the graph.
 
     Searches cardinalities in increasing order, subsets in lexicographic
     order; sets missing an entire component are skipped since no force
     can ever reach it.  The search starts at max(#components, min
-    degree): every component needs a vertex of B, and the first force
-    u -> w needs N[u] minus w inside B, which is deg(u) >= min degree
-    vertices (with no force at all, B is V, larger still).
+    degree, at_least): every component needs a vertex of B, and the
+    first force u -> w needs N[u] minus w inside B, which is deg(u) >=
+    min degree vertices (with no force at all, B is V, larger still).
+    at_least must be a lower bound on Z(g), or the answer is too large.
+    combine passes n - ub, since Z >= n - mr >= n - ub for any ub on mr
+    that holds for g alone; the mr <= 2 bound, which holds only when
+    the forbidden list is complete, is not one of them.
     """
     adj = g.adj
     full = g.vertex_mask
@@ -111,7 +123,7 @@ def zero_forcing_number(g: Graph) -> int:
     several = len(comps) > 1
     singletons = [1 << v for v in range(g.order)]
     min_degree = min(row.bit_count() for row in adj)
-    for k in range(max(len(comps), min_degree), g.order + 1):
+    for k in range(max(len(comps), min_degree, at_least), g.order + 1):
         for combo in combinations(singletons, k):
             b = sum(combo)
             if several and any(not b & c for c in comps):
@@ -278,21 +290,22 @@ def combine(g: Graph, forbidden: ForbiddenList) -> BoundsRow:
     tree = size == n - 1  # g is connected
     block_sets = graphs.blocks(g)
     cv = bool(graphs.articulation_points(g, block_sets))
-    zfs = n - zero_forcing_number(g)
-    diam = graphs.diameter(g)
     cc = clique_cover_number(g)
     np_ub = np_upper_bound(g, block_sets)
     nop_ub = nop_upper_bound(g, block_sets)
     path_ub = path_upper_bound(g, tree)
+    ubs = [cc, n - 1]
+    ubs.extend(v for v in (np_ub, nop_ub, path_ub) if v is not None)
+    if tree:
+        ubs.append(tree_minimum_rank(g))
+    # Z >= n - mr >= n - ub; the forbidden-list bound is not in ubs yet
+    zfs = n - zero_forcing_number(g, at_least=n - min(ubs))
+    diam = graphs.diameter(g)
     forb = is_forbidden_mr2(g, forbidden)
 
     lb = max(zfs, diam, 3 if forb else 0)
-    ubs = [cc, n - 1]
-    ubs.extend(v for v in (np_ub, nop_ub, path_ub) if v is not None)
     if not forb:
         ubs.append(2)
-    if tree:
-        ubs.append(tree_minimum_rank(g))
     ub = min(ubs)
     return BoundsRow(
         order=n,

@@ -157,6 +157,9 @@ def load_fixtures(path) -> list[FixtureRow]:
     """Load the transcribed reference table, sorted by atlas number."""
     rows: list[FixtureRow] = []
     seen: set[int] = set()
+    # per column, the value of each token parsed so far; a token that
+    # fails is never stored, so it fails again with the same message
+    parsed: list[dict] = [{} for _ in _CELLS]
     # surrogateescape, as in read_atlas: a non-ASCII byte fails a cell check
     with open(path, encoding="ascii", errors="surrogateescape") as fh:
         header = fh.readline().rstrip("\n").split("\t")
@@ -169,7 +172,10 @@ def load_fixtures(path) -> list[FixtureRow]:
             if len(f) != len(FIXTURE_COLUMNS):
                 raise ValueError(f"{path}:{ln}: expected {len(FIXTURE_COLUMNS)} fields, got {len(f)}")
             try:
-                row = FixtureRow(*[cell(token) for cell, token in zip(_CELLS, f)])
+                row = FixtureRow(*[
+                    known[token] if token in known else known.setdefault(token, cell(token))
+                    for cell, known, token in zip(_CELLS, parsed, f)
+                ])
             except ValueError as exc:  # the first bad cell, left to right
                 raise ValueError(f"{path}:{ln}: {exc}") from exc
             if row.lb > row.ub:

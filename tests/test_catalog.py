@@ -123,6 +123,24 @@ def test_load_fixtures_cell_grammar_by_column(tmp_path):
                     load_fixtures(p)
 
 
+def test_load_fixtures_repeated_tokens(tmp_path):
+    # one call remembers each column's parsed tokens: a bad token that
+    # recurs still fails on the first row that has it, and "T", parsed
+    # in the flag columns of an earlier row, is still no integer
+    def row(atlas, order):
+        return [atlas, order] + GOOD_ROW[2:]
+
+    p = _write_fixture(tmp_path, [GOOD_ROW, row("4", "x"), row("5", "x")])
+    with pytest.raises(ValueError, match=re.escape("t.tsv:3: expected integer, got 'x'")):
+        load_fixtures(p)
+    p = _write_fixture(tmp_path, [GOOD_ROW, row("4", "T")])
+    with pytest.raises(ValueError, match=re.escape("t.tsv:3: expected integer, got 'T'")):
+        load_fixtures(p)
+    rows = load_fixtures(_write_fixture(tmp_path, [row("5", "2"), GOOD_ROW, row("4", "2")]))
+    assert [r.atlas_number for r in rows] == [3, 4, 5]
+    assert {r._replace(atlas_number=0) for r in rows} == {rows[0]._replace(atlas_number=0)}
+
+
 def test_corpus_integrity(atlas_corpus, fixture_rows):
     assert corpus_integrity_mismatches(atlas_corpus, fixture_rows) == []
 

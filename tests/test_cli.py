@@ -569,7 +569,7 @@ def _count_calls(monkeypatch, module, name) -> list:
     """Patch module.name to record one item per call; return the record."""
     calls = []
     real = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *a: calls.append(None) or real(*a))
+    monkeypatch.setattr(module, name, lambda *a, **kw: calls.append(None) or real(*a, **kw))
     return calls
 
 

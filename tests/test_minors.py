@@ -137,6 +137,35 @@ def test_block_tests_agree_with_whole_graph_search_random(monkeypatch):
     agree_with_whole_graph_search(cases, monkeypatch)
 
 
+def test_searched_blocks_with_a_k4_minor_have_a_k23_minor(atlas_graphs, monkeypatch):
+    # is_outerplanar searches K2,3 first: a block that reaches the search
+    # is 2-connected and not K4, so a K4 minor brings a K2,3 minor
+    rng = random.Random(1408)
+    cases = [g for g in atlas_graphs.values() if is_connected(g)]
+    while len(cases) < 996 + 200:
+        g = random_graph(rng, rng.randint(8, 9), rng.uniform(0.2, 0.5))
+        if is_connected(g):
+            cases.append(g)
+    searched = {}
+    search = minors.has_minor
+
+    def record(b, h):
+        searched[b] = None
+        return search(b, h)
+
+    with monkeypatch.context() as m:
+        m.setattr(minors, "has_minor", record)
+        for g in cases:
+            is_outerplanar(g)
+    with_k4 = 0
+    for b in searched:
+        if has_minor(b, K4):
+            assert has_minor(b, K23), b
+            with_k4 += 1
+    assert len(searched) >= 300 and with_k4 >= 150
+    assert {b.order for b in searched} == set(range(4, 10))
+
+
 def subdivide(g: Graph) -> Graph:
     """g with every edge replaced by a path of length two."""
     edges = []
