@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
-from itertools import starmap
 
 from minrank_atlas import graphs
 from minrank_atlas.bounds import AtlasIndex, BoundsRow, ForbiddenList, combine, disjoint_union_row
@@ -208,29 +207,19 @@ def corpus_integrity_mismatches(
     return out
 
 
-def compute_all(
-    corpus: Sequence[Graph], forbidden: ForbiddenList, jobs: int = 1
-) -> dict[int, BoundsRow]:
-    """Bounds row per corpus graph, keyed by atlas number (position + 1);
-    the result is independent of jobs.
+def compute_all(corpus: Sequence[Graph], forbidden: ForbiddenList) -> dict[int, BoundsRow]:
+    """Bounds row per corpus graph, keyed by atlas number (position + 1).
 
-    combine runs on the connected graphs only, in this process or in a
-    pool of jobs workers.  A component of a disconnected graph is
-    connected, so the row computed for its class, found through one
-    AtlasIndex over the corpus, is its row; disjoint_union_row sums
-    them.  Only a component whose class the corpus lacks is combined on
-    its own.  The index and its answers live for this call only.
+    combine runs on the connected graphs only.  A component of a
+    disconnected graph is connected, so the row computed for its class,
+    found through one AtlasIndex over the corpus, is its row;
+    disjoint_union_row sums them.  Only a component whose class the
+    corpus lacks is combined on its own.  The index and its answers live
+    for this call only.
     """
     comps = [graphs.components(g) for g in corpus]
     connected = [a for a, c in enumerate(comps, 1) if len(c) == 1]
-    work = [(corpus[a - 1], forbidden) for a in connected]
-    if jobs <= 1:
-        rows = list(starmap(combine, work))
-    else:
-        from multiprocessing import Pool  # only worker runs pay for the import
-
-        with Pool(jobs) as pool:
-            rows = pool.starmap(combine, work, chunksize=32)
+    rows = [combine(corpus[a - 1], forbidden) for a in connected]
     connected_rows = dict(zip(connected, rows))
     index = AtlasIndex(corpus)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 
 from minrank_atlas import bounds, catalog, graphs, witness
@@ -45,18 +44,6 @@ def _add_target_flags(p: argparse.ArgumentParser) -> None:
     grp.add_argument("--graph6", metavar="G6", help="graph6 string")
 
 
-def _jobs(text: str) -> int:
-    """--jobs value: a worker count in 1..cpu_count."""
-    limit = os.cpu_count() or 1
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if not 1 <= n <= limit:
-        raise argparse.ArgumentTypeError(f"must be in 1..{limit} (the CPU count), got {n}")
-    return n
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process."""
@@ -75,12 +62,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p, "atlas", "forbidden")
     p.add_argument("--out", metavar="PATH")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--jobs", type=_jobs, default=1, metavar="N")
 
     p = sub.add_parser("diff", help="computed table against the transcribed reference")
     _add_data_flags(p, "atlas", "fixtures", "forbidden")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--jobs", type=_jobs, default=1, metavar="N")
 
     p = sub.add_parser("verify-witnesses", help="check the optimal-matrix certificates")
     _add_data_flags(p, "atlas", "fixtures", "witnesses")
@@ -138,7 +123,7 @@ def cmd_bounds(args) -> int:
 def cmd_table(args) -> int:
     corpus = catalog.load_atlas(args.atlas_file)
     forbidden = bounds.read_forbidden_list(args.forbidden)
-    computed = catalog.compute_all(corpus, forbidden, jobs=args.jobs)
+    computed = catalog.compute_all(corpus, forbidden)
     if args.json:
         payload = [catalog.bounds_row_dict(a, computed[a]) for a in sorted(computed)]
         _emit(_json_line(payload), args.out)
@@ -151,7 +136,7 @@ def cmd_diff(args) -> int:
     corpus = catalog.load_atlas(args.atlas_file)
     fixtures = catalog.load_fixtures(args.fixtures)
     forbidden = bounds.read_forbidden_list(args.forbidden)
-    computed = catalog.compute_all(corpus, forbidden, jobs=args.jobs)
+    computed = catalog.compute_all(corpus, forbidden)
     report = catalog.diff(fixtures, computed)
     if args.json:
         sys.stdout.write(_json_line({
@@ -208,6 +193,8 @@ def cmd_derive_forbidden(args) -> int:
     mr_by_atlas = {f.atlas_number: f.mr for f in fixtures}
     for a in mr_by_atlas:
         catalog.check_atlas_number(a, len(corpus), args.atlas_file)
+    if not any(mr is not None and mr >= 3 for mr in mr_by_atlas.values()):
+        raise ValueError(f"{args.fixtures}: forbidden list must be nonempty: no row has mr >= 3")
     try:
         derived = bounds.derive_forbidden_list(corpus, mr_by_atlas)
     except bounds.ForbiddenDerivationError as exc:

@@ -128,8 +128,8 @@ class Graph:
         return f"Graph(order={self.order!r}, adj={self.adj!r})"
 
     def __reduce__(self):
-        # pickle (the --jobs pool) rebuilds through __init__, which
-        # revalidates, since __setattr__ refuses the default slot restore
+        # copy and pickle rebuild a graph through the validating
+        # constructor, since __setattr__ refuses the default slot restore
         return (Graph, (self.order, self.adj))
 
     @classmethod
@@ -302,10 +302,6 @@ def articulation_points(g: Graph, block_sets: list[VertexSet] | None = None) -> 
 
 def is_tree(g: Graph) -> bool:
     return is_connected(g) and g.size() == g.order - 1
-
-
-def is_path(g: Graph) -> bool:
-    return is_tree(g) and all(g.degree(v) <= 2 for v in range(g.order))
 
 
 def complement(g: Graph) -> Graph:

@@ -227,11 +227,12 @@ def test_diff_checks_ub_one_sided(fixtures_by_atlas):
 
 
 def test_compute_all_jobs_agree(atlas_corpus, forbidden):
-    # 29 of these 60 rows are disconnected, so the workers' rows feed the sums
+    # a partial corpus: 29 of these 60 rows are disconnected and summed from
+    # the connected rows of the prefix, which must equal combine on each graph
     slice_ = atlas_corpus[:60]
-    rows = compute_all(slice_, forbidden, jobs=1)
+    rows = compute_all(slice_, forbidden)
     assert sum(not r.con for r in rows.values()) == 29
-    assert rows == compute_all(slice_, forbidden, jobs=2)
+    assert rows == {a: combine(g, forbidden) for a, g in enumerate(slice_, 1)}
 
 
 def test_disconnected_rows_equal_direct_combine(atlas_corpus, computed_table, forbidden):

@@ -1,7 +1,6 @@
 import argparse
 import hashlib
 import json
-import multiprocessing
 import os
 import shlex
 import subprocess
@@ -126,49 +125,8 @@ def test_table_json(capsys, small_data):
     assert rows[51]["atlas"] == 52 and rows[51]["mr_exact"] == 1
 
 
-@pytest.mark.parametrize("command", ["table", "diff"])
-@pytest.mark.parametrize("jobs", ["0", "-1", str((os.cpu_count() or 1) + 1), "two"])
-def test_jobs_out_of_range(capsys, monkeypatch, small_data, command, jobs):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was built")
-
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-    code, out, err = run(capsys, [command, "--atlas-file", small_data["atlas"], "--jobs", jobs])
-    assert code == 2 and out == ""
-    assert "argument --jobs" in err
-    assert f"got {jobs}" in err or f"got {jobs!r}" in err
-
-
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs 2 needs two CPUs")
-def test_table_jobs_two_builds_a_pool_and_matches_one(capsys, monkeypatch, small_data):
-    # the pool that test_jobs_out_of_range patches is the one --jobs 2 builds
-    built = []
-    real_pool = multiprocessing.Pool
-
-    def counted_pool(*args, **kwargs):
-        built.append(args)
-        return real_pool(*args, **kwargs)
-
-    monkeypatch.setattr(multiprocessing, "Pool", counted_pool)
-    argv = ["table", "--atlas-file", small_data["atlas"]]
-    code1, out1, _ = run(capsys, argv + ["--jobs", "1"])
-    assert built == []
-    code2, out2, _ = run(capsys, argv + ["--jobs", "2"])
-    assert built == [(2,)]
-    assert code1 == code2 == 0 and out1 == out2
-
-
-def test_jobs_accepts_one_to_cpu_count():
-    parser = cli.build_parser()
-    for n in (1, os.cpu_count() or 1):
-        assert parser.parse_args(["table", "--jobs", str(n)]).jobs == n
-    assert parser.parse_args(["diff"]).jobs == 1
-
-
-def test_readme_cli_examples_parse(monkeypatch):
-    # every example in README's CLI block parses, and every command has one;
-    # --jobs is bounded by the CPU count, so the host's count is not the README's
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+def test_readme_cli_examples_parse():
+    # every example in README's CLI block parses, and every command has one
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
     examples = [l.split("#", 1)[0] for l in block.splitlines() if l.startswith("minrank-atlas ")]
@@ -372,6 +330,17 @@ def test_derive_forbidden_gap_failure(capsys, tmp_path):
     assert code == 1 and "candidate 14" in err
 
 
+def test_derive_forbidden_without_an_mr3_row_names_the_fixtures(capsys, tmp_path, data_dir):
+    fixtures = tmp_path / "header.tsv"
+    fixtures.write_text((data_dir / "table1.tsv").read_text().splitlines()[0] + "\n")
+    code, out, err = run(capsys, [
+        "derive-forbidden", "--fixtures", str(fixtures), "--out", str(tmp_path / "fl.g6"),
+    ])
+    assert code == 2 and out == ""
+    assert err == f"error: {fixtures}: forbidden list must be nonempty: no row has mr >= 3\n"
+    assert not (tmp_path / "fl.g6").exists()
+
+
 @pytest.fixture()
 def short_atlas(tmp_path, data_dir):
     """First 100 atlas graphs, fewer than the reference rows and witnesses name."""
@@ -512,18 +481,44 @@ print(" ".join(sorted(set(sys.modules) - before)))
 """
 
 
-def test_bounds_cold_start_skips_unused_imports():
-    # a fresh interpreter: the modules this process imported do not count
+def _fresh_python(script: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run script with argv in a fresh interpreter that imports this
+    checkout's package: the modules this process imported do not count."""
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-c", COLD_START], env=env,
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_bounds_cold_start_skips_unused_imports():
+    proc = _fresh_python(COLD_START)
     imported = set(proc.stdout.splitlines()[-1].split())
     assert "minrank_atlas.bounds" in imported
     assert not imported & {"multiprocessing", "fractions", "decimal", "json",
                            "dataclasses", "inspect", "typing"}
+
+
+DIFF_COLD = """
+import sys
+from minrank_atlas import cli
+assert cli.main(sys.argv[1:]) == 0
+print(" ".join(sorted(sys.modules)))
+"""
+
+
+def test_table_and_diff_run_in_one_process(capsys, small_data):
+    # table and diff take no worker count, and diff imports no worker pool
+    for argv in (["table", "--jobs", "2"], ["diff", "--jobs", "1"]):
+        code, out, err = run(capsys, argv + ["--atlas-file", small_data["atlas"]])
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --jobs" in err
+    proc = _fresh_python(DIFF_COLD, "diff", "--atlas-file", small_data["atlas"],
+                         "--fixtures", small_data["fixtures"])
+    assert proc.stdout.splitlines()[0] == "# checked 52 rows: ok"
+    assert "multiprocessing" not in proc.stdout.splitlines()[-1].split()
 
 
 @pytest.mark.parametrize("command", ["bounds", "zf"])
@@ -558,7 +553,7 @@ def test_table_bytes_are_pinned(capsys, monkeypatch, tmp_path, computed_table, f
     # the session's rows through the command's own rendering: any changed
     # cell, column name or ordering moves the hash
     computed, _ = computed_table
-    monkeypatch.setattr(catalog, "compute_all", lambda corpus, forbidden, jobs: computed)
+    monkeypatch.setattr(catalog, "compute_all", lambda corpus, forbidden: computed)
     out = tmp_path / "table"
     argv = ["table", "--out", str(out)] + (["--json"] if form == "json" else [])
     assert run(capsys, argv)[0] == 0

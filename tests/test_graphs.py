@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from minrank_atlas import graphs
+from minrank_atlas.bounds import path_upper_bound
 from minrank_atlas.graphs import (
     Graph,
     articulation_points,
@@ -17,7 +18,6 @@ from minrank_atlas.graphs import (
     induced_subgraph,
     is_connected,
     is_isomorphic,
-    is_path,
     is_tree,
     maximal_cliques,
 )
@@ -167,10 +167,11 @@ def test_blocks_against_brute_force():
 
 
 def test_tree_and_path_predicates():
-    assert is_tree(Graph.empty(1)) and is_path(Graph.empty(1))
-    assert is_tree(Graph.path(5)) and is_path(Graph.path(5))
+    # a path is a tree of maximum degree <= 2: path_upper_bound leaves it blank
+    assert is_tree(Graph.empty(1)) and path_upper_bound(Graph.empty(1)) is None
+    assert is_tree(Graph.path(5)) and path_upper_bound(Graph.path(5)) is None
     star = Graph.complete_bipartite(1, 3)
-    assert is_tree(star) and not is_path(star)
+    assert is_tree(star) and path_upper_bound(star) is not None
     assert not is_tree(Graph.cycle(4))
     assert not is_tree(Graph.empty(3))  # disconnected forest is not a tree
 

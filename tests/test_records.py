@@ -1,7 +1,7 @@
 """The record types' contract: fields, equality, hashing, immutability,
-validation and pickling.  compute_all(jobs=2) pickles graphs, forbidden
-lists and rows to its workers, so a record that does not round-trip
-fails here instead of hanging the pool."""
+validation and pickling.  The records are public immutable values, so
+copy and pickle must round-trip them, a Graph through its validating
+constructor."""
 
 import pickle
 
