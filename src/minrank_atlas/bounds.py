@@ -13,7 +13,7 @@ Bound semantics (n = order, connected g unless noted):
                  mr <= 2 (Barrett-van der Holst-Loewy); with one, mr >= 3
   tree           mr = n - P(g) exactly (P = path cover number)
 Disconnected graphs: every bound is the sum over components
-(disjoint_union_row).
+(disjoint_union_row).  np, nop and path are one line each in combine.
 
 combine computes the upper bounds first and starts the zero forcing
 search at n - ub, ub the least of cc, np, nop, path, n - 1 and the tree
@@ -80,8 +80,9 @@ class ForbiddenList(namedtuple("ForbiddenList", ("patterns",))):
 
 
 def _closure(adj: tuple[int, ...], filled: VertexSet) -> VertexSet:
-    """zf_closure without the input check: each round walks the filled
-    bits inline and lets every vertex with one unfilled neighbour force."""
+    """Least superset of filled (inside the graph) closed under the
+    color-change rule: each round walks the filled bits inline, and each
+    filled vertex with exactly one unfilled neighbour forces it."""
     while True:
         grown = rest = filled
         while rest:
@@ -93,14 +94,6 @@ def _closure(adj: tuple[int, ...], filled: VertexSet) -> VertexSet:
         if grown == filled:
             return filled
         filled = grown
-
-
-def zf_closure(g: Graph, filled: VertexSet) -> VertexSet:
-    """Least superset of filled closed under the color-change rule
-    (a filled vertex with exactly one unfilled neighbor forces it)."""
-    if filled & ~g.vertex_mask:
-        raise ValueError("filled set has bits outside the graph")
-    return _closure(g.adj, filled)
 
 
 def zero_forcing_number(g: Graph, *, at_least: int = 0) -> int:
@@ -180,26 +173,6 @@ def clique_cover_number(g: Graph) -> int:
     return best
 
 
-def np_upper_bound(g: Graph, block_sets: list[VertexSet] | None = None) -> int | None:
-    """order - 4 when g is nonplanar, else None.  Meaningful for connected g.
-    block_sets, when given, is graphs.blocks(g)."""
-    return g.order - 4 if not is_planar(g, block_sets) else None
-
-
-def nop_upper_bound(g: Graph, block_sets: list[VertexSet] | None = None) -> int | None:
-    """order - 3 when g is not outerplanar, else None.  block_sets, when
-    given, is graphs.blocks(g)."""
-    return g.order - 3 if not is_outerplanar(g, block_sets) else None
-
-
-def path_upper_bound(g: Graph, tree: bool | None = None) -> int | None:
-    """order - 2 when g is not a path, else None.  tree, when given, is
-    graphs.is_tree(g)."""
-    if tree is None:
-        tree = graphs.is_tree(g)
-    return None if tree and max(map(int.bit_count, g.adj)) <= 2 else g.order - 2
-
-
 # Barrett, van der Holst and Loewy, "Graphs whose minimal rank is two"
 # (ELA 11, 2004): over the reals, mr(G) <= 2 iff G has no induced P4,
 # dart, ltimes, P3 + K2, 3K2 or K3,3,3.  The list derived from the atlas
@@ -215,15 +188,16 @@ def is_forbidden_mr2(g: Graph, forbidden: ForbiddenList) -> bool:
     )
 
 
-def tree_path_cover_number(t: Graph) -> int:
-    """Minimum number of vertex-disjoint paths covering V(t).
+def tree_minimum_rank(t: Graph) -> int:
+    """Minimum rank of a tree: n - P(t), P the path cover number.
 
     A path partition of a tree is a spanning linear forest, so
-    P(t) = n - (most edges in a linear forest of t).  One DFS returns,
-    per vertex v, the most forest edges in v's subtree with v free (up
-    to two child edges) and with v joined to its parent (at most one).
-    Taking the edge to a child c gains joined(c) + 1 - free(c), which is
-    0 or 1, so v takes up to its limit of the children that gain 1.
+    P(t) = n - (most edges in a linear forest of t), and mr(t) is that
+    edge count.  One DFS returns, per vertex v, the most forest edges
+    in v's subtree with v free (up to two child edges) and with v
+    joined to its parent (at most one).  Taking the edge to a child c
+    gains joined(c) + 1 - free(c), which is 0 or 1, so v takes up to its
+    limit of the children that gain 1.
     """
     if not graphs.is_tree(t):
         raise ValueError("path cover formula applies to trees only")
@@ -237,12 +211,7 @@ def tree_path_cover_number(t: Graph) -> int:
                 gains += joined + 1 - free
         return base + min(gains, 2), base + min(gains, 1)
 
-    return t.order - dfs(0, -1)[0]
-
-
-def tree_minimum_rank(t: Graph) -> int:
-    """order - P(t); exact for trees."""
-    return t.order - tree_path_cover_number(t)
+    return dfs(0, -1)[0]
 
 
 def disjoint_union_row(parts: Sequence[BoundsRow]) -> BoundsRow:
@@ -291,9 +260,9 @@ def combine(g: Graph, forbidden: ForbiddenList) -> BoundsRow:
     block_sets = graphs.blocks(g)
     cv = bool(graphs.articulation_points(g, block_sets))
     cc = clique_cover_number(g)
-    np_ub = np_upper_bound(g, block_sets)
-    nop_ub = nop_upper_bound(g, block_sets)
-    path_ub = path_upper_bound(g, tree)
+    np_ub = None if is_planar(g, block_sets) else n - 4
+    nop_ub = None if is_outerplanar(g, block_sets) else n - 3
+    path_ub = None if tree and max(map(int.bit_count, g.adj)) <= 2 else n - 2
     ubs = [cc, n - 1]
     ubs.extend(v for v in (np_ub, nop_ub, path_ub) if v is not None)
     if tree:

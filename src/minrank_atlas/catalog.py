@@ -11,6 +11,8 @@ it is an error that names path:line.  Every line is validated on every
 read (read_atlas); a command decodes only the lines it uses, and
 load_atlas decodes them all.  Either way item k - 1 of the returned
 list is atlas graph k, and every consumer numbers from that position.
+check_atlas_number is the one atlas-number range rule; every command
+applies it to each atlas number it reads before using it.
 
 Reference-table TSV columns:
   atlas order size mr mr_by_hand lb ub con zfs_lb diam_lb cc_ub
@@ -104,15 +106,11 @@ def read_atlas(path) -> list[bytes]:
     return out
 
 
-def has_atlas_number(a: int, count: int) -> bool:
-    """The atlas-position rule: an atlas of count graphs has atlas
-    numbers 1..count and no other."""
-    return 1 <= a <= count
-
-
 def check_atlas_number(a: int, count: int, path) -> None:
-    """has_atlas_number for the atlas file at path, or a ValueError."""
-    if not has_atlas_number(a, count):
+    """The atlas-position rule, for the atlas file at path: an atlas of
+    count graphs has atlas numbers 1..count and no other, and any other
+    a raises a ValueError."""
+    if not 1 <= a <= count:
         raise ValueError(f"{path} has no atlas {a}: it holds atlas 1..{count}")
 
 
@@ -187,24 +185,6 @@ def load_fixtures(path) -> list[FixtureRow]:
             rows.append(row)
     rows.sort(key=lambda r: r.atlas_number)
     return rows
-
-
-def corpus_integrity_mismatches(
-    corpus: Sequence[Graph], fixtures: Iterable[FixtureRow]
-) -> list[Mismatch]:
-    """Order/size of each corpus graph (item k - 1 is atlas graph k)
-    against the transcribed columns."""
-    out = []
-    for row in fixtures:
-        if not has_atlas_number(row.atlas_number, len(corpus)):
-            out.append(Mismatch(row.atlas_number, "present", "graph", None))
-            continue
-        g = corpus[row.atlas_number - 1]
-        if g.order != row.order:
-            out.append(Mismatch(row.atlas_number, "order", row.order, g.order))
-        if g.size() != row.size:
-            out.append(Mismatch(row.atlas_number, "size", row.size, g.size()))
-    return out
 
 
 def compute_all(corpus: Sequence[Graph], forbidden: ForbiddenList) -> dict[int, BoundsRow]:

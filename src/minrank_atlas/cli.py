@@ -135,6 +135,8 @@ def cmd_table(args) -> int:
 def cmd_diff(args) -> int:
     corpus = catalog.load_atlas(args.atlas_file)
     fixtures = catalog.load_fixtures(args.fixtures)
+    for f in fixtures:
+        catalog.check_atlas_number(f.atlas_number, len(corpus), args.atlas_file)
     forbidden = bounds.read_forbidden_list(args.forbidden)
     computed = catalog.compute_all(corpus, forbidden)
     report = catalog.diff(fixtures, computed)
@@ -193,7 +195,7 @@ def cmd_derive_forbidden(args) -> int:
     mr_by_atlas = {f.atlas_number: f.mr for f in fixtures}
     for a in mr_by_atlas:
         catalog.check_atlas_number(a, len(corpus), args.atlas_file)
-    if not any(mr is not None and mr >= 3 for mr in mr_by_atlas.values()):
+    if not any(mr >= 3 for mr in mr_by_atlas.values()):
         raise ValueError(f"{args.fixtures}: forbidden list must be nonempty: no row has mr >= 3")
     try:
         derived = bounds.derive_forbidden_list(corpus, mr_by_atlas)

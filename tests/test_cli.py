@@ -369,6 +369,7 @@ def test_derive_forbidden_short_atlas(capsys, short_atlas, tmp_path):
     ("bounds", 101),            # the --atlas argument
     ("verify-witnesses", 721),  # the first certificate past the file
     ("derive-forbidden", 101),  # the first reference row past the file
+    ("diff", 101),              # the same, before any row is computed
 ])
 def test_atlas_number_past_the_file_names_it(capsys, short_atlas, tmp_path, command, number):
     extra = {"bounds": ["--atlas", "101"], "derive-forbidden": ["--out", str(tmp_path / "fl.g6")]}

@@ -27,7 +27,7 @@ def test_decode_empty_five():
 
 
 def test_encode_k1_and_k2():
-    assert to_graph6(Graph.empty(1)) == "@"
+    assert to_graph6(Graph(1, (0,))) == "@"
     assert to_graph6(Graph.from_edges(2, [(0, 1)])) == "A_"
 
 

@@ -3,14 +3,13 @@ from itertools import combinations
 
 import pytest
 
-from minrank_atlas import graphs
-from minrank_atlas.bounds import path_upper_bound
+from minrank_atlas import bounds, graphs
+from minrank_atlas.bounds import combine
 from minrank_atlas.graphs import (
     Graph,
     articulation_points,
     bits,
     blocks,
-    complement,
     components,
     contains_induced,
     diameter,
@@ -25,10 +24,17 @@ from minrank_atlas.graphs import (
 from oracles import (
     brute_contains_induced,
     brute_contains_subgraph,
+    cycle,
     induced_subgraph_by_index,
+    path,
     random_graph,
     relabel,
 )
+
+
+def complement(g):
+    full = g.vertex_mask
+    return Graph(g.order, tuple((full ^ row) & ~(1 << i) for i, row in enumerate(g.adj)))
 
 
 def test_graph_validation():
@@ -72,16 +78,16 @@ def test_valid_graphs_pass_without_the_scan(monkeypatch):
 
 def test_size_families():
     assert Graph.complete(5).size() == 10
-    assert Graph.empty(1).size() == 0
-    assert Graph.path(6).size() == 5
+    assert Graph(1, (0,)).size() == 0
+    assert path(6).size() == 5
     assert Graph.complete_bipartite(3, 3).size() == 9
 
 
 def test_components_and_connectivity():
-    two = Graph.empty(2)
+    two = Graph(2, (0, 0))
     assert components(two) == [0b01, 0b10]
     assert not is_connected(two)
-    assert is_connected(Graph.empty(1))
+    assert is_connected(Graph(1, (0,)))
     assert is_connected(Graph.complete(5))
 
 
@@ -100,20 +106,20 @@ def test_components_partition_random():
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_diameter_families(n):
-    assert diameter(Graph.path(n)) == n - 1
+    assert diameter(path(n)) == n - 1
     assert diameter(Graph.complete(n)) == 1
 
 
 def test_diameter_edge_cases():
-    assert diameter(Graph.empty(1)) == 0
-    assert diameter(Graph.cycle(6)) == 3
+    assert diameter(Graph(1, (0,))) == 0
+    assert diameter(cycle(6)) == 3
     with pytest.raises(ValueError):
-        diameter(Graph.empty(2))
+        diameter(Graph(2, (0, 0)))
 
 
 def test_articulation_points():
-    assert articulation_points(Graph.path(4)) == 0b0110
-    assert articulation_points(Graph.cycle(5)) == 0
+    assert articulation_points(path(4)) == 0b0110
+    assert articulation_points(cycle(5)) == 0
     assert articulation_points(Graph.from_edges(2, [(0, 1)])) == 0
     star = Graph.complete_bipartite(1, 3)
     assert articulation_points(star) == 0b0001
@@ -122,9 +128,9 @@ def test_articulation_points():
 
 
 def test_blocks_examples():
-    assert blocks(Graph.empty(1)) == [0b1]
-    assert sorted(blocks(Graph.path(4))) == [0b0011, 0b0110, 0b1100]
-    assert blocks(Graph.cycle(5)) == [0b11111]
+    assert blocks(Graph(1, (0,))) == [0b1]
+    assert sorted(blocks(path(4))) == [0b0011, 0b0110, 0b1100]
+    assert blocks(cycle(5)) == [0b11111]
     bowtie = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
     assert sorted(blocks(bowtie)) == [0b00111, 0b11100]
     # triangle, a bridge to a pendant vertex, and an isolated vertex
@@ -166,14 +172,14 @@ def test_blocks_against_brute_force():
         assert articulation_points(g) == _cut_vertices_brute(g), g
 
 
-def test_tree_and_path_predicates():
-    # a path is a tree of maximum degree <= 2: path_upper_bound leaves it blank
-    assert is_tree(Graph.empty(1)) and path_upper_bound(Graph.empty(1)) is None
-    assert is_tree(Graph.path(5)) and path_upper_bound(Graph.path(5)) is None
+def test_tree_and_path_predicates(forbidden):
+    # a path is a tree of maximum degree <= 2: combine leaves its path_ub blank
+    assert is_tree(Graph(1, (0,))) and combine(Graph(1, (0,)), forbidden).path_ub is None
+    assert is_tree(path(5)) and combine(path(5), forbidden).path_ub is None
     star = Graph.complete_bipartite(1, 3)
-    assert is_tree(star) and path_upper_bound(star) is not None
-    assert not is_tree(Graph.cycle(4))
-    assert not is_tree(Graph.empty(3))  # disconnected forest is not a tree
+    assert is_tree(star) and combine(star, forbidden).path_ub is not None
+    assert not is_tree(cycle(4))
+    assert not is_tree(Graph(3, (0, 0, 0)))  # disconnected forest is not a tree
 
 
 def test_complement_involution():
@@ -186,8 +192,8 @@ def test_complement_involution():
 def test_induced_subgraph():
     k3 = induced_subgraph(Graph.complete(5), 0b10101)
     assert is_isomorphic(k3, Graph.complete(3))
-    p3 = induced_subgraph(Graph.path(4), 0b0111)
-    assert is_isomorphic(p3, Graph.path(3))
+    p3 = induced_subgraph(path(4), 0b0111)
+    assert is_isomorphic(p3, path(3))
     with pytest.raises(ValueError):
         induced_subgraph(Graph.complete(3), 0)
     with pytest.raises(ValueError):
@@ -227,23 +233,23 @@ def test_isomorphism_symmetric():
 
 
 def test_isomorphism_rejections():
-    assert not is_isomorphic(Graph.path(4), Graph.complete_bipartite(1, 3))
-    assert not is_isomorphic(Graph.path(4), Graph.path(3))
+    assert not is_isomorphic(path(4), Graph.complete_bipartite(1, 3))
+    assert not is_isomorphic(path(4), path(3))
     # same order, size, and degree sequence, still non-isomorphic
     two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    assert not is_isomorphic(Graph.cycle(6), two_triangles)
+    assert not is_isomorphic(cycle(6), two_triangles)
 
 
 def test_c5_self_complementary():
-    c5 = Graph.cycle(5)
+    c5 = cycle(5)
     assert is_isomorphic(c5, complement(c5))
 
 
 def test_contains_induced():
-    assert contains_induced(Graph.path(5), Graph.path(4))
-    assert not contains_induced(Graph.complete(5), Graph.path(4))
-    assert contains_induced(Graph.cycle(5), Graph.path(4))
-    assert not contains_induced(Graph.path(3), Graph.path(4))
+    assert contains_induced(path(5), path(4))
+    assert not contains_induced(Graph.complete(5), path(4))
+    assert contains_induced(cycle(5), path(4))
+    assert not contains_induced(path(3), path(4))
 
 
 def test_embedding_search_against_brute_force():
@@ -282,18 +288,18 @@ def test_plain_embedding_against_brute_force():
         expected = brute_contains_subgraph(g, p)
         assert embeds(g, p, induced=False) == expected, (g, p)
         assert embeds(g, p, induced=True) == brute_contains_induced(g, p), (g, p)
-        if expected and p.order == g.order and p.degree_sequence() != g.degree_sequence():
+        if expected and p.order == g.order and sorted(map(int.bit_count, p.adj)) != sorted(map(int.bit_count, g.adj)):
             spanning_lower += 1
     assert spanning_lower >= 60
 
 
 def test_maximal_cliques_examples():
     assert maximal_cliques(Graph.complete(5)) == [0b11111]
-    c5 = Graph.cycle(5)
+    c5 = cycle(5)
     assert sorted(c.bit_count() for c in maximal_cliques(c5)) == [2] * 5
-    p3 = Graph.path(3)
+    p3 = path(3)
     assert maximal_cliques(p3) == [0b011, 0b110]
-    assert maximal_cliques(Graph.empty(3)) == [0b001, 0b010, 0b100]
+    assert maximal_cliques(Graph(3, (0, 0, 0))) == [0b001, 0b010, 0b100]
 
 
 def test_maximal_cliques_properties():
@@ -304,7 +310,7 @@ def test_maximal_cliques_properties():
         assert cliques == sorted(cliques)
         for c in cliques:
             vs = list(bits(c))
-            assert all(g.has_edge(a, b) for a, b in combinations(vs, 2))
+            assert all((g.adj[a] >> b) & 1 for a, b in combinations(vs, 2))
             # maximal: no outside vertex adjacent to the whole clique
             for v in range(g.order):
                 if not (c >> v) & 1:
@@ -315,3 +321,40 @@ def test_maximal_cliques_properties():
         for i, j in g.edges():
             e = (1 << i) | (1 << j)
             assert any(c & e == e for c in cliques)
+
+
+def to_networkx(g):
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(range(g.order))
+    h.add_edges_from(g.edges())
+    return h
+
+
+def test_maximal_cliques_against_networkx(atlas_graphs):
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(97)
+    seeded = [random_graph(rng, rng.randint(1, 12), rng.random()) for _ in range(300)]
+    for g in [*atlas_graphs.values(), *seeded]:
+        expected = sorted(sum(1 << v for v in c) for c in nx.find_cliques(to_networkx(g)))
+        assert maximal_cliques(g) == expected, g
+
+
+def test_k333_flag_against_networkx():
+    # GraphMatcher's subgraph test is node-induced, as the K3,3,3 flag is
+    isomorphism = pytest.importorskip("networkx.algorithms.isomorphism")
+    k333 = to_networkx(bounds.K333)
+    rng = random.Random(333)
+    found = []
+    for trial in range(90):
+        g = random_graph(rng, rng.randint(9, 11), rng.uniform(0.4, 0.9))
+        if trial % 3 == 0:  # plant K3,3,3 on nine random vertices
+            part = dict(zip(rng.sample(range(g.order), 9), [0, 1, 2] * 3))
+            g = Graph.from_edges(g.order, [
+                (i, j) for i in range(g.order) for j in range(i + 1, g.order)
+                if (part[i] != part[j] if i in part and j in part else (g.adj[i] >> j) & 1)
+            ])
+        expected = isomorphism.GraphMatcher(to_networkx(g), k333).subgraph_is_isomorphic()
+        assert contains_induced(g, bounds.K333) == expected, g
+        found.append(expected)
+    assert 30 <= sum(found) <= 60

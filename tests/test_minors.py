@@ -6,7 +6,7 @@ from minrank_atlas import minors
 from minrank_atlas.graphs import Graph, is_connected
 from minrank_atlas.minors import K4, K23, has_minor, is_outerplanar, is_planar
 
-from oracles import K5, K33, brute_has_minor, random_graph, relabel
+from oracles import K5, K33, brute_has_minor, cycle, path, random_graph, relabel
 
 
 def petersen() -> Graph:
@@ -19,10 +19,10 @@ def petersen() -> Graph:
 def test_has_minor_basics():
     assert has_minor(K5, K5)
     assert has_minor(K33, K33)
-    assert not has_minor(Graph.cycle(5), K4)
+    assert not has_minor(cycle(5), K4)
     assert has_minor(Graph.complete(7), K5)
-    assert has_minor(Graph.cycle(4), Graph.cycle(3))  # contraction needed
-    assert not has_minor(Graph.path(7), Graph.cycle(3))
+    assert has_minor(cycle(4), cycle(3))  # contraction needed
+    assert not has_minor(path(7), cycle(3))
 
 
 def contract_by_edge_list(g: Graph, u: int, v: int) -> Graph:
@@ -71,7 +71,7 @@ def test_planarity_classics():
     assert not is_planar(K5)
     assert not is_planar(K33)
     assert is_planar(K4)
-    assert is_planar(Graph.cycle(7))
+    assert is_planar(cycle(7))
     assert is_planar(Graph.complete_bipartite(2, 5))
     # K5 minus an edge and K3,3 minus an edge are planar
     k5e = Graph.from_edges(5, [(i, j) for i in range(5) for j in range(i + 1, 5) if (i, j) != (0, 1)])
@@ -81,8 +81,8 @@ def test_planarity_classics():
 def test_outerplanarity_classics():
     assert not is_outerplanar(K4)
     assert not is_outerplanar(K23)
-    assert is_outerplanar(Graph.cycle(6))
-    assert is_outerplanar(Graph.path(7))
+    assert is_outerplanar(cycle(6))
+    assert is_outerplanar(path(7))
     assert is_outerplanar(Graph.complete(3))
     wheel4 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (4, 1), (4, 2), (4, 3)])
     assert not is_outerplanar(wheel4)
@@ -185,12 +185,12 @@ def glue(g: Graph, h: Graph) -> Graph:
 
 
 def wheel(rim: int) -> Graph:
-    return Graph.from_edges(rim + 1, list(Graph.cycle(rim).edges()) + [(rim, i) for i in range(rim)])
+    return Graph.from_edges(rim + 1, list(cycle(rim).edges()) + [(rim, i) for i in range(rim)])
 
 
 def fan_triangulation(n: int) -> Graph:
     """Polygon 0..n-1 triangulated from vertex 0: outerplanar with m = 2n - 3."""
-    return Graph.from_edges(n, list(Graph.cycle(n).edges()) + [(0, i) for i in range(2, n - 1)])
+    return Graph.from_edges(n, list(cycle(n).edges()) + [(0, i) for i in range(2, n - 1)])
 
 
 def grid(rows: int, cols: int) -> Graph:
@@ -214,13 +214,13 @@ HARD_CASES = [
     ("K5 - e", Graph.from_edges(5, [e for e in K5.edges() if e != (0, 1)]), True, False),
     ("octahedron", OCTAHEDRON, True, False),
     ("two K5 at a vertex", glue(K5, K5), False, False),
-    ("K5 with a pendant path", glue(K5, Graph.path(4)), False, False),
+    ("K5 with a pendant path", glue(K5, path(4)), False, False),
     ("K3,3 with a pendant triangle", glue(K33, Graph.complete(3)), False, False),
-    ("K4 with a pendant edge", glue(K4, Graph.path(2)), True, False),
+    ("K4 with a pendant edge", glue(K4, path(2)), True, False),
     ("K2,3 glued to K4", glue(K23, K4), True, False),
-    ("triangles on a bridge", glue(glue(Graph.complete(3), Graph.path(2)), Graph.complete(3)), True, True),
+    ("triangles on a bridge", glue(glue(Graph.complete(3), path(2)), Graph.complete(3)), True, True),
     ("K5 and an isolated vertex", Graph.from_edges(6, K5.edges()), False, False),
-    ("C6 and isolated vertices", Graph.from_edges(8, Graph.cycle(6).edges()), True, True),
+    ("C6 and isolated vertices", Graph.from_edges(8, cycle(6).edges()), True, True),
     ("spider", Graph.from_edges(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]), True, True),
     ("3x3 grid", grid(3, 3), True, False),
     ("3x4 grid", grid(3, 4), True, False),
@@ -251,11 +251,11 @@ def test_hard_cases(name, g, planar, outerplanar, monkeypatch):
 def test_reductions_decide_without_search(monkeypatch):
     monkeypatch.setattr(minors, "has_minor", no_search)
     # small blocks; is_planar never searches
-    assert is_planar(Graph.cycle(30)) and is_outerplanar(Graph.path(30))
+    assert is_planar(cycle(30)) and is_outerplanar(path(30))
     assert is_planar(subdivide(K4)) and is_planar(glue(K4, K4))
     assert is_outerplanar(glue(Graph.complete(3), Graph.complete(3)))
     assert not is_planar(K5) and not is_planar(subdivide(K5))
-    assert not is_planar(glue(Graph.path(3), Graph.complete(6)))
+    assert not is_planar(glue(path(3), Graph.complete(6)))
     # m > 2n - 3 (m = 2n - 2 here, with a degree-2 vertex) and minimum degree >= 3
     assert not is_outerplanar(K4_PLUS_DEGREE_TWO)
     assert not is_outerplanar(K33) and not is_outerplanar(OCTAHEDRON)

@@ -1,7 +1,8 @@
 """Property tests: Graph accepts and rejects exactly as the row-and-pair
-rule of oracles.graph_fault, the bound columns are graph invariants, and
-the graph6 reader fails only with its own error.  Derandomized, so every
-run draws the same examples."""
+rule of oracles.graph_fault, the bound columns are graph invariants, the
+graph6 reader fails only with its own error, and a malformed witness
+block is reported at its path:line.  Derandomized, so every run draws
+the same examples."""
 
 import pytest
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from minrank_atlas.bounds import combine
 from minrank_atlas.graph6 import Graph6Error, from_graph6
 from minrank_atlas.graphs import Graph
+from minrank_atlas.witness import read_witness_file
 
 from oracles import graph_fault, relabel
 
@@ -100,3 +102,66 @@ def test_graph6_reader_raises_only_its_own_error(text):
     except Graph6Error:
         return
     assert isinstance(g, Graph)
+
+
+CLAIMED = {3: 1, 7: 2, 11: 3, 52: 1}  # atlas number -> claimed rank
+TOKENS = ["0", "1", "-2", "3/5", "-7/3"]
+FAULTS = ("atlas header", "unknown atlas", "duplicate atlas", "n header", "row width", "bad token", "short block")
+
+
+@st.composite
+def witness_file_with_fault(draw):
+    """The lines of a witness file whose blocks are valid but one, with
+    '#' comments inside blocks and noise between them, and the 1-based
+    number of the line that the first fault is on."""
+    fault = draw(st.sampled_from(FAULTS))
+    duplicate = fault == "duplicate atlas"
+    numbers = draw(st.lists(st.sampled_from(sorted(CLAIMED)), min_size=1 + duplicate, max_size=3, unique=True))
+    bad = draw(st.integers(int(duplicate), len(numbers) - 1))
+    lines: list[str] = []
+    comments = st.lists(st.just("# note"), max_size=1)
+    where = None
+    for b, a in enumerate(numbers):
+        lines += draw(st.lists(st.sampled_from(["", " ", "# between"]), max_size=2))
+        faulty = b == bad
+        if faulty and fault in ("atlas header", "unknown atlas", "duplicate atlas"):
+            where = len(lines) + 1
+            a = {"unknown atlas": 999, "duplicate atlas": numbers[0]}.get(fault, a)
+        header = f"atlas {a}"
+        if faulty and fault == "atlas header":
+            header = draw(st.sampled_from([f"atlas {a} x", f"atlas -{a}", f"atlus {a}", "atlas", f"atlas {a}/1", "atlas ٣"]))
+        lines += [header] + draw(comments)
+        d = draw(st.integers(1, 4))
+        size = f"n {d}"
+        if faulty and fault == "n header":
+            where = len(lines) + 1
+            size = draw(st.sampled_from([f"n {d} {d}", "n x", f"m {d}", "n -1", "n 0", ""]))
+        lines.append(size)
+        kept = draw(st.integers(0, d - 1)) if faulty and fault == "short block" else d
+        broken = draw(st.integers(0, d - 1))
+        for r in range(kept):
+            lines += draw(comments)
+            row = [draw(st.sampled_from(TOKENS)) for _ in range(d)]
+            if faulty and r == broken and fault == "row width":
+                where = len(lines) + 1
+                row = row[1:] if draw(st.booleans()) else row + ["0"]
+            elif faulty and r == broken and fault == "bad token":
+                where = len(lines) + 1
+                row[draw(st.integers(0, d - 1))] = draw(st.sampled_from(["1/0", "x", "1.5", "--1", "٣", "+"]))
+            lines.append(" ".join(row))
+        if faulty and fault == "short block":
+            lines += draw(comments)
+            where = len(lines) + 1
+            lines.append("")
+    return lines, where
+
+
+@PROPERTY
+@given(witness_file_with_fault())
+def test_malformed_witness_block_names_its_line(tmp_path_factory, case):
+    lines, where = case
+    path = tmp_path_factory.getbasetemp() / "malformed_witnesses.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        read_witness_file(path, CLAIMED)
+    assert str(exc.value).startswith(f"{path}:{where}: "), (lines, str(exc.value))

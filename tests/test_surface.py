@@ -1,0 +1,77 @@
+"""Production code is what the package reaches: every module-level
+function and class of src/minrank_atlas, and every method that is not a
+dunder, is referenced somewhere in the package outside its own body.
+A helper that only tests call belongs in tests/oracles.py or the test."""
+
+from __future__ import annotations
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "minrank_atlas"
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _references(tree: ast.AST) -> tuple[Counter, Counter]:
+    """Counts of the names a tree reads: bare names and import aliases,
+    and attribute names."""
+    names: Counter = Counter()
+    attrs: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.alias):
+            names[node.name.rsplit(".", 1)[-1]] += 1
+        elif isinstance(node, ast.Attribute):
+            attrs[node.attr] += 1
+    return names, attrs
+
+
+def unreferenced_definitions(package: Path = PACKAGE) -> list[str]:
+    """'module.name' or 'module.Class.method' for every definition that
+    nothing in the package but its own body refers to.  A module-level
+    name counts through a name, an import alias or an attribute
+    (module.name); a method only through an attribute."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(package.glob("*.py"))}
+    names: Counter = Counter()
+    attrs: Counter = Counter()
+    for tree in trees.values():
+        n, a = _references(tree)
+        names += n
+        attrs += a
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, DEFS):
+                continue
+            own_names, own_attrs = _references(node)
+            outside = names[node.name] - own_names[node.name] + attrs[node.name] - own_attrs[node.name]
+            if outside <= 0:
+                out.append(f"{module}.{node.name}")
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if not isinstance(item, DEFS) or item.name.startswith("__") and item.name.endswith("__"):
+                    continue
+                own = _references(item)[1][item.name]
+                if attrs[item.name] - own <= 0:
+                    out.append(f"{module}.{node.name}.{item.name}")
+    return out
+
+
+def test_every_definition_is_reached_from_the_package():
+    assert unreferenced_definitions() == []
+
+
+def test_the_walk_finds_a_definition_nothing_calls(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def used():\n    return 1\n\n"
+        "def lonely(n):\n    return lonely(n - 1) if n else used()\n\n"
+        "class Box:\n"
+        "    def __init__(self):\n        self.n = 0\n"
+        "    def shown(self):\n        return self.n\n"
+        "    def hidden(self):\n        return self.hidden()\n"
+    )
+    (tmp_path / "b.py").write_text("from a import Box\n\nBox().shown()\n")
+    assert unreferenced_definitions(tmp_path) == ["a.lonely", "a.Box.hidden"]

@@ -12,6 +12,8 @@ from minrank_atlas.witness import (
     verify_witness,
 )
 
+from oracles import matrix
+
 TABLE2_ATLAS = (
     721, 801, 812, 831, 832, 846, 863, 873, 878, 913, 918, 924, 932, 944,
     953, 956, 958, 970, 990, 995, 996, 1002, 1005, 1028, 1060, 1075, 1077,
@@ -111,7 +113,7 @@ def test_tampered_pattern_fails(witness_records, atlas_graphs):
 
 
 def test_asymmetric_matrix_fails(atlas_graphs):
-    m = RationalMatrix.from_rows([[0, 1], [0, 0]])
+    m = matrix([[0, 1], [0, 0]])
     report = verify_witness(WitnessRecord(3, m, 1), atlas_graphs[3])
     assert not report.symmetric_ok and not report.pattern_ok
     assert not report.passed
