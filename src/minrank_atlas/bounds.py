@@ -1,6 +1,7 @@
 """One operation per bound column, the combiner that folds them into a
 row, and the derivation of the forbidden-subgraph family that decides
-the "minimum rank at most 2" test.
+the "minimum rank at most 2" test: the minimal reference graphs with
+mr >= 3 under induced containment, found in one pass.
 
 Bound semantics (n = order, connected g unless noted):
   zero forcing   mr >= n - Z(g)
@@ -312,26 +313,18 @@ class AtlasIndex:
 
     Buckets by graphs.class_key.  Every candidate is confirmed,
     singletons included, since a user corpus need not hold every class;
-    with equal orders the induced search is a bijection test.  Each
-    answer is remembered under the looked-up graph's adj tuple for the
-    life of the index object, so a repeated lookup searches nothing.
-    Callers build one index per command, and nothing outlives it.
+    with equal orders the induced search is a bijection test.
     """
 
     def __init__(self, corpus: Sequence[Graph]):
         self._buckets: dict[tuple, list[tuple[int, Graph]]] = {}
         for a, g in enumerate(corpus, 1):
             self._buckets.setdefault(graphs.class_key(g), []).append((a, g))
-        self._answers: dict[tuple[int, ...], int] = {}
 
     def atlas_number(self, h: Graph) -> int:
         """Atlas number of the corpus graph isomorphic to h; LookupError if none."""
-        known = self._answers.get(h.adj)
-        if known is not None:
-            return known
         for a, g in self._buckets.get(graphs.class_key(h), ()):
             if graphs.contains_induced(g, h):
-                self._answers[h.adj] = a
                 return a
         raise LookupError(f"no corpus graph matches order {h.order} size {h.size()}")
 
@@ -339,71 +332,40 @@ class AtlasIndex:
 def derive_forbidden_list(
     corpus: Sequence[Graph], mr_by_atlas: Mapping[int, int]
 ) -> ForbiddenList:
-    """Minimal graphs with mr >= 3 among the corpus.
+    """Minimal graphs with recorded mr >= 3 under induced containment.
 
-    A graph qualifies when its recorded mr is >= 3 and every one-vertex
-    deletion has mr <= 2 (by induced-subgraph monotonicity this
-    certifies all proper induced subgraphs).  Graphs without a recorded
-    mr are classified through the same monotonicity: mr >= 3 when some
-    deletion of theirs is so certified, mr <= 2 when they sit induced
-    inside a recorded mr <= 2 graph.  A deletion that neither route
-    settles makes its candidate undecidable and is reported as a gap.
+    mr >= 3 passes to every induced supergraph, so one pass over the
+    recorded mr >= 3 graphs in (order, atlas number) order skips each
+    graph that holds one kept before it (an isomorphic copy included)
+    and keeps the rest.  A kept graph is a pattern when each one-vertex
+    deletion sits induced in a recorded mr <= 2 graph of at least its
+    order: then every proper induced subgraph has mr <= 2.  Otherwise
+    the records cannot certify it minimal, and it is a gap; its unplaced
+    deletions are named by atlas number through an AtlasIndex, built
+    for the first gap only.
     mr_by_atlas is keyed by atlas number, corpus position + 1; a key
     past the corpus names no graph and goes unread (the command line
     rejects it first, with catalog.check_atlas_number).
     """
-    atlas_of = AtlasIndex(corpus).atlas_number
     le2_hosts = [g for a, g in enumerate(corpus, 1) if mr_by_atlas.get(a, 3) <= 2]
-    cert: dict[int, str | None] = {}
-
-    def certify(a: int) -> str | None:
-        """'ge3', 'le2', or None when the records cannot decide graph a."""
-        if a in cert:
-            return cert[a]
-        mr = mr_by_atlas.get(a)
-        if mr is not None:
-            cert[a] = "ge3" if mr >= 3 else "le2"
-            return cert[a]
-        g = corpus[a - 1]
-        verdict: str | None = None
-        if g.order > 1:
-            for v in range(g.order):
-                h = graphs.induced_subgraph(g, g.vertex_mask ^ (1 << v))
-                if certify(atlas_of(h)) == "ge3":
-                    verdict = "ge3"
-                    break
-        if verdict is None:
-            for host in le2_hosts:
-                if host.order > g.order and graphs.contains_induced(host, g):
-                    verdict = "le2"
-                    break
-        cert[a] = verdict
-        return verdict
-
+    kept: list[Graph] = []
     patterns: list[Graph] = []
     gaps: dict[int, tuple[int, ...]] = {}
-    for a, g in enumerate(corpus, 1):
-        mr = mr_by_atlas.get(a)
-        if mr is None or mr < 3:
+    index = None
+    for a, g in sorted(enumerate(corpus, 1), key=lambda ag: ag[1].order):
+        if mr_by_atlas.get(a, 0) < 3 or any(graphs.contains_induced(g, k) for k in kept):
             continue
-        minimal = True
-        unknown: list[int] = []
-        for v in range(g.order):
-            h = graphs.induced_subgraph(g, g.vertex_mask ^ (1 << v))
-            sub = atlas_of(h)
-            verdict = certify(sub)
-            if verdict == "ge3":
-                minimal = False
-                break
-            if verdict is None:
-                unknown.append(sub)
-        if not minimal:
-            continue
-        if unknown:
-            gaps[a] = tuple(unknown)
-            continue
-        if not any(graphs.is_isomorphic(g, p) for p in patterns):
+        kept.append(g)
+        deletions = [graphs.induced_subgraph(g, g.vertex_mask ^ (1 << v)) for v in range(g.order)]
+        unplaced = [
+            h for h in deletions
+            if not any(host.order >= h.order and graphs.contains_induced(host, h) for host in le2_hosts)
+        ]
+        if not unplaced:
             patterns.append(g)
+            continue
+        index = index or AtlasIndex(corpus)
+        gaps[a] = tuple(map(index.atlas_number, unplaced))
     if gaps:
         raise ForbiddenDerivationError(gaps)
     return ForbiddenList(tuple(patterns))

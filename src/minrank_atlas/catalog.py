@@ -194,8 +194,8 @@ def compute_all(corpus: Sequence[Graph], forbidden: ForbiddenList) -> dict[int, 
     disconnected graph is connected, so the row computed for its class,
     found through one AtlasIndex over the corpus, is its row;
     disjoint_union_row sums them.  Only a component whose class the
-    corpus lacks is combined on its own.  The index and its answers live
-    for this call only.
+    corpus lacks is combined on its own.  The index lives for this call
+    only.
     """
     comps = [graphs.components(g) for g in corpus]
     connected = [a for a, c in enumerate(comps, 1) if len(c) == 1]

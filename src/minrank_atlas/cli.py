@@ -202,7 +202,7 @@ def cmd_derive_forbidden(args) -> int:
     except bounds.ForbiddenDerivationError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_FAIL
-    except LookupError as exc:  # the atlas file lacks a class a deletion needs
+    except LookupError as exc:  # the atlas file lacks the class of a gap's deletion
         raise ValueError(f"{args.atlas_file}: {exc}") from None
     bounds.write_forbidden_list(args.out, derived)
     orders = ",".join(str(p.order) for p in derived.patterns)

@@ -6,11 +6,20 @@ tests need."""
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations, product
 
-from minrank_atlas.bounds import _closure
+from minrank_atlas.bounds import AtlasIndex, ForbiddenDerivationError, ForbiddenList, _closure
 from minrank_atlas.catalog import Mismatch
-from minrank_atlas.graphs import MAX_ORDER, Graph, bits, maximal_cliques
+from minrank_atlas.graphs import (
+    MAX_ORDER,
+    Graph,
+    bits,
+    contains_induced,
+    induced_subgraph,
+    is_isomorphic,
+    maximal_cliques,
+)
 from minrank_atlas.ratmat import RationalMatrix
 
 # Kuratowski's graphs: planar iff neither is a minor (Wagner)
@@ -54,6 +63,74 @@ def corpus_integrity_mismatches(corpus, fixtures) -> list[Mismatch]:
         if g.size() != row.size:
             out.append(Mismatch(row.atlas_number, "size", row.size, g.size()))
     return out
+
+
+def derive_by_deletion_lookup(corpus, mr_by_atlas) -> ForbiddenList:
+    """The forbidden family by per-deletion class lookups, in atlas order.
+
+    A graph with recorded mr >= 3 is a pattern when no one-vertex
+    deletion is certified mr >= 3 and every one is certified mr <= 2.
+    Each deletion's class is looked up by atlas number and certified
+    from its record, or, when it has none, recursively: mr >= 3 when
+    one of its own deletions is so certified, mr <= 2 when it sits
+    induced in a larger recorded mr <= 2 graph.  An undecided deletion
+    makes its graph a gap.  Isomorphic patterns are kept once.  Lookups
+    are remembered per labelled graph for the call.
+    """
+    atlas_of = cache(AtlasIndex(corpus).atlas_number)
+    le2_hosts = [g for a, g in enumerate(corpus, 1) if mr_by_atlas.get(a, 3) <= 2]
+    cert: dict[int, str | None] = {}
+
+    def certify(a: int) -> str | None:
+        """'ge3', 'le2', or None when the records cannot decide graph a."""
+        if a in cert:
+            return cert[a]
+        mr = mr_by_atlas.get(a)
+        if mr is not None:
+            cert[a] = "ge3" if mr >= 3 else "le2"
+            return cert[a]
+        g = corpus[a - 1]
+        verdict: str | None = None
+        if g.order > 1:
+            for v in range(g.order):
+                h = induced_subgraph(g, g.vertex_mask ^ (1 << v))
+                if certify(atlas_of(h)) == "ge3":
+                    verdict = "ge3"
+                    break
+        if verdict is None:
+            for host in le2_hosts:
+                if host.order > g.order and contains_induced(host, g):
+                    verdict = "le2"
+                    break
+        cert[a] = verdict
+        return verdict
+
+    patterns: list[Graph] = []
+    gaps: dict[int, tuple[int, ...]] = {}
+    for a, g in enumerate(corpus, 1):
+        mr = mr_by_atlas.get(a)
+        if mr is None or mr < 3:
+            continue
+        minimal = True
+        unknown: list[int] = []
+        for v in range(g.order):
+            sub = atlas_of(induced_subgraph(g, g.vertex_mask ^ (1 << v)))
+            verdict = certify(sub)
+            if verdict == "ge3":
+                minimal = False
+                break
+            if verdict is None:
+                unknown.append(sub)
+        if not minimal:
+            continue
+        if unknown:
+            gaps[a] = tuple(unknown)
+            continue
+        if not any(is_isomorphic(g, p) for p in patterns):
+            patterns.append(g)
+    if gaps:
+        raise ForbiddenDerivationError(gaps)
+    return ForbiddenList(tuple(patterns))
 
 
 def graph_fault(order: int, adj) -> str | None:

@@ -3,7 +3,7 @@ import re
 import pytest
 
 from minrank_atlas import catalog
-from minrank_atlas.bounds import BoundsRow, combine
+from minrank_atlas.bounds import AtlasIndex, BoundsRow, combine
 from minrank_atlas.catalog import (
     FIXTURE_COLUMNS,
     FixtureRow,
@@ -13,7 +13,7 @@ from minrank_atlas.catalog import (
     load_fixtures,
     table_lines,
 )
-from minrank_atlas.graphs import Graph, is_connected, is_isomorphic
+from minrank_atlas.graphs import Graph, induced_subgraph, is_connected, is_isomorphic
 
 from oracles import corpus_integrity_mismatches, path
 
@@ -52,6 +52,36 @@ def test_load_fixtures_spot_rows(fixtures_by_atlas, fixture_rows):
 def test_fixture_gaps_match_untranscribed_ranges(fixtures_by_atlas):
     missing = set(range(1, 1253)) - set(fixtures_by_atlas)
     assert missing == set(range(181, 241)) | set(range(331, 361))
+
+
+def test_mr_by_hand_marks_exactly_the_unsettled_rows(fixture_rows):
+    by_hand = {f.atlas_number for f in fixture_rows if f.mr_by_hand}
+    assert len(by_hand) == 42
+    assert by_hand == {f.atlas_number for f in fixture_rows if f.lb < f.ub}
+
+
+def test_reference_mr_obeys_the_deletion_laws(atlas_corpus, fixture_rows):
+    # mr(G - v) <= mr(G) <= mr(G - v) + 2 and |mr(G) - mr(G - e)| <= 1,
+    # on every pair whose deletion class has a reference row
+    mr = {f.atlas_number: f.mr for f in fixture_rows}
+    atlas_of = AtlasIndex(atlas_corpus).atlas_number
+    vertex_pairs, edge_pairs, bad = 0, 0, []
+    for a, m in mr.items():
+        g = atlas_corpus[a - 1]
+        for v in range(g.order if g.order > 1 else 0):
+            b = atlas_of(induced_subgraph(g, g.vertex_mask ^ (1 << v)))
+            if b in mr:
+                vertex_pairs += 1
+                if not mr[b] <= m <= mr[b] + 2:
+                    bad.append((a, "vertex", b))
+        edges = list(g.edges())
+        for e in edges:
+            b = atlas_of(Graph.from_edges(g.order, [f for f in edges if f != e]))
+            if b in mr:
+                edge_pairs += 1
+                if abs(m - mr[b]) > 1:
+                    bad.append((a, "edge", b))
+    assert (vertex_pairs, edge_pairs, bad) == (6713, 11126, [])
 
 
 def _write_fixture(tmp_path, rows):

@@ -310,24 +310,38 @@ def test_comment_only_forbidden_list_exits_2(capsys, tmp_path):
     assert err == f"error: {empty}: forbidden list must be nonempty\n"
 
 
-def test_derive_forbidden_idempotent(capsys, tmp_path, data_dir):
+def _refuse(*args):
+    raise AssertionError("unexpected call")
+
+
+def test_derive_forbidden_idempotent(capsys, tmp_path, data_dir, monkeypatch):
+    # the bundled table needs no class lookup and no isomorphism test
+    monkeypatch.setattr(bounds.AtlasIndex, "atlas_number", _refuse)
+    monkeypatch.setattr(graphs, "is_isomorphic", _refuse)
     out_path = tmp_path / "fl.g6"
     code, out, _ = run(capsys, ["derive-forbidden", "--out", str(out_path)])
-    assert code == 0
-    assert "5 patterns" in out
+    assert (code, out) == (0, f"wrote 5 patterns (orders 4,5,5,5,6) to {out_path}\n")
     assert out_path.read_bytes() == (data_dir / "forbidden_mr2.g6").read_bytes()
 
 
-def test_derive_forbidden_gap_failure(capsys, tmp_path):
+@pytest.fixture()
+def only14(tmp_path):
+    """Reference table holding one row: atlas 14, P4, with mr 3."""
     header = "\t".join(FIXTURE_COLUMNS)
     row14 = "14\t4\t3\t3\tF\t3\t3\tT\t3\t3\t3\t\t\t\tT\tT\tT"
     fixtures = tmp_path / "only14.tsv"
     fixtures.write_text(header + "\n" + row14 + "\n")
-    code, _, err = run(capsys, [
-        "derive-forbidden", "--fixtures", str(fixtures),
-        "--out", str(tmp_path / "fl.g6"),
+    return str(fixtures)
+
+
+def test_derive_forbidden_gap_failure(capsys, tmp_path, only14, monkeypatch):
+    # the gap's deletions are named through class lookups, with no isomorphism test
+    monkeypatch.setattr(graphs, "is_isomorphic", _refuse)
+    code, out, err = run(capsys, [
+        "derive-forbidden", "--fixtures", only14, "--out", str(tmp_path / "fl.g6"),
     ])
-    assert code == 1 and "candidate 14" in err
+    assert (code, out) == (1, "")
+    assert err.endswith("candidate 14 needs rows [5, 6]\n")
 
 
 def test_derive_forbidden_without_an_mr3_row_names_the_fixtures(capsys, tmp_path, data_dir):
@@ -379,18 +393,25 @@ def test_atlas_number_past_the_file_names_it(capsys, short_atlas, tmp_path, comm
 
 
 def test_derive_forbidden_atlas_missing_a_class(capsys, tmp_path, data_dir):
-    # atlas 32 replaced by a copy of atlas 31: a one-vertex deletion of a
-    # larger graph then has no corpus match
-    lines = (data_dir / "atlas.g6").read_text().splitlines()
-    lines[31] = lines[30]
-    atlas = tmp_path / "dup.g6"
-    atlas.write_text("\n".join(lines) + "\n")
+    # atlas 32 replaced by a copy of atlas 31: no graph the derivation
+    # keeps has a deletion in the missing class, and no lookup is made
+    atlas = _atlas_copy(tmp_path, data_dir, lambda lines: lines.__setitem__(31, lines[30]))
+    out_path = tmp_path / "fl.g6"
+    code, _, err = run(capsys, ["derive-forbidden", "--atlas-file", atlas, "--out", str(out_path)])
+    assert (code, err) == (0, "")
+    assert out_path.read_bytes() == (data_dir / "forbidden_mr2.g6").read_bytes()
+
+
+def test_derive_forbidden_gap_deletion_missing_from_the_atlas(capsys, tmp_path, data_dir, only14):
+    # atlas 6 (P3) replaced by a copy of atlas 5: the gap P4 needs the
+    # atlas number of its deletion P3, and the file has none
+    atlas = _atlas_copy(tmp_path, data_dir, lambda lines: lines.__setitem__(5, lines[4]))
     code, out, err = run(capsys, [
-        "derive-forbidden", "--atlas-file", str(atlas),
+        "derive-forbidden", "--atlas-file", atlas, "--fixtures", only14,
         "--out", str(tmp_path / "fl.g6"),
     ])
-    assert code == 2 and out == ""
-    assert "no corpus graph matches order 5 size 4" in err
+    assert (code, out) == (2, "")
+    assert err == f"error: {atlas}: no corpus graph matches order 3 size 2\n"
     assert not (tmp_path / "fl.g6").exists()
 
 
