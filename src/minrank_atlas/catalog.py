@@ -179,6 +179,12 @@ def load_fixtures(path) -> list[FixtureRow]:
                 raise ValueError(f"{path}:{ln}: lb {row.lb} exceeds ub {row.ub}")
             if not row.lb <= row.mr <= row.ub:
                 raise ValueError(f"{path}:{ln}: mr {row.mr} outside [{row.lb}, {row.ub}]")
+            # lb <= mr <= ub, so ub bounds all three: mr(G) <= order - 1
+            if row.ub > row.order - 1:
+                raise ValueError(f"{path}:{ln}: ub {row.ub} exceeds order - 1 = {row.order - 1}")
+            if row.size > row.order * (row.order - 1) // 2:
+                raise ValueError(f"{path}:{ln}: size {row.size} exceeds order(order - 1)/2 = "
+                                 f"{row.order * (row.order - 1) // 2}")
             if row.atlas_number in seen:
                 raise ValueError(f"{path}:{ln}: duplicate atlas number {row.atlas_number}")
             seen.add(row.atlas_number)

@@ -5,7 +5,9 @@ Vertices are 0-based.  A vertex set is a plain int used as a bitmask
 (bit v set <=> vertex v in the set), which keeps the inner loops of the
 solvers branch-light.  Graphs are immutable and hashable.  embeds is
 the one backtracking search, shared by induced containment, isomorphism
-and the minor test's subgraph step.
+and the minor test's subgraph step.  It rejects on edge and non-edge
+counts before searching, and searches iteratively along a plan built
+once per pattern and kept in a bounded cache.
 
 Every construction is validated on the whole adjacency matrix at once.
 The n rows are packed into one int, row i in bits [i*w, (i+1)*w) with
@@ -21,6 +23,7 @@ first fault.
 
 from __future__ import annotations
 
+import functools
 import struct
 from collections.abc import Iterator
 
@@ -308,8 +311,11 @@ def class_key(g: Graph) -> tuple[int, int, tuple[int, ...]]:
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
     """Adjacency-preserving bijection test: class_key prefilter, then the
-    induced-embedding search, which between equal orders is a bijection."""
-    return class_key(g) == class_key(h) and contains_induced(h, g)
+    induced-embedding search, which between equal orders is a bijection.
+    h is the searched pattern, so a caller that holds one graph fixed
+    passes it second and reuses its plan (verify_witness passes the
+    atlas graph)."""
+    return class_key(g) == class_key(h) and contains_induced(g, h)
 
 
 def contains_induced(g: Graph, pattern: Graph) -> bool:
@@ -318,42 +324,91 @@ def contains_induced(g: Graph, pattern: Graph) -> bool:
     return embeds(g, pattern, induced=True)
 
 
+# Plans, not answers, are cached.  The cache is a bounded LRU rather
+# than a plan held by each looping caller, because the patterns are not
+# bounded: AtlasIndex sends one query graph per lookup.  The loops that
+# repeat a pattern (the forbidden list and K4/K2,3 in every combine, the
+# kept graphs and each deletion across the hosts of
+# derive_forbidden_list, a query across its bucket, an atlas graph
+# across verify-witnesses runs) reuse it while it is recent.
+@functools.lru_cache(maxsize=128)
+def _plan(pattern: Graph):
+    """Pattern's edge count and, per search level: the degree of the
+    level's vertex, and the earlier levels it is joined to and apart
+    from.  High-degree vertices come first, since they prune hardest.
+    """
+    adj = pattern.adj
+    order = sorted(range(pattern.order), key=lambda v: adj[v].bit_count(), reverse=True)
+    joined = []
+    apart = []
+    for i, v in enumerate(order):
+        row = adj[v]
+        joined.append(tuple([e for e in range(i) if (row >> order[e]) & 1]))
+        apart.append(tuple([e for e in range(i) if not (row >> order[e]) & 1]))
+    # tuples: every caller of a pattern shares its plan
+    return pattern.size(), tuple([adj[v].bit_count() for v in order]), tuple(joined), tuple(apart)
+
+
 def embeds(g: Graph, pattern: Graph, *, induced: bool) -> bool:
     """True iff some injective map V(pattern) -> V(g) sends every pattern
     edge to an edge and, when induced, every non-edge to a non-edge.
 
-    High-degree pattern vertices are placed first, since they prune
-    hardest; a candidate needs at least the pattern vertex's degree, or
-    exactly it when induced and the orders match.
+    Counts reject first: g needs at least the pattern's edges and, when
+    induced, at least its non-edges (so between equal orders exactly its
+    edges).  Then one depth-first search follows the pattern's cached
+    plan (see _plan), keeping each level's untried candidates as a mask
+    on an explicit stack.  A level's candidates come from degree
+    buckets: a g-vertex needs at least the pattern vertex's degree d
+    and, when induced, at most d + g.order - pattern.order, since its
+    non-neighbours must hold the pattern vertex's.
     """
     k, n = pattern.order, g.order
     if k > n:
         return False
-    verts = sorted(range(k), key=lambda v: -pattern.adj[v].bit_count())
-    gdeg = [row.bit_count() for row in g.adj]
-    exact = induced and k == n
-    image = [0] * k      # image[i] = g-vertex assigned to verts[i]
-
-    def place(i: int, free: VertexSet) -> bool:
-        if i == k:
-            return True
-        v = verts[i]
-        dv = pattern.adj[v].bit_count()
-        cand = free
-        for e in range(i):
-            if (pattern.adj[v] >> verts[e]) & 1:
-                cand &= g.adj[image[e]]
-            elif induced:
-                cand &= ~g.adj[image[e]]
-        for w in bits(cand):
-            if gdeg[w] < dv or (exact and gdeg[w] != dv):
-                continue
-            image[i] = w
-            if place(i + 1, free ^ (1 << w)):
-                return True
+    size, degs, joined, apart = _plan(pattern)
+    gadj = g.adj
+    gdeg = list(map(int.bit_count, gadj))
+    m = sum(gdeg) >> 1
+    if size > m or induced and k * (k - 1) // 2 - size > n * (n - 1) // 2 - m:
         return False
-
-    return place(0, g.vertex_mask)
+    at_least = [0] * (n + 1)  # at_least[d]: the g-vertices of degree >= d
+    for w, d in enumerate(gdeg):
+        at_least[d] |= 1 << w
+    for d in range(n - 1, -1, -1):
+        at_least[d] |= at_least[d + 1]
+    if induced:
+        slack = n - k + 1
+        masks = [at_least[d] & ~at_least[d + slack] for d in degs]
+    else:
+        masks = [at_least[d] for d in degs]
+    rows = [0] * k    # rows[i]: g-row of the vertex placed at level i
+    placed = [0] * k  # placed[i]: its bit; placed[k - 1] stays 0, so the last step back frees none
+    cands = [0] * k   # cands[i]: level i's candidates not yet tried
+    cands[0] = masks[0]
+    used = 0
+    i = 0
+    while i >= 0:
+        c = cands[i]
+        if not c:
+            i -= 1
+            used ^= placed[i]
+            continue
+        low = c & -c
+        cands[i] = c ^ low
+        if i + 1 == k:
+            return True
+        placed[i] = low
+        used |= low
+        rows[i] = gadj[low.bit_length() - 1]
+        i += 1
+        c = masks[i] & ~used
+        for e in joined[i]:
+            c &= rows[e]
+        if induced:
+            for e in apart[i]:
+                c &= ~rows[e]
+        cands[i] = c
+    return False
 
 
 def maximal_cliques(g: Graph) -> list[VertexSet]:

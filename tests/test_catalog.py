@@ -111,6 +111,17 @@ def test_load_fixtures_errors(tmp_path):
     with pytest.raises(ValueError, match="outside"):
         load_fixtures(_write_fixture(tmp_path, [bad_mr]))
 
+    # mr(G) <= order - 1, and a graph of order n has at most n(n-1)/2 edges
+    for cells, message in (
+        ({3: "2", 5: "2", 6: "2"}, "ub 2 exceeds order - 1 = 1"),
+        ({2: "2"}, "size 2 exceeds order(order - 1)/2 = 1"),
+    ):
+        bad = GOOD_ROW.copy()
+        for col, token in cells.items():
+            bad[col] = token
+        with pytest.raises(ValueError, match=re.escape(f"t.tsv:2: {message}")):
+            load_fixtures(_write_fixture(tmp_path, [bad]))
+
     with pytest.raises(ValueError, match="duplicate"):
         load_fixtures(_write_fixture(tmp_path, [GOOD_ROW, GOOD_ROW]))
 

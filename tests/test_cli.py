@@ -355,6 +355,19 @@ def test_derive_forbidden_without_an_mr3_row_names_the_fixtures(capsys, tmp_path
     assert not (tmp_path / "fl.g6").exists()
 
 
+def test_derive_forbidden_rank_above_the_order_names_the_row(capsys, tmp_path):
+    # atlas 1 is K1, whose minimum rank is 0: a row claiming 3 is refused
+    # where it is read, not when the derivation tries to delete a vertex
+    fixtures = tmp_path / "k1.tsv"
+    fixtures.write_text("\t".join(FIXTURE_COLUMNS) + "\n1\t1\t0\t3\tF\t3\t3\tT\t0\t0\t0\t\t\t\tF\tF\tT\n")
+    code, out, err = run(capsys, [
+        "derive-forbidden", "--fixtures", str(fixtures), "--out", str(tmp_path / "fl.g6"),
+    ])
+    assert (code, out) == (2, "")
+    assert err == f"error: {fixtures}:2: ub 3 exceeds order - 1 = 0\n"
+    assert not (tmp_path / "fl.g6").exists()
+
+
 @pytest.fixture()
 def short_atlas(tmp_path, data_dir):
     """First 100 atlas graphs, fewer than the reference rows and witnesses name."""

@@ -246,10 +246,49 @@ def test_c5_self_complementary():
 
 
 def test_contains_induced():
-    assert contains_induced(path(5), path(4))
-    assert not contains_induced(Graph.complete(5), path(4))
-    assert contains_induced(cycle(5), path(4))
-    assert not contains_induced(path(3), path(4))
+    # (host, pattern, induced answer, plain answer); the cases after the
+    # first four are grouped by the count or degree exit they exercise
+    k1 = Graph(1, (0,))
+    star = Graph.complete_bipartite(1, 3)
+    k2_k1 = Graph.from_edges(3, [(0, 1)])
+    three_k1 = Graph(3, (0, 0, 0))
+    two_k2 = Graph.from_edges(4, [(0, 1), (2, 3)])
+    k5_minus_edge = Graph.from_edges(5, [(i, j) for i in range(5) for j in range(i + 1, 5) if (i, j) != (0, 1)])
+    cases = [
+        (path(5), path(4), True, True),
+        (Graph.complete(5), path(4), False, True),
+        (cycle(5), path(4), True, True),
+        (path(3), path(4), False, False),
+        # equal orders and sizes, different degree sequences
+        (path(4), star, False, False),
+        (star, path(4), False, False),
+        # too many pattern non-edges: 2K2 has 4 and K5 - e 1; 3K1 has 3 and K4 none
+        (k5_minus_edge, two_k2, False, True),
+        (Graph.complete(4), three_k1, False, True),
+        # a pattern degree (4) above every host degree (2), with edges to spare
+        (cycle(8), Graph.complete_bipartite(1, 4), False, False),
+        # isolated pattern vertices
+        (path(3), k2_k1, False, True),
+        (path(4), k2_k1, True, True),
+        (path(4), three_k1, False, True),
+        (cycle(6), three_k1, True, True),
+        # order 1
+        (k1, k1, True, True),
+        (path(3), k1, True, True),
+        (k1, Graph.complete(2), False, False),
+        # order 64: the top vertex bit, and counts past a machine word
+        (path(64), path(64), True, True),
+        (cycle(64), path(63), True, True),
+        (cycle(64), path(64), False, True),
+        (Graph.complete(64), path(5), False, True),
+        (Graph.complete(64), Graph.complete(64), True, True),
+        (relabel(path(64), [63 - v for v in range(64)]), Graph.complete(3), False, False),
+    ]
+    for g, p, induced, plain in cases:
+        assert contains_induced(g, p) == embeds(g, p, induced=True) == induced, (g, p)
+        assert embeds(g, p, induced=False) == plain, (g, p)
+        if g.order <= 7:
+            assert (brute_contains_induced(g, p), brute_contains_subgraph(g, p)) == (induced, plain)
 
 
 def test_embedding_search_against_brute_force():
@@ -291,6 +330,42 @@ def test_plain_embedding_against_brute_force():
         if expected and p.order == g.order and sorted(map(int.bit_count, p.adj)) != sorted(map(int.bit_count, g.adj)):
             spanning_lower += 1
     assert spanning_lower >= 60
+
+
+def test_embedding_search_against_networkx():
+    # past the brute-force oracles' order 7: node-induced subgraph
+    # isomorphism for the induced mode, monomorphism for the plain mode
+    nx = pytest.importorskip("networkx")
+    isomorphism = pytest.importorskip("networkx.algorithms.isomorphism")
+    rng = random.Random(812)
+    answers = []
+    for trial in range(120):
+        g = random_graph(rng, rng.randint(8, 12), rng.random())
+        if trial % 2 == 0:
+            # planted: a relabeled induced subgraph of g, with edges
+            # dropped in every fourth trial, so that the plain mode also
+            # meets subgraphs that are not induced
+            k = rng.randint(1, g.order)
+            sub = induced_subgraph(g, sum(1 << v for v in rng.sample(range(g.order), k)))
+            if trial % 4 == 0:
+                sub = Graph.from_edges(k, [e for e in sub.edges() if rng.random() < 0.7])
+            p = relabel(sub, rng.sample(range(k), k))
+        else:
+            p = random_graph(rng, rng.randint(1, 8), rng.random())
+        host = to_networkx(g)
+        induced = isomorphism.GraphMatcher(host, to_networkx(p)).subgraph_is_isomorphic()
+        # VF2 monomorphism can take seconds to place isolated vertices or
+        # to fail on a pattern with more edges than g.  Both have a plain
+        # answer, since the pattern is never larger than g here, so only
+        # the rest of the pattern goes to the matcher
+        rest = to_networkx(p)
+        rest.remove_nodes_from(list(nx.isolates(rest)))
+        plain = p.size() <= g.size() and isomorphism.GraphMatcher(host, rest).subgraph_is_monomorphic()
+        assert embeds(g, p, induced=True) == contains_induced(g, p) == induced, (g, p)
+        assert embeds(g, p, induced=False) == plain, (g, p)
+        answers.append((induced, plain))
+    # every outcome the two modes allow occurs
+    assert {(True, True), (False, True), (False, False)} <= set(answers)
 
 
 def test_maximal_cliques_examples():
