@@ -165,7 +165,7 @@ def cmd_verify_witnesses(args) -> int:
     lines = catalog.read_atlas(args.atlas_file)
     fixtures = catalog.load_fixtures(args.fixtures)
     lb_by_atlas = {f.atlas_number: f.lb for f in fixtures}
-    records = witness.read_witness_file(args.witnesses, lb_by_atlas)
+    records = witness.parse_witness_file(args.witnesses, lb_by_atlas)
     all_ok = True
     results = []
     for rec in sorted(records, key=lambda r: r.atlas_number):

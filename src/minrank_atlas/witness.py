@@ -3,6 +3,9 @@ exact symmetric matrix whose rank is claimed to equal that graph's
 minimum rank.  Verification checks symmetry, that the off-diagonal
 nonzero pattern is the atlas graph (up to isomorphism; the certificates
 do not fix a vertex labeling), and the exact rational rank.
+
+parse_witness_file reads a certificate file in one pass, as the other
+data readers do: each fault is a ValueError that starts with 'path:line: '.
 """
 
 from __future__ import annotations
@@ -52,96 +55,62 @@ class WitnessReport(namedtuple("WitnessReport", (
         return out
 
 
-class WitnessParseError(ValueError):
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
-        self.message = message
+def parse_witness_file(path, claimed_ranks: Mapping[int, int]) -> list[WitnessRecord]:
+    """Read blocks of 'atlas <k>' / 'n <d>' / d rows of d rational tokens.
 
-
-def _is_digits(token: str) -> bool:
-    return token.isascii() and token.isdigit()  # isdigit alone takes U+0663, U+00B2
-
-
-def parse_witness_file(
-    text: str, claimed_ranks: Mapping[int, int]
-) -> list[WitnessRecord]:
-    """Parse blocks of 'atlas <k>' / 'n <d>' / d rows of d rational tokens.
-
-    Blank lines separate blocks and '#' lines are comments.  claimed_ranks
-    maps atlas number -> claimed rank (the reference lower bound); an
-    atlas number without an entry is an error.
+    Blank lines separate blocks, and '#' lines are comments wherever they
+    stand.  claimed_ranks maps atlas number -> claimed rank (the reference
+    lower bound); an atlas number without an entry is an error.  Each
+    fault raises a ValueError that starts with 'path:line: '.
     """
-    lines = text.split("\n")
-    records: list[WitnessRecord] = []
-    seen: set[int] = set()
-    i = 0
-
-    def is_noise(s: str) -> bool:
-        t = s.strip()
-        return not t or t.startswith("#")
-
-    while i < len(lines):
-        if is_noise(lines[i]):
-            i += 1
-            continue
-        ln = i + 1
-        parts = lines[i].split()
-        if len(parts) != 2 or parts[0] != "atlas" or not _is_digits(parts[1]):
-            raise WitnessParseError(ln, f"expected 'atlas <number>', got {lines[i]!r}")
-        atlas_number = int(parts[1])
-        if atlas_number in seen:
-            raise WitnessParseError(ln, f"duplicate record for atlas {atlas_number}")
-        if atlas_number not in claimed_ranks:
-            raise WitnessParseError(ln, f"unknown atlas number {atlas_number}")
-        i += 1
-        while i < len(lines) and lines[i].strip().startswith("#"):
-            i += 1
-        if i >= len(lines):
-            raise WitnessParseError(len(lines), "missing 'n <dimension>' header")
-        parts = lines[i].split()
-        if len(parts) != 2 or parts[0] != "n" or not _is_digits(parts[1]):
-            raise WitnessParseError(i + 1, f"expected 'n <dimension>', got {lines[i]!r}")
-        dim = int(parts[1])
-        if dim < 1:
-            raise WitnessParseError(i + 1, "dimension must be positive")
-        i += 1
-        rows = []
-        while len(rows) < dim:
-            if i >= len(lines) or not lines[i].strip():
-                raise WitnessParseError(
-                    i + 1, f"expected {dim} matrix rows, found {len(rows)}"
-                )
-            if lines[i].strip().startswith("#"):
-                i += 1
-                continue
-            tokens = lines[i].split()
-            if len(tokens) != dim:
-                raise WitnessParseError(
-                    i + 1, f"expected {dim} entries per row, got {len(tokens)}"
-                )
-            try:
-                rows.append(tuple(parse_rational(t) for t in tokens))
-            except ValueError as exc:
-                raise WitnessParseError(i + 1, str(exc)) from exc
-            i += 1
-        seen.add(atlas_number)
-        records.append(
-            WitnessRecord(atlas_number, RationalMatrix(tuple(rows)), claimed_ranks[atlas_number])
-        )
-    return records
-
-
-def read_witness_file(path, claimed_ranks: Mapping[int, int]) -> list[WitnessRecord]:
-    """parse_witness_file over a file; errors name path:line."""
     # surrogateescape, as for the other data files: a non-ASCII byte fails
-    # the token check of its line (and is allowed in a comment)
+    # the token check of its line (and is allowed in a comment), so
+    # isdigit admits only 0-9
     with open(path, encoding="ascii", errors="surrogateescape") as fh:
-        text = fh.read()
-    try:
-        return parse_witness_file(text, claimed_ranks)
-    except WitnessParseError as exc:
-        raise ValueError(f"{path}:{exc.line}: {exc.message}") from exc
+        lines = fh.read().split("\n")
+    records: dict[int, WitnessRecord] = {}
+    atlas_number = None  # of the block being read
+    dim = 0  # its dimension, once its 'n' line is read
+    rows: list[tuple] = []
+    for ln, line in enumerate(lines, 1):
+        parts = line.split()
+        if parts and parts[0].startswith("#"):
+            continue
+        if atlas_number is None:
+            if not parts:
+                continue
+            if len(parts) != 2 or parts[0] != "atlas" or not parts[1].isdigit():
+                raise ValueError(f"{path}:{ln}: expected 'atlas <number>', got {line!r}")
+            atlas_number = int(parts[1])
+            if atlas_number in records:
+                raise ValueError(f"{path}:{ln}: duplicate record for atlas {atlas_number}")
+            if atlas_number not in claimed_ranks:
+                raise ValueError(f"{path}:{ln}: unknown atlas number {atlas_number}")
+        elif not dim:
+            if len(parts) != 2 or parts[0] != "n" or not parts[1].isdigit():
+                raise ValueError(f"{path}:{ln}: expected 'n <dimension>', got {line!r}")
+            dim = int(parts[1])
+            if dim < 1:
+                raise ValueError(f"{path}:{ln}: dimension must be positive")
+        else:
+            if not parts:
+                raise ValueError(f"{path}:{ln}: expected {dim} matrix rows, found {len(rows)}")
+            if len(parts) != dim:
+                raise ValueError(f"{path}:{ln}: expected {dim} entries per row, got {len(parts)}")
+            try:
+                rows.append(tuple(parse_rational(t) for t in parts))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{ln}: {exc}") from exc
+            if len(rows) == dim:
+                records[atlas_number] = WitnessRecord(
+                    atlas_number, RationalMatrix(tuple(rows)), claimed_ranks[atlas_number]
+                )
+                atlas_number, dim, rows = None, 0, []
+    if dim:
+        raise ValueError(f"{path}:{len(lines) + 1}: expected {dim} matrix rows, found {len(rows)}")
+    if atlas_number is not None:
+        raise ValueError(f"{path}:{len(lines)}: missing 'n <dimension>' header")
+    return list(records.values())
 
 
 def verify_witness(record: WitnessRecord, g: Graph) -> WitnessReport:
@@ -149,9 +118,9 @@ def verify_witness(record: WitnessRecord, g: Graph) -> WitnessReport:
     fields, never exceptions."""
     m = record.matrix
     symmetric_ok = is_symmetric(m)
-    pattern_ok = False
-    if symmetric_ok:
-        pattern_ok = is_isomorphic(pattern_graph(m), g)
+    # a dimension other than the graph's order fails the pattern check
+    # before pattern_graph, which rejects an order past Graph's 64
+    pattern_ok = symmetric_ok and m.n == g.order and is_isomorphic(pattern_graph(m), g)
     rank_found = rank(m)
     return WitnessReport(
         atlas_number=record.atlas_number,

@@ -53,4 +53,4 @@ def computed_table(atlas_corpus, forbidden):
 @pytest.fixture(scope="session")
 def witness_records(fixture_rows):
     lb = {f.atlas_number: f.lb for f in fixture_rows}
-    return witness.read_witness_file(DATA / "witnesses.txt", lb)
+    return witness.parse_witness_file(DATA / "witnesses.txt", lb)

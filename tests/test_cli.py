@@ -302,6 +302,17 @@ def test_verify_witnesses_parse_error(capsys, tmp_path):
     assert code == 2 and err.startswith(f"error: {bad}:1: "), err
 
 
+@pytest.mark.parametrize("dim", [8, 65])
+def test_certificate_of_another_order_fails_its_pattern(capsys, tmp_path, dim):
+    # atlas 721 has order 7; 65 is past Graph's order limit, yet the
+    # certificate still gets a verdict rather than an input error
+    rows = [" ".join("1" if j == i else "0" for j in range(dim)) for i in range(dim)]
+    bad = tmp_path / "w.txt"
+    bad.write_text("\n".join(["atlas 721", f"n {dim}"] + rows) + "\n")
+    code, out, err = run(capsys, ["verify-witnesses", "--witnesses", str(bad)])
+    assert (code, out, err) == (1, f"721\t{dim}\tfail(pattern,rank)\n", "")
+
+
 def test_comment_only_forbidden_list_exits_2(capsys, tmp_path):
     empty = tmp_path / "fl.g6"
     empty.write_text("# no patterns\n\n")
@@ -534,6 +545,28 @@ def test_bounds_cold_start_skips_unused_imports():
     assert "minrank_atlas.bounds" in imported
     assert not imported & {"multiprocessing", "fractions", "decimal", "json",
                            "dataclasses", "inspect", "typing"}
+
+
+TRACED_INSTALL = """
+import importlib.util, sys
+sys.dont_write_bytecode = True
+from minrank_atlas import cli
+spec = importlib.util.spec_from_file_location("tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+with tracing.Tracer().install():
+    for layer in tracing.LAYERS:
+        module, name = layer.split(".")
+        assert hasattr(getattr(sys.modules["minrank_atlas." + module], name), "__wrapped__"), layer
+"""
+
+
+def test_traced_benchmark_layers_resolve():
+    # a traced benchmark run wraps each function that bench/tracing.py
+    # names, as cli's imports leave them: one that leaves its module, or
+    # a module that cli does not import, fails every traced run
+    tracing = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    _fresh_python(TRACED_INSTALL, str(tracing))
 
 
 DIFF_COLD = """

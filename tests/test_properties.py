@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from minrank_atlas.bounds import combine
 from minrank_atlas.graph6 import Graph6Error, from_graph6
 from minrank_atlas.graphs import Graph
-from minrank_atlas.witness import read_witness_file
+from minrank_atlas.witness import parse_witness_file
 
 from oracles import graph_fault, relabel
 
@@ -163,5 +163,5 @@ def test_malformed_witness_block_names_its_line(tmp_path_factory, case):
     path = tmp_path_factory.getbasetemp() / "malformed_witnesses.txt"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(ValueError) as exc:
-        read_witness_file(path, CLAIMED)
+        parse_witness_file(path, CLAIMED)
     assert str(exc.value).startswith(f"{path}:{where}: "), (lines, str(exc.value))

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from minrank_atlas.ratmat import RationalMatrix
 from minrank_atlas.witness import (
     KNOWN_UNWITNESSED,
-    WitnessParseError,
     WitnessRecord,
     parse_witness_file,
     verify_witness,
@@ -33,31 +33,45 @@ def test_no_record_for_externally_resolved_graphs(witness_records):
     assert not present & KNOWN_UNWITNESSED
 
 
-def test_empty_file():
-    assert parse_witness_file("", {}) == []
-    assert parse_witness_file("# just a comment\n\n", {}) == []
+def parse_text(path, text, ranks):
+    path.write_text(text, encoding="utf-8")
+    return parse_witness_file(path, ranks)
 
 
-def test_parse_errors():
+def test_empty_file(tmp_path):
+    path = tmp_path / "w.txt"
+    assert parse_text(path, "", {}) == []
+    assert parse_text(path, "# just a comment\n\n", {}) == []
+
+
+def test_parse_errors(tmp_path):
+    path = tmp_path / "w.txt"
     good = "atlas 3\nn 2\n0 1\n1 0\n"
     ranks = {3: 1, 7: 1}
-    assert len(parse_witness_file(good, ranks)) == 1
+    assert len(parse_text(path, good, ranks)) == 1
+    assert len(parse_text(path, "atlas 3\n# c\nn 1\n# d\n0\n", ranks)) == 1
 
-    with pytest.raises(WitnessParseError, match="line 1"):
-        parse_witness_file("atlas x\n", ranks)
-    with pytest.raises(WitnessParseError, match="unknown atlas"):
-        parse_witness_file("atlas 99\nn 1\n0\n", ranks)
-    with pytest.raises(WitnessParseError, match="line 2"):
-        parse_witness_file("atlas 3\nrows 2\n", ranks)
-    # short matrix: blank line after one of two rows
-    with pytest.raises(WitnessParseError, match="line 4"):
-        parse_witness_file("atlas 3\nn 2\n0 1\n\n1 0\n", ranks)
-    with pytest.raises(WitnessParseError, match="entries per row"):
-        parse_witness_file("atlas 3\nn 2\n0 1 1\n1 0\n", ranks)
-    with pytest.raises(WitnessParseError, match="malformed rational"):
-        parse_witness_file("atlas 3\nn 2\n0 x\n1 0\n", ranks)
-    with pytest.raises(WitnessParseError, match="duplicate"):
-        parse_witness_file(good + "\n" + good, ranks)
+    for text, message in [
+        ("atlas x\n", "1: expected 'atlas <number>', got 'atlas x'"),
+        ("atlas 99\nn 1\n0\n", "1: unknown atlas number 99"),
+        ("atlas 3\nrows 2\n", "2: expected 'n <dimension>', got 'rows 2'"),
+        # short matrix: blank line after one of two rows
+        ("atlas 3\nn 2\n0 1\n\n1 0\n", "4: expected 2 matrix rows, found 1"),
+        ("atlas 3\nn 2\n0 1 1\n1 0\n", "3: expected 2 entries per row, got 3"),
+        ("atlas 3\nn 2\n0 x\n1 0\n", "3: malformed rational token 'x'"),
+        (good + "\n" + good, "6: duplicate record for atlas 3"),
+        # end of file before the 'n' line: the last line
+        ("atlas 3", "1: missing 'n <dimension>' header"),
+        ("atlas 3\n", "2: expected 'n <dimension>', got ''"),
+        ("atlas 3\n\nn 1\n0\n", "2: expected 'n <dimension>', got ''"),
+        ("atlas 3\nn 0\n", "2: dimension must be positive"),
+        # end of file inside a matrix: one line past the last
+        ("atlas 3\nn 2\n0 1\n", "4: expected 2 matrix rows, found 1"),
+        ("atlas 3\nn 2\n0 1", "4: expected 2 matrix rows, found 1"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            parse_text(path, text, ranks)
+        assert str(info.value) == f"{path}:{message}", text
 
 
 @pytest.mark.parametrize("text,line", [
@@ -66,10 +80,10 @@ def test_parse_errors():
     ("atlas 3\nn \u0663\n0 1 1\n1 0 1\n1 1 0\n", 2),
     ("atlas 3\nn \u00b2\n0 1\n1 0\n", 2),
 ], ids=["atlas-arabic-indic", "atlas-superscript", "n-arabic-indic", "n-superscript"])
-def test_header_numbers_are_ascii_digits(text, line):
-    with pytest.raises(WitnessParseError, match=f"^line {line}: expected '(atlas|n) <") as info:
-        parse_witness_file(text, {3: 1})
-    assert info.value.line == line
+def test_header_numbers_are_ascii_digits(tmp_path, text, line):
+    path = tmp_path / "w.txt"
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line}: expected '(atlas|n) <"):
+        parse_text(path, text, {3: 1})
 
 
 def test_verify_all_bundled(witness_records, atlas_graphs, fixtures_by_atlas):
