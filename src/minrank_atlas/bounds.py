@@ -135,7 +135,8 @@ def clique_cover_number(g: Graph) -> int:
     is bit i*n + j, so row i's edges are (adj[i] above i) << i*n, and a
     clique's are its own vertex bits above i shifted the same way.  The
     search branches on the lowest uncovered edge, over the cliques that
-    hold both of its ends.
+    hold both of its ends, depth first on an explicit stack: a cover may
+    need one clique per edge, 1024 on K32,32.
     """
     n = g.order
     uncovered = 0
@@ -156,21 +157,26 @@ def clique_cover_number(g: Graph) -> int:
     max_clique_edges = max(em.bit_count() for _, em in cliques)
     best = uncovered.bit_count() + 1
 
-    def descend(uncovered: int, count: int) -> None:
-        nonlocal best
-        if not uncovered:
-            best = count
-            return
-        need = (uncovered.bit_count() + max_clique_edges - 1) // max_clique_edges
-        if count + need >= best:
-            return
-        i, j = divmod((uncovered & -uncovered).bit_length() - 1, n)
-        ends = (1 << i) | (1 << j)
-        for c, em in cliques:
+    # one frame per clique of the partial cover: the edges it leaves
+    # uncovered, the ends of the lowest, and the cliques not yet tried
+    i, j = divmod((uncovered & -uncovered).bit_length() - 1, n)
+    stack = [(uncovered, (1 << i) | (1 << j), iter(cliques))]
+    while stack:
+        uncovered, ends, options = stack[-1]
+        for c, em in options:
             if c & ends == ends:
-                descend(uncovered & ~em, count + 1)
-
-    descend(uncovered, 0)
+                rest = uncovered & ~em
+                if not rest:  # a cover; no sibling can beat it
+                    best = len(stack)
+                    stack.pop()
+                    break
+                need = (rest.bit_count() + max_clique_edges - 1) // max_clique_edges
+                if len(stack) + need < best:
+                    i, j = divmod((rest & -rest).bit_length() - 1, n)
+                    stack.append((rest, (1 << i) | (1 << j), iter(cliques)))
+                    break
+        else:
+            stack.pop()
     return best
 
 

@@ -5,8 +5,8 @@ Tokens are parsed into and stored as fractions.Fraction.  The rank
 scales each row to integers first and then eliminates over Python ints;
 there is no floating point anywhere on this path.
 
-`fractions` (which imports `decimal`) is imported where a Fraction is
-built, so commands that check no certificate never load it.
+`fractions` (which imports `decimal`) is imported by the first
+parse_rational call, so commands that check no certificate never load it.
 """
 
 from __future__ import annotations
@@ -17,15 +17,14 @@ from math import lcm
 
 from minrank_atlas.graphs import Graph
 
-TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
-if TYPE_CHECKING:
-    from fractions import Fraction
+Fraction = None  # fractions.Fraction, once parse_rational has run
 
 _RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?\Z")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse 'sign? digits (/ digits)?', digits ASCII 0-9 only, into a reduced fraction."""
+    global Fraction
     m = _RATIONAL_RE.match(text)
     if m is None:
         raise ValueError(f"malformed rational token {text!r}")
@@ -33,9 +32,9 @@ def parse_rational(text: str) -> Fraction:
     den = int(m.group(2)) if m.group(2) is not None else 1
     if den == 0:
         raise ValueError(f"zero denominator in {text!r}")
-    import fractions
-
-    return fractions.Fraction(num, den)
+    if Fraction is None:
+        from fractions import Fraction
+    return Fraction(num, den)
 
 
 class RationalMatrix(namedtuple("RationalMatrix", ("rows",))):
@@ -101,10 +100,10 @@ def rank(m: RationalMatrix) -> int:
 def pattern_graph(m: RationalMatrix) -> Graph:
     """Graph on n vertices with i ~ j iff the (i,j) entry is nonzero (i != j).
 
-    The diagonal is ignored; asymmetric input is rejected.
+    The diagonal is ignored.  m must be symmetric, as verify_witness
+    checks first: Graph rejects an asymmetric nonzero pattern, but not
+    unequal nonzero entries in mirrored places.
     """
-    if not is_symmetric(m):
-        raise ValueError("pattern graph requires a symmetric matrix")
     rows = []
     for i in range(m.n):
         row = 0

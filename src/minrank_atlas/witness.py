@@ -1,8 +1,9 @@
 """Optimal-matrix certificates: a record pairs an atlas number with an
 exact symmetric matrix whose rank is claimed to equal that graph's
-minimum rank.  Verification checks symmetry, that the off-diagonal
-nonzero pattern is the atlas graph (up to isomorphism; the certificates
-do not fix a vertex labeling), and the exact rational rank.
+minimum rank.  verify_witness alone gives the verdict: the checks a
+certificate fails among symmetry, its off-diagonal nonzero pattern being
+the atlas graph (up to isomorphism; the certificates do not fix a vertex
+labeling), its exact rational rank, and its number not being unwitnessed.
 
 parse_witness_file reads a certificate file in one pass, as the other
 data readers do: each fault is a ValueError that starts with 'path:line: '.
@@ -23,7 +24,7 @@ from minrank_atlas.ratmat import (
 )
 
 # Atlas numbers whose minimum rank is settled by other means; the bundled
-# certificate file must not contain them, and a record for one is flagged.
+# certificate file must not contain them, and a record for one fails.
 KNOWN_UNWITNESSED = frozenset({558, 669, 678, 679, 791, 1086, 1135})
 
 
@@ -33,26 +34,14 @@ class WitnessRecord(namedtuple("WitnessRecord", ("atlas_number", "matrix", "clai
     __slots__ = ()
 
 
-class WitnessReport(namedtuple("WitnessReport", (
-    "atlas_number", "symmetric_ok", "pattern_ok", "rank_found", "rank_ok",
-))):
-    """Outcome of each certificate check; passed when all three hold."""
+class WitnessReport(namedtuple("WitnessReport", ("atlas_number", "rank_found", "reasons"))):
+    """The rank a certificate reached and the checks it failed, in order."""
 
     __slots__ = ()
 
     @property
     def passed(self) -> bool:
-        return self.symmetric_ok and self.pattern_ok and self.rank_ok
-
-    def reasons(self) -> list[str]:
-        out = []
-        if not self.symmetric_ok:
-            out.append("symmetric")
-        if not self.pattern_ok:
-            out.append("pattern")
-        if not self.rank_ok:
-            out.append("rank")
-        return out
+        return not self.reasons
 
 
 def parse_witness_file(path, claimed_ranks: Mapping[int, int]) -> list[WitnessRecord]:
@@ -114,18 +103,22 @@ def parse_witness_file(path, claimed_ranks: Mapping[int, int]) -> list[WitnessRe
 
 
 def verify_witness(record: WitnessRecord, g: Graph) -> WitnessReport:
-    """Check one certificate against its atlas graph; failures are report
-    fields, never exceptions."""
+    """Check one certificate against its atlas graph.  The reasons name
+    its failed checks in order: 'symmetric', 'pattern' (which an asymmetric
+    matrix fails too), 'rank', and 'unexpected' for a KNOWN_UNWITNESSED
+    number; failures are reasons, never exceptions."""
     m = record.matrix
-    symmetric_ok = is_symmetric(m)
-    # a dimension other than the graph's order fails the pattern check
-    # before pattern_graph, which rejects an order past Graph's 64
-    pattern_ok = symmetric_ok and m.n == g.order and is_isomorphic(pattern_graph(m), g)
+    reasons = []
+    # an asymmetric matrix has no pattern graph; a dimension other than
+    # the graph's order fails before pattern_graph, which rejects an
+    # order past Graph's 64
+    if not is_symmetric(m):
+        reasons += ("symmetric", "pattern")
+    elif m.n != g.order or not is_isomorphic(pattern_graph(m), g):
+        reasons.append("pattern")
     rank_found = rank(m)
-    return WitnessReport(
-        atlas_number=record.atlas_number,
-        symmetric_ok=symmetric_ok,
-        pattern_ok=pattern_ok,
-        rank_found=rank_found,
-        rank_ok=rank_found == record.claimed_rank,
-    )
+    if rank_found != record.claimed_rank:
+        reasons.append("rank")
+    if record.atlas_number in KNOWN_UNWITNESSED:
+        reasons.append("unexpected")
+    return WitnessReport(record.atlas_number, rank_found, tuple(reasons))

@@ -149,6 +149,12 @@ def test_clique_cover_examples():
     assert clique_cover_number(g) == 2
 
 
+def test_clique_cover_of_one_clique_per_edge_needs_no_recursion():
+    # each of K32,32's 1024 edges is its own maximal clique, so the search
+    # holds a partial cover 1024 cliques deep
+    assert clique_cover_number(Graph.complete_bipartite(32, 32)) == 1024
+
+
 def test_clique_cover_triangle_free_equals_size():
     rng = random.Random(71)
     found = 0

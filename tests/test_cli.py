@@ -416,6 +416,30 @@ def test_atlas_number_past_the_file_names_it(capsys, short_atlas, tmp_path, comm
     assert err == f"error: {short_atlas} has no atlas {number}: it holds atlas 1..100\n"
 
 
+def test_verify_witnesses_checks_only_certificate_numbers(capsys, tmp_path, data_dir):
+    # every certificate is for atlas <= 1212, so a 1240-line atlas serves
+    # them all; diff checks every reference row and names the first past it
+    atlas = tmp_path / "atlas.g6"
+    atlas.write_text("".join((data_dir / "atlas.g6").read_text().splitlines(True)[:1240]))
+    code, out, err = run(capsys, ["verify-witnesses", "--atlas-file", str(atlas)])
+    assert (code, err, out.count("\tpass\n"), out.count("\n")) == (0, "", 35, 35)
+    code, out, err = run(capsys, ["diff", "--atlas-file", str(atlas)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {atlas} has no atlas 1241: it holds atlas 1..1240\n"
+
+
+@pytest.mark.parametrize("a, b", [(31, 32), (32, 32)])
+def test_cc_on_one_clique_per_edge(capsys, a, b):
+    # each edge of K_a,b is its own maximal clique, so the cover holds a*b
+    # cliques; orders 63 and 64 need graph6's '~' size field
+    n = a + b
+    bits = "".join("1" if i < a <= j else "0" for j in range(1, n) for i in range(j))
+    bits += "0" * (-len(bits) % 6)
+    size = "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
+    g6 = size + "".join(chr(int(bits[k:k + 6], 2) + 63) for k in range(0, len(bits), 6))
+    assert run(capsys, ["cc", "--graph6", g6]) == (0, f"{a * b}\n", "")
+
+
 def test_derive_forbidden_atlas_missing_a_class(capsys, tmp_path, data_dir):
     # atlas 32 replaced by a copy of atlas 31: no graph the derivation
     # keeps has a deletion in the missing class, and no lookup is made

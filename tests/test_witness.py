@@ -122,22 +122,46 @@ def test_tampered_pattern_fails(witness_records, atlas_graphs):
     rows[i][j] = rows[j][i] = Fraction(1)
     bad = WitnessRecord(721, RationalMatrix(tuple(tuple(r) for r in rows)), 3)
     report = verify_witness(bad, atlas_graphs[721])
-    assert not report.pattern_ok and not report.passed
-    assert "pattern" in report.reasons()
+    assert report.reasons == ("pattern", "rank") and not report.passed
 
 
 def test_asymmetric_matrix_fails(atlas_graphs):
     m = matrix([[0, 1], [0, 0]])
     report = verify_witness(WitnessRecord(3, m, 1), atlas_graphs[3])
-    assert not report.symmetric_ok and not report.pattern_ok
-    assert not report.passed
+    assert report.reasons == ("symmetric", "pattern") and not report.passed
 
 
 def test_wrong_claimed_rank_fails(witness_records, atlas_graphs):
     rec = next(r for r in witness_records if r.atlas_number == 721)
     bad = WitnessRecord(721, rec.matrix, 4)
     report = verify_witness(bad, atlas_graphs[721])
-    assert report.symmetric_ok and report.pattern_ok and not report.rank_ok
+    assert report.reasons == ("rank",) and not report.passed
+
+
+def test_unwitnessed_number_fails_unexpected(witness_records, atlas_graphs):
+    # a record for an atlas number that must have no certificate fails,
+    # whatever its other checks give
+    rec = next(r for r in witness_records if r.atlas_number == 721)
+    report = verify_witness(WitnessRecord(558, rec.matrix, 3), atlas_graphs[558])
+    assert report.reasons[-1] == "unexpected" and not report.passed
+    assert report.atlas_number == 558
+
+
+def test_symmetry_is_checked_once_per_certificate(witness_records, atlas_graphs, monkeypatch):
+    from minrank_atlas import ratmat, witness
+
+    is_symmetric = ratmat.is_symmetric
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return is_symmetric(m)
+
+    monkeypatch.setattr(witness, "is_symmetric", counted)
+    monkeypatch.setattr(ratmat, "is_symmetric", counted)
+    for rec in witness_records:
+        assert verify_witness(rec, atlas_graphs[rec.atlas_number]).passed
+    assert len(calls) == len(witness_records) == 35
 
 
 def test_bareiss_stays_integral_on_integer_witnesses(witness_records):
