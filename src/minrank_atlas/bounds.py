@@ -32,7 +32,7 @@ from collections.abc import Mapping, Sequence
 from itertools import combinations
 
 from minrank_atlas import graphs
-from minrank_atlas.graph6 import from_graph6, to_graph6
+from minrank_atlas.graph6 import ASCII_WHITESPACE, from_graph6, to_graph6
 from minrank_atlas.graphs import Graph, VertexSet, bits
 from minrank_atlas.minors import is_outerplanar, is_planar
 
@@ -383,7 +383,7 @@ def read_forbidden_list(path) -> ForbiddenList:
     # surrogateescape hands a non-ASCII byte on to from_graph6, which rejects it
     with open(path, encoding="ascii", errors="surrogateescape") as fh:
         for ln, line in enumerate(fh, 1):
-            stripped = line.strip()
+            stripped = line.strip(ASCII_WHITESPACE)
             if not stripped or stripped.startswith("#"):
                 continue
             try:

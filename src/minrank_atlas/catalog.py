@@ -14,10 +14,21 @@ list is atlas graph k, and every consumer numbers from that position.
 check_atlas_number is the one atlas-number range rule; every command
 applies it to each atlas number it reads before using it.
 
+read_atlas reads the file once and still validates every line on every
+read: graph6's shape table for a one-byte size field clears a line of
+the common form, and only a line it cannot clear (a '~' size field, a
+blank line or a fault) goes to check_graph6, which stays the one source
+of messages and offsets.
+
 Reference-table TSV columns:
   atlas order size mr mr_by_hand lb ub con zfs_lb diam_lb cc_ub
   np_ub nop_ub path_ub is cv tree
 Blank cells are empty fields, never 0 (zero is a legitimate bound).
+load_fixtures checks each row before it reads the next, and parses
+each distinct token of a column once.
+
+In every data file only ASCII whitespace (graph6.ASCII_WHITESPACE, as
+bytes.isspace) is whitespace; any other control byte is an ordinary byte.
 
 Diff relations (the acceptance contract):
   - con and lb: equality on every row
@@ -36,7 +47,13 @@ from collections.abc import Iterable, Mapping, Sequence
 
 from minrank_atlas import graphs
 from minrank_atlas.bounds import AtlasIndex, BoundsRow, ForbiddenList, combine, disjoint_union_row
-from minrank_atlas.graph6 import check_graph6, decode_graph6
+from minrank_atlas.graph6 import (
+    ASCII_WHITESPACE,
+    GRAPH6_BYTES,
+    ONE_BYTE_SHAPES,
+    check_graph6,
+    decode_graph6,
+)
 from minrank_atlas.graphs import Graph
 
 FIXTURE_COLUMNS = (
@@ -86,21 +103,30 @@ class DiffReport(namedtuple("DiffReport", ("rows_checked", "mismatches"))):
 def read_atlas(path) -> list[bytes]:
     """Every graph of an atlas file, validated and left for decode_graph6
     to decode: item k - 1 is line k, atlas graph k."""
-    # surrogateescape hands a non-ASCII byte on to check_graph6, which
-    # reports it with its line and offset
+    # text mode ends lines at \n, \r\n or \r; surrogateescape keeps a
+    # non-ASCII byte for check_graph6, which reports it with its offset
     with open(path, encoding="ascii", errors="surrogateescape") as fh:
-        lines = fh.read().split("\n")
+        lines = fh.read().encode("ascii", "surrogateescape").split(b"\n")
+    end = len(lines)
+    while end and not lines[end - 1].strip():  # blank lines may follow the last graph
+        end -= 1
     out = []
-    blank = None
-    for ln, line in enumerate(lines, 1):
-        if not line.strip():
-            if blank is None:
-                blank = ln
+    for ln, line in enumerate(lines[:end], 1):
+        # the shape table clears a line of the common form; check_graph6
+        # takes the rest: a '~' size field, a blank line or a fault
+        shape = ONE_BYTE_SHAPES.get(line[0]) if line else None
+        if (
+            shape is not None
+            and len(line) == shape[0]
+            and not (line[-1] - 63) & shape[1]
+            and not line.translate(None, GRAPH6_BYTES)
+        ):
+            out.append(line)
             continue
-        if blank is not None:
-            raise ValueError(f"{path}:{blank}: blank line before the last graph")
+        if not line.strip():
+            raise ValueError(f"{path}:{ln}: blank line before the last graph")
         try:
-            out.append(check_graph6(line))
+            out.append(check_graph6(line.decode("ascii", "surrogateescape")))
         except ValueError as exc:
             raise ValueError(f"{path}:{ln}: {exc}") from exc
     return out
@@ -111,7 +137,8 @@ def check_atlas_number(a: int, count: int, path) -> None:
     count graphs has atlas numbers 1..count and no other, and any other
     a raises a ValueError."""
     if not 1 <= a <= count:
-        raise ValueError(f"{path} has no atlas {a}: it holds atlas 1..{count}")
+        held = f"atlas 1..{count}" if count else "no graphs"
+        raise ValueError(f"{path} has no atlas {a}: it holds {held}")
 
 
 def load_atlas(path) -> list[Graph]:
@@ -143,6 +170,21 @@ def _opt_bool(token: str) -> bool | None:
     return None if token == "" else _parse_bool(token)
 
 
+class _Parsed(dict):
+    """The value of each token of one column parsed so far.  A token that
+    fails is never stored, so it fails again with the same message."""
+
+    __slots__ = ("cell",)
+
+    def __init__(self, cell):
+        super().__init__()
+        self.cell = cell
+
+    def __missing__(self, token):
+        value = self[token] = self.cell(token)
+        return value
+
+
 # the cell parser of each column of FIXTURE_COLUMNS
 _CELLS = (
     (_int,) * 4 + (_parse_bool,) + (_int,) * 2 + (_parse_bool,)
@@ -154,25 +196,21 @@ def load_fixtures(path) -> list[FixtureRow]:
     """Load the transcribed reference table, sorted by atlas number."""
     rows: list[FixtureRow] = []
     seen: set[int] = set()
-    # per column, the value of each token parsed so far; a token that
-    # fails is never stored, so it fails again with the same message
-    parsed: list[dict] = [{} for _ in _CELLS]
+    parsed = [_Parsed(cell) for cell in _CELLS]
     # surrogateescape, as in read_atlas: a non-ASCII byte fails a cell check
     with open(path, encoding="ascii", errors="surrogateescape") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if tuple(header) != FIXTURE_COLUMNS:
             raise ValueError(f"{path}:1: unexpected header {header}")
         for ln, line in enumerate(fh, 2):
-            if not line.strip():
+            if not line.strip(ASCII_WHITESPACE):
                 continue
             f = line.rstrip("\n").split("\t")
             if len(f) != len(FIXTURE_COLUMNS):
                 raise ValueError(f"{path}:{ln}: expected {len(FIXTURE_COLUMNS)} fields, got {len(f)}")
             try:
-                row = FixtureRow(*[
-                    known[token] if token in known else known.setdefault(token, cell(token))
-                    for cell, known, token in zip(_CELLS, parsed, f)
-                ])
+                # dict.__getitem__ calls _Parsed.__missing__ for a new token
+                row = FixtureRow._make(map(dict.__getitem__, parsed, f))
             except ValueError as exc:  # the first bad cell, left to right
                 raise ValueError(f"{path}:{ln}: {exc}") from exc
             if row.lb > row.ub:

@@ -10,6 +10,13 @@ Decoding is two steps: check_graph6 makes every validity check and
 builds nothing, decode_graph6 turns a checked line into a Graph by
 walking the set bits of each payload byte.  The atlas reader checks
 every line of its file but decodes only the lines a command uses.
+
+This module owns the shape rule (_payload_shape: the payload length and
+the padding mask of the last byte for each order), the byte range
+(GRAPH6_BYTES) and the whitespace of every data file (ASCII_WHITESPACE).
+check_graph6 applies the first two; ONE_BYTE_SHAPES tabulates
+the rule for one-byte size fields, so that the atlas reader clears a
+common line with a lookup and leaves the rest to check_graph6.
 """
 
 from __future__ import annotations
@@ -17,6 +24,14 @@ from __future__ import annotations
 import functools
 
 from minrank_atlas.graphs import MAX_ORDER, Graph
+
+
+# the bytes of a graph6 line: every size and payload byte is in 63..126
+GRAPH6_BYTES = bytes(range(63, 127))
+
+# the whitespace of every data file, as bytes.isspace: str.strip() and
+# str.split() would also take \x1c-\x1f
+ASCII_WHITESPACE = " \t\n\r\v\f"
 
 
 class Graph6Error(ValueError):
@@ -47,7 +62,7 @@ def check_graph6(text: str) -> bytes:
         data = data[:-1]
     if not data:
         raise Graph6Error("empty graph6 string")
-    if min(data) < 63 or max(data) > 126:  # the loop only finds the offset
+    if data.translate(None, GRAPH6_BYTES):  # the loop only finds the offset
         for off, b in enumerate(data):
             if not 63 <= b <= 126:
                 raise Graph6Error(f"byte {b!r} outside graph6 range 63..126", off)
@@ -63,18 +78,36 @@ def check_graph6(text: str) -> bytes:
     if n > MAX_ORDER:
         raise Graph6Error(f"order {n} exceeds the supported maximum {MAX_ORDER}", 0)
 
-    npairs = n * (n - 1) // 2
-    nbytes = (npairs + 5) // 6
+    nbytes, padding = _payload_shape(n)
     if len(data) - body_at < nbytes:
         raise Graph6Error(
             f"payload too short: need {nbytes} bytes for order {n}", len(data)
         )
     if len(data) - body_at > nbytes:
         raise Graph6Error("trailing garbage after payload", body_at + nbytes)
-    padding = nbytes * 6 - npairs  # < 6, so all of it is in the last byte
-    if nbytes and (data[-1] - 63) & ((1 << padding) - 1):
+    if (data[-1] - 63) & padding:
         raise Graph6Error("nonzero padding bit", len(data) - 1)
     return data
+
+
+def _payload_shape(n: int) -> tuple[int, int]:
+    """The shape rule of order n: the number of payload bytes, and the
+    mask of the padding bits, all of them in the last byte's 6-bit value
+    (0 when there is no payload)."""
+    npairs = n * (n - 1) // 2
+    nbytes = (npairs + 5) // 6
+    return nbytes, (1 << (nbytes * 6 - npairs)) - 1
+
+
+# The shape rule for a one-byte size field (orders 1..62), by size byte:
+# the exact line length and the padding mask of the last byte.  A line
+# of bytes in 63..126 whose size byte is a key here, with that length and
+# no padding bit set, is a line check_graph6 accepts unchanged.
+ONE_BYTE_SHAPES = {
+    n + 63: (1 + nbytes, padding)
+    for n in range(1, 63)
+    for nbytes, padding in [_payload_shape(n)]
+}
 
 
 def decode_graph6(data: bytes) -> Graph:

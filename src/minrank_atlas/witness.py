@@ -7,6 +7,8 @@ labeling), its exact rational rank, and its number not being unwitnessed.
 
 parse_witness_file reads a certificate file in one pass, as the other
 data readers do: each fault is a ValueError that starts with 'path:line: '.
+It splits lines on ASCII whitespace only and parses each distinct matrix
+token once per file.
 """
 
 from __future__ import annotations
@@ -53,31 +55,32 @@ def parse_witness_file(path, claimed_ranks: Mapping[int, int]) -> list[WitnessRe
     fault raises a ValueError that starts with 'path:line: '.
     """
     # surrogateescape, as for the other data files: a non-ASCII byte fails
-    # the token check of its line (and is allowed in a comment), so
-    # isdigit admits only 0-9
+    # the token check of its line (and is allowed in a comment).  As bytes,
+    # split() knows only ASCII whitespace and isdigit() only 0-9.
     with open(path, encoding="ascii", errors="surrogateescape") as fh:
-        lines = fh.read().split("\n")
+        lines = fh.read().encode("ascii", "surrogateescape").split(b"\n")
     records: dict[int, WitnessRecord] = {}
+    values = {}  # the Fraction of each distinct matrix token, parsed once
     atlas_number = None  # of the block being read
     dim = 0  # its dimension, once its 'n' line is read
     rows: list[tuple] = []
     for ln, line in enumerate(lines, 1):
         parts = line.split()
-        if parts and parts[0].startswith("#"):
+        if parts and parts[0].startswith(b"#"):
             continue
         if atlas_number is None:
             if not parts:
                 continue
-            if len(parts) != 2 or parts[0] != "atlas" or not parts[1].isdigit():
-                raise ValueError(f"{path}:{ln}: expected 'atlas <number>', got {line!r}")
+            if len(parts) != 2 or parts[0] != b"atlas" or not parts[1].isdigit():
+                raise ValueError(f"{path}:{ln}: expected 'atlas <number>', got {_text(line)!r}")
             atlas_number = int(parts[1])
             if atlas_number in records:
                 raise ValueError(f"{path}:{ln}: duplicate record for atlas {atlas_number}")
             if atlas_number not in claimed_ranks:
                 raise ValueError(f"{path}:{ln}: unknown atlas number {atlas_number}")
         elif not dim:
-            if len(parts) != 2 or parts[0] != "n" or not parts[1].isdigit():
-                raise ValueError(f"{path}:{ln}: expected 'n <dimension>', got {line!r}")
+            if len(parts) != 2 or parts[0] != b"n" or not parts[1].isdigit():
+                raise ValueError(f"{path}:{ln}: expected 'n <dimension>', got {_text(line)!r}")
             dim = int(parts[1])
             if dim < 1:
                 raise ValueError(f"{path}:{ln}: dimension must be positive")
@@ -86,10 +89,13 @@ def parse_witness_file(path, claimed_ranks: Mapping[int, int]) -> list[WitnessRe
                 raise ValueError(f"{path}:{ln}: expected {dim} matrix rows, found {len(rows)}")
             if len(parts) != dim:
                 raise ValueError(f"{path}:{ln}: expected {dim} entries per row, got {len(parts)}")
-            try:
-                rows.append(tuple(parse_rational(t) for t in parts))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{ln}: {exc}") from exc
+            for token in parts:
+                if token not in values:
+                    try:
+                        values[token] = parse_rational(_text(token))
+                    except ValueError as exc:
+                        raise ValueError(f"{path}:{ln}: {exc}") from exc
+            rows.append(tuple(map(values.__getitem__, parts)))
             if len(rows) == dim:
                 records[atlas_number] = WitnessRecord(
                     atlas_number, RationalMatrix(tuple(rows)), claimed_ranks[atlas_number]
@@ -100,6 +106,11 @@ def parse_witness_file(path, claimed_ranks: Mapping[int, int]) -> list[WitnessRe
     if atlas_number is not None:
         raise ValueError(f"{path}:{len(lines)}: missing 'n <dimension>' header")
     return list(records.values())
+
+
+def _text(data: bytes) -> str:
+    """A line or token of a certificate file as read, for parsing and messages."""
+    return data.decode("ascii", "surrogateescape")
 
 
 def verify_witness(record: WitnessRecord, g: Graph) -> WitnessReport:

@@ -10,7 +10,8 @@ from functools import cache
 from itertools import combinations, permutations, product
 
 from minrank_atlas.bounds import AtlasIndex, ForbiddenDerivationError, ForbiddenList, _closure
-from minrank_atlas.catalog import Mismatch
+from minrank_atlas.catalog import _CELLS, FIXTURE_COLUMNS, FixtureRow, Mismatch
+from minrank_atlas.graph6 import check_graph6
 from minrank_atlas.graphs import (
     MAX_ORDER,
     Graph,
@@ -20,7 +21,8 @@ from minrank_atlas.graphs import (
     is_isomorphic,
     maximal_cliques,
 )
-from minrank_atlas.ratmat import RationalMatrix
+from minrank_atlas.ratmat import RationalMatrix, parse_rational
+from minrank_atlas.witness import WitnessRecord
 
 # Kuratowski's graphs: planar iff neither is a minor (Wagner)
 K5 = Graph.complete(5)
@@ -393,3 +395,114 @@ def graph6_by_integer(g: Graph) -> str:
     x <<= pad
     groups = [(x >> k) & 63 for k in range(count + pad - 6, -1, -6)]
     return "".join(chr(63 + b) for b in [n] + groups)
+
+
+# The data readers in their plainest form, in text mode: one check_graph6
+# call per atlas line, one cell parse per table cell, one parse_rational
+# call per certificate token.  They give the results and messages of
+# catalog and witness but for one rule: str strip() and split() also
+# count \x1c-\x1f as whitespace.
+
+
+def read_atlas_by_line(path) -> list[bytes]:
+    """catalog.read_atlas, one check_graph6 call per line."""
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
+        lines = fh.read().split("\n")
+    out = []
+    blank = None
+    for ln, line in enumerate(lines, 1):
+        if not line.strip():
+            if blank is None:
+                blank = ln
+            continue
+        if blank is not None:
+            raise ValueError(f"{path}:{blank}: blank line before the last graph")
+        try:
+            out.append(check_graph6(line))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{ln}: {exc}") from exc
+    return out
+
+
+def load_fixtures_by_row(path) -> list[FixtureRow]:
+    """catalog.load_fixtures, every check of a row made before the next row is read."""
+    rows: list[FixtureRow] = []
+    seen: set[int] = set()
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
+        header = fh.readline().rstrip("\n").split("\t")
+        if tuple(header) != FIXTURE_COLUMNS:
+            raise ValueError(f"{path}:1: unexpected header {header}")
+        for ln, line in enumerate(fh, 2):
+            if not line.strip():
+                continue
+            f = line.rstrip("\n").split("\t")
+            if len(f) != len(FIXTURE_COLUMNS):
+                raise ValueError(f"{path}:{ln}: expected {len(FIXTURE_COLUMNS)} fields, got {len(f)}")
+            try:
+                row = FixtureRow(*[cell(token) for cell, token in zip(_CELLS, f)])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{ln}: {exc}") from exc
+            if row.lb > row.ub:
+                raise ValueError(f"{path}:{ln}: lb {row.lb} exceeds ub {row.ub}")
+            if not row.lb <= row.mr <= row.ub:
+                raise ValueError(f"{path}:{ln}: mr {row.mr} outside [{row.lb}, {row.ub}]")
+            if row.ub > row.order - 1:
+                raise ValueError(f"{path}:{ln}: ub {row.ub} exceeds order - 1 = {row.order - 1}")
+            if row.size > row.order * (row.order - 1) // 2:
+                raise ValueError(f"{path}:{ln}: size {row.size} exceeds order(order - 1)/2 = "
+                                 f"{row.order * (row.order - 1) // 2}")
+            if row.atlas_number in seen:
+                raise ValueError(f"{path}:{ln}: duplicate atlas number {row.atlas_number}")
+            seen.add(row.atlas_number)
+            rows.append(row)
+    rows.sort(key=lambda r: r.atlas_number)
+    return rows
+
+
+def parse_witness_file_by_token(path, claimed_ranks) -> list[WitnessRecord]:
+    """witness.parse_witness_file, one parse_rational call per matrix token."""
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
+        lines = fh.read().split("\n")
+    records: dict[int, WitnessRecord] = {}
+    atlas_number = None
+    dim = 0
+    rows: list[tuple] = []
+    for ln, line in enumerate(lines, 1):
+        parts = line.split()
+        if parts and parts[0].startswith("#"):
+            continue
+        if atlas_number is None:
+            if not parts:
+                continue
+            if len(parts) != 2 or parts[0] != "atlas" or not parts[1].isdigit():
+                raise ValueError(f"{path}:{ln}: expected 'atlas <number>', got {line!r}")
+            atlas_number = int(parts[1])
+            if atlas_number in records:
+                raise ValueError(f"{path}:{ln}: duplicate record for atlas {atlas_number}")
+            if atlas_number not in claimed_ranks:
+                raise ValueError(f"{path}:{ln}: unknown atlas number {atlas_number}")
+        elif not dim:
+            if len(parts) != 2 or parts[0] != "n" or not parts[1].isdigit():
+                raise ValueError(f"{path}:{ln}: expected 'n <dimension>', got {line!r}")
+            dim = int(parts[1])
+            if dim < 1:
+                raise ValueError(f"{path}:{ln}: dimension must be positive")
+        else:
+            if not parts:
+                raise ValueError(f"{path}:{ln}: expected {dim} matrix rows, found {len(rows)}")
+            if len(parts) != dim:
+                raise ValueError(f"{path}:{ln}: expected {dim} entries per row, got {len(parts)}")
+            try:
+                rows.append(tuple(parse_rational(t) for t in parts))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{ln}: {exc}") from exc
+            if len(rows) == dim:
+                records[atlas_number] = WitnessRecord(
+                    atlas_number, RationalMatrix(tuple(rows)), claimed_ranks[atlas_number]
+                )
+                atlas_number, dim, rows = None, 0, []
+    if dim:
+        raise ValueError(f"{path}:{len(lines) + 1}: expected {dim} matrix rows, found {len(rows)}")
+    if atlas_number is not None:
+        raise ValueError(f"{path}:{len(lines)}: missing 'n <dimension>' header")
+    return list(records.values())

@@ -416,6 +416,15 @@ def test_atlas_number_past_the_file_names_it(capsys, short_atlas, tmp_path, comm
     assert err == f"error: {short_atlas} has no atlas {number}: it holds atlas 1..100\n"
 
 
+@pytest.mark.parametrize("text", ["", "\n \n"], ids=["empty", "blank"])
+def test_atlas_number_in_an_atlas_file_without_graphs(capsys, tmp_path, text):
+    path = tmp_path / "empty.g6"
+    path.write_text(text)
+    code, out, err = run(capsys, ["bounds", "--atlas", "1", "--atlas-file", str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {path} has no atlas 1: it holds no graphs\n"
+
+
 def test_verify_witnesses_checks_only_certificate_numbers(capsys, tmp_path, data_dir):
     # every certificate is for atlas <= 1212, so a 1240-line atlas serves
     # them all; diff checks every reference row and names the first past it
