@@ -14,7 +14,10 @@ Bound semantics (n = order, connected g unless noted):
                  mr <= 2 (Barrett-van der Holst-Loewy); with one, mr >= 3
   tree           mr = n - P(g) exactly (P = path cover number)
 Disconnected graphs: every bound is the sum over components
-(disjoint_union_row).  np, nop and path are one line each in combine.
+(disjoint_union_row), and the CONNECTED_ONLY columns are blank.  That
+one list drives the BoundsRow check, the blanks of disjoint_union_row
+and the connected-row comparison of catalog.diff.  np, nop and path are
+one line each in combine.
 
 combine computes the upper bounds first and starts the zero forcing
 search at n - ub, ub the least of cc, np, nop, path, n - 1 and the tree
@@ -30,11 +33,20 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Mapping, Sequence
 from itertools import combinations
+from operator import attrgetter
 
 from minrank_atlas import graphs
-from minrank_atlas.graph6 import ASCII_WHITESPACE, from_graph6, to_graph6
+from minrank_atlas.graph6 import from_graph6, read_lines, text, to_graph6
 from minrank_atlas.graphs import Graph, VertexSet, bits
 from minrank_atlas.minors import is_outerplanar, is_planar
+
+
+# The fields that only a connected row fills, the four that it always
+# fills first; np_ub, nop_ub and path_ub stay None when the triggering
+# structure is absent.
+CONNECTED_ONLY = ("zfs_lb", "diam_lb", "cc_ub", "is_flag", "np_ub", "nop_ub", "path_ub")
+_unconditional = attrgetter(*CONNECTED_ONLY[:4])
+_connected_only = attrgetter(*CONNECTED_ONLY)
 
 
 class BoundsRow(namedtuple("BoundsRow", (
@@ -43,10 +55,8 @@ class BoundsRow(namedtuple("BoundsRow", (
 ))):
     """Computed analogue of one table row.
 
-    Connected-only columns (zfs_lb, diam_lb, cc_ub, np_ub, nop_ub,
-    path_ub, is_flag) are None on disconnected rows; np/nop/path are
-    additionally None when the triggering structure is absent.
-    mr_exact is set only when the bounds pin the minimum rank.
+    The CONNECTED_ONLY columns are None on disconnected rows.  mr_exact
+    is set only when the bounds pin the minimum rank.
     """
 
     __slots__ = ()
@@ -57,13 +67,9 @@ class BoundsRow(namedtuple("BoundsRow", (
             raise ValueError(f"lb {self.lb} exceeds ub {self.ub}")
         if self.mr_exact is not None and not self.lb <= self.mr_exact <= self.ub:
             raise ValueError(f"mr_exact {self.mr_exact} outside [{self.lb}, {self.ub}]")
-        gated = (self.zfs_lb, self.diam_lb, self.cc_ub, self.is_flag)
-        if self.con and any(v is None for v in gated):
+        if self.con and None in _unconditional(self):
             raise ValueError("connected row missing an unconditional column")
-        if not self.con and any(
-            v is not None
-            for v in gated + (self.np_ub, self.nop_ub, self.path_ub)
-        ):
+        if not self.con and any(v is not None for v in _connected_only(self)):
             raise ValueError("disconnected row carries a connected-only column")
         return self
 
@@ -233,18 +239,12 @@ def disjoint_union_row(parts: Sequence[BoundsRow]) -> BoundsRow:
         order=sum(p.order for p in parts),
         size=sum(p.size for p in parts),
         con=False,
-        zfs_lb=None,
-        diam_lb=None,
-        cc_ub=None,
-        np_ub=None,
-        nop_ub=None,
-        path_ub=None,
-        is_flag=None,
         cv=any(p.cv for p in parts),
         tree=False,
         lb=sum(p.lb for p in parts),
         ub=sum(p.ub for p in parts),
         mr_exact=exact,
+        **dict.fromkeys(CONNECTED_ONLY),
     )
 
 
@@ -380,16 +380,14 @@ def derive_forbidden_list(
 def read_forbidden_list(path) -> ForbiddenList:
     """Load patterns from a graph6-per-line file ('#' lines are comments)."""
     patterns = []
-    # surrogateescape hands a non-ASCII byte on to from_graph6, which rejects it
-    with open(path, encoding="ascii", errors="surrogateescape") as fh:
-        for ln, line in enumerate(fh, 1):
-            stripped = line.strip(ASCII_WHITESPACE)
-            if not stripped or stripped.startswith("#"):
-                continue
-            try:
-                patterns.append(from_graph6(stripped))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{ln}: {exc}") from exc
+    for ln, line in enumerate(read_lines(path), 1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith(b"#"):
+            continue
+        try:
+            patterns.append(from_graph6(text(stripped)))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{ln}: {exc}") from exc
     try:
         return ForbiddenList(tuple(patterns))
     except ValueError as exc:

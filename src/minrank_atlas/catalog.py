@@ -27,8 +27,8 @@ Blank cells are empty fields, never 0 (zero is a legitimate bound).
 load_fixtures checks each row before it reads the next, and parses
 each distinct token of a column once.
 
-In every data file only ASCII whitespace (graph6.ASCII_WHITESPACE, as
-bytes.isspace) is whitespace; any other control byte is an ordinary byte.
+Both files are read through graph6.read_lines, so in them only ASCII
+whitespace is whitespace; any other control byte is an ordinary byte.
 
 Diff relations (the acceptance contract):
   - con and lb: equality on every row
@@ -44,15 +44,14 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
+from operator import attrgetter
 
 from minrank_atlas import graphs
-from minrank_atlas.bounds import AtlasIndex, BoundsRow, ForbiddenList, combine, disjoint_union_row
+from minrank_atlas.bounds import (
+    CONNECTED_ONLY, AtlasIndex, BoundsRow, ForbiddenList, combine, disjoint_union_row,
+)
 from minrank_atlas.graph6 import (
-    ASCII_WHITESPACE,
-    GRAPH6_BYTES,
-    ONE_BYTE_SHAPES,
-    check_graph6,
-    decode_graph6,
+    GRAPH6_BYTES, ONE_BYTE_SHAPES, check_graph6, decode_graph6, read_lines, text,
 )
 from minrank_atlas.graphs import Graph
 
@@ -68,11 +67,14 @@ TABLE_COLUMNS = (
     "is", "cv", "tree",
 )
 
+# Column name -> row field where they differ: FixtureRow holds atlas as
+# atlas_number, and "is" is a Python keyword, so FixtureRow and BoundsRow
+# hold that column as is_flag.
+_FIELD = {"atlas": "atlas_number", "is": "is_flag"}
+_COLUMN = {fld: col for col, fld in _FIELD.items()}
 
-class FixtureRow(namedtuple("FixtureRow", (
-    "atlas_number", "order", "size", "mr", "mr_by_hand", "lb", "ub", "con",
-    "zfs_lb", "diam_lb", "cc_ub", "np_ub", "nop_ub", "path_ub", "is_flag", "cv", "tree",
-))):
+
+class FixtureRow(namedtuple("FixtureRow", [_FIELD.get(col, col) for col in FIXTURE_COLUMNS])):
     """One transcribed reference row; None marks a blank cell."""
 
     __slots__ = ()
@@ -103,10 +105,7 @@ class DiffReport(namedtuple("DiffReport", ("rows_checked", "mismatches"))):
 def read_atlas(path) -> list[bytes]:
     """Every graph of an atlas file, validated and left for decode_graph6
     to decode: item k - 1 is line k, atlas graph k."""
-    # text mode ends lines at \n, \r\n or \r; surrogateescape keeps a
-    # non-ASCII byte for check_graph6, which reports it with its offset
-    with open(path, encoding="ascii", errors="surrogateescape") as fh:
-        lines = fh.read().encode("ascii", "surrogateescape").split(b"\n")
+    lines = read_lines(path)
     end = len(lines)
     while end and not lines[end - 1].strip():  # blank lines may follow the last graph
         end -= 1
@@ -126,7 +125,7 @@ def read_atlas(path) -> list[bytes]:
         if not line.strip():
             raise ValueError(f"{path}:{ln}: blank line before the last graph")
         try:
-            out.append(check_graph6(line.decode("ascii", "surrogateescape")))
+            out.append(check_graph6(text(line)))
         except ValueError as exc:
             raise ValueError(f"{path}:{ln}: {exc}") from exc
     return out
@@ -197,36 +196,35 @@ def load_fixtures(path) -> list[FixtureRow]:
     rows: list[FixtureRow] = []
     seen: set[int] = set()
     parsed = [_Parsed(cell) for cell in _CELLS]
-    # surrogateescape, as in read_atlas: a non-ASCII byte fails a cell check
-    with open(path, encoding="ascii", errors="surrogateescape") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if tuple(header) != FIXTURE_COLUMNS:
-            raise ValueError(f"{path}:1: unexpected header {header}")
-        for ln, line in enumerate(fh, 2):
-            if not line.strip(ASCII_WHITESPACE):
-                continue
-            f = line.rstrip("\n").split("\t")
-            if len(f) != len(FIXTURE_COLUMNS):
-                raise ValueError(f"{path}:{ln}: expected {len(FIXTURE_COLUMNS)} fields, got {len(f)}")
-            try:
-                # dict.__getitem__ calls _Parsed.__missing__ for a new token
-                row = FixtureRow._make(map(dict.__getitem__, parsed, f))
-            except ValueError as exc:  # the first bad cell, left to right
-                raise ValueError(f"{path}:{ln}: {exc}") from exc
-            if row.lb > row.ub:
-                raise ValueError(f"{path}:{ln}: lb {row.lb} exceeds ub {row.ub}")
-            if not row.lb <= row.mr <= row.ub:
-                raise ValueError(f"{path}:{ln}: mr {row.mr} outside [{row.lb}, {row.ub}]")
-            # lb <= mr <= ub, so ub bounds all three: mr(G) <= order - 1
-            if row.ub > row.order - 1:
-                raise ValueError(f"{path}:{ln}: ub {row.ub} exceeds order - 1 = {row.order - 1}")
-            if row.size > row.order * (row.order - 1) // 2:
-                raise ValueError(f"{path}:{ln}: size {row.size} exceeds order(order - 1)/2 = "
-                                 f"{row.order * (row.order - 1) // 2}")
-            if row.atlas_number in seen:
-                raise ValueError(f"{path}:{ln}: duplicate atlas number {row.atlas_number}")
-            seen.add(row.atlas_number)
-            rows.append(row)
+    lines = read_lines(path)
+    header = text(lines[0]).split("\t")
+    if tuple(header) != FIXTURE_COLUMNS:
+        raise ValueError(f"{path}:1: unexpected header {header}")
+    for ln, line in enumerate(lines[1:], 2):
+        if not line.strip():
+            continue
+        f = text(line).split("\t")
+        if len(f) != len(FIXTURE_COLUMNS):
+            raise ValueError(f"{path}:{ln}: expected {len(FIXTURE_COLUMNS)} fields, got {len(f)}")
+        try:
+            # dict.__getitem__ calls _Parsed.__missing__ for a new token
+            row = FixtureRow._make(map(dict.__getitem__, parsed, f))
+        except ValueError as exc:  # the first bad cell, left to right
+            raise ValueError(f"{path}:{ln}: {exc}") from exc
+        if row.lb > row.ub:
+            raise ValueError(f"{path}:{ln}: lb {row.lb} exceeds ub {row.ub}")
+        if not row.lb <= row.mr <= row.ub:
+            raise ValueError(f"{path}:{ln}: mr {row.mr} outside [{row.lb}, {row.ub}]")
+        # lb <= mr <= ub, so ub bounds all three: mr(G) <= order - 1
+        if row.ub > row.order - 1:
+            raise ValueError(f"{path}:{ln}: ub {row.ub} exceeds order - 1 = {row.order - 1}")
+        if row.size > row.order * (row.order - 1) // 2:
+            raise ValueError(f"{path}:{ln}: size {row.size} exceeds order(order - 1)/2 = "
+                             f"{row.order * (row.order - 1) // 2}")
+        if row.atlas_number in seen:
+            raise ValueError(f"{path}:{ln}: duplicate atlas number {row.atlas_number}")
+        seen.add(row.atlas_number)
+        rows.append(row)
     rows.sort(key=lambda r: r.atlas_number)
     return rows
 
@@ -263,14 +261,9 @@ def compute_all(corpus: Sequence[Graph], forbidden: ForbiddenList) -> dict[int, 
     return out
 
 
-# Column name -> row field where they differ: "is" is a Python keyword,
-# so FixtureRow and BoundsRow hold that column as is_flag.
-_FIELD = {"is": "is_flag"}
-_COLUMN = {fld: col for col, fld in _FIELD.items()}
-
-_CONNECTED_EQUAL = (
-    "zfs_lb", "diam_lb", "cc_ub", "np_ub", "nop_ub", "path_ub", "is", "cv", "tree",
-)
+# the fields diff holds equal on connected rows, in column order
+_CONNECTED_EQUAL = [f for f in FixtureRow._fields if f in CONNECTED_ONLY or f in ("cv", "tree")]
+_connected_equal = attrgetter(*_CONNECTED_EQUAL)
 
 
 def diff(
@@ -295,11 +288,11 @@ def diff(
         if c.lb != f.lb:
             mismatches.append(Mismatch(a, "lb", f.lb, c.lb))
         if f.con:
-            for col in _CONNECTED_EQUAL:
-                name = _FIELD.get(col, col)
-                want, got = getattr(f, name), getattr(c, name)
-                if want != got:
-                    mismatches.append(Mismatch(a, col, want, got))
+            wants, gots = _connected_equal(f), _connected_equal(c)
+            if wants != gots:  # the common case compares the tuples only
+                for name, want, got in zip(_CONNECTED_EQUAL, wants, gots):
+                    if want != got:
+                        mismatches.append(Mismatch(a, _COLUMN.get(name, name), want, got))
         if c.ub < f.ub:
             mismatches.append(Mismatch(a, "ub", f">= {f.ub}", c.ub))
         if not c.lb <= f.mr <= c.ub:

@@ -12,11 +12,13 @@ walking the set bits of each payload byte.  The atlas reader checks
 every line of its file but decodes only the lines a command uses.
 
 This module owns the shape rule (_payload_shape: the payload length and
-the padding mask of the last byte for each order), the byte range
-(GRAPH6_BYTES) and the whitespace of every data file (ASCII_WHITESPACE).
-check_graph6 applies the first two; ONE_BYTE_SHAPES tabulates
+the padding mask of the last byte for each order) and the byte range
+(GRAPH6_BYTES); check_graph6 applies both, and ONE_BYTE_SHAPES tabulates
 the rule for one-byte size fields, so that the atlas reader clears a
 common line with a lookup and leaves the rest to check_graph6.
+
+It also owns the rules of every data file: read_lines is the one place
+a data file is opened, and text the one decode of what it read.
 """
 
 from __future__ import annotations
@@ -29,9 +31,19 @@ from minrank_atlas.graphs import MAX_ORDER, Graph
 # the bytes of a graph6 line: every size and payload byte is in 63..126
 GRAPH6_BYTES = bytes(range(63, 127))
 
-# the whitespace of every data file, as bytes.isspace: str.strip() and
-# str.split() would also take \x1c-\x1f
-ASCII_WHITESPACE = " \t\n\r\v\f"
+
+def read_lines(path) -> list[bytes]:
+    r"""The lines of a data file, without their ends.  Text mode ends a
+    line at \n, \r\n or \r; surrogateescape keeps a non-ASCII byte, for
+    the reader's own check to reject with its line.  As bytes, strip(),
+    split() and isdigit() know only ASCII whitespace and digits."""
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
+        return fh.read().encode("ascii", "surrogateescape").split(b"\n")
+
+
+def text(data: bytes) -> str:
+    """A line or token of a data file as read, for parsing and messages."""
+    return data.decode("ascii", "surrogateescape")
 
 
 class Graph6Error(ValueError):

@@ -5,10 +5,10 @@ certificate fails among symmetry, its off-diagonal nonzero pattern being
 the atlas graph (up to isomorphism; the certificates do not fix a vertex
 labeling), its exact rational rank, and its number not being unwitnessed.
 
-parse_witness_file reads a certificate file in one pass, as the other
-data readers do: each fault is a ValueError that starts with 'path:line: '.
-It splits lines on ASCII whitespace only and parses each distinct matrix
-token once per file.
+parse_witness_file reads a certificate file through graph6.read_lines in
+one pass, as the other data readers do: each fault is a ValueError that
+starts with 'path:line: '.  It splits lines on ASCII whitespace only and
+parses each distinct matrix token once per file.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Mapping
 
+from minrank_atlas.graph6 import read_lines, text
 from minrank_atlas.graphs import Graph, is_isomorphic
 from minrank_atlas.ratmat import (
     RationalMatrix,
@@ -54,11 +55,7 @@ def parse_witness_file(path, claimed_ranks: Mapping[int, int]) -> list[WitnessRe
     lower bound); an atlas number without an entry is an error.  Each
     fault raises a ValueError that starts with 'path:line: '.
     """
-    # surrogateescape, as for the other data files: a non-ASCII byte fails
-    # the token check of its line (and is allowed in a comment).  As bytes,
-    # split() knows only ASCII whitespace and isdigit() only 0-9.
-    with open(path, encoding="ascii", errors="surrogateescape") as fh:
-        lines = fh.read().encode("ascii", "surrogateescape").split(b"\n")
+    lines = read_lines(path)
     records: dict[int, WitnessRecord] = {}
     values = {}  # the Fraction of each distinct matrix token, parsed once
     atlas_number = None  # of the block being read
@@ -72,7 +69,7 @@ def parse_witness_file(path, claimed_ranks: Mapping[int, int]) -> list[WitnessRe
             if not parts:
                 continue
             if len(parts) != 2 or parts[0] != b"atlas" or not parts[1].isdigit():
-                raise ValueError(f"{path}:{ln}: expected 'atlas <number>', got {_text(line)!r}")
+                raise ValueError(f"{path}:{ln}: expected 'atlas <number>', got {text(line)!r}")
             atlas_number = int(parts[1])
             if atlas_number in records:
                 raise ValueError(f"{path}:{ln}: duplicate record for atlas {atlas_number}")
@@ -80,7 +77,7 @@ def parse_witness_file(path, claimed_ranks: Mapping[int, int]) -> list[WitnessRe
                 raise ValueError(f"{path}:{ln}: unknown atlas number {atlas_number}")
         elif not dim:
             if len(parts) != 2 or parts[0] != b"n" or not parts[1].isdigit():
-                raise ValueError(f"{path}:{ln}: expected 'n <dimension>', got {_text(line)!r}")
+                raise ValueError(f"{path}:{ln}: expected 'n <dimension>', got {text(line)!r}")
             dim = int(parts[1])
             if dim < 1:
                 raise ValueError(f"{path}:{ln}: dimension must be positive")
@@ -92,7 +89,7 @@ def parse_witness_file(path, claimed_ranks: Mapping[int, int]) -> list[WitnessRe
             for token in parts:
                 if token not in values:
                     try:
-                        values[token] = parse_rational(_text(token))
+                        values[token] = parse_rational(text(token))
                     except ValueError as exc:
                         raise ValueError(f"{path}:{ln}: {exc}") from exc
             rows.append(tuple(map(values.__getitem__, parts)))
@@ -106,11 +103,6 @@ def parse_witness_file(path, claimed_ranks: Mapping[int, int]) -> list[WitnessRe
     if atlas_number is not None:
         raise ValueError(f"{path}:{len(lines)}: missing 'n <dimension>' header")
     return list(records.values())
-
-
-def _text(data: bytes) -> str:
-    """A line or token of a certificate file as read, for parsing and messages."""
-    return data.decode("ascii", "surrogateescape")
 
 
 def verify_witness(record: WitnessRecord, g: Graph) -> WitnessReport:

@@ -67,3 +67,13 @@ def test_bounds_row_fields_and_validation():
     for change in bad:
         with pytest.raises(ValueError):
             BoundsRow(**{**ROW, **change})
+    # the connected-only rule, column by column
+    for col in ("zfs_lb", "diam_lb", "cc_ub", "is_flag"):
+        with pytest.raises(ValueError, match="^connected row missing an unconditional column$"):
+            BoundsRow(**{**ROW, col: None})
+    disconnected = {**ROW, "con": False, "zfs_lb": None, "diam_lb": None, "cc_ub": None,
+                    "is_flag": None}
+    BoundsRow(**disconnected)
+    for col in ("zfs_lb", "diam_lb", "cc_ub", "np_ub", "nop_ub", "path_ub", "is_flag"):
+        with pytest.raises(ValueError, match="^disconnected row carries a connected-only column$"):
+            BoundsRow(**{**disconnected, col: 0})

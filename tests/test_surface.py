@@ -1,7 +1,10 @@
 """Production code is what the package reaches: every module-level
 function and class of src/minrank_atlas, and every method that is not a
 dunder, is referenced somewhere in the package outside its own body.
-A helper that only tests call belongs in tests/oracles.py or the test."""
+A helper that only tests call belongs in tests/oracles.py or the test.
+
+The package reads every data file through graph6.read_lines: no other
+definition opens a file for reading."""
 
 from __future__ import annotations
 
@@ -58,6 +61,40 @@ def unreferenced_definitions(package: Path = PACKAGE) -> list[str]:
                 if attrs[item.name] - own <= 0:
                     out.append(f"{module}.{node.name}.{item.name}")
     return out
+
+
+def reading_opens(package: Path = PACKAGE) -> list[str]:
+    """'module.name' of the module-level definition around each open()
+    call that has no write mode ('w', 'a', 'x' or '+'), once per call;
+    a mode that is not a literal counts as a read."""
+    out = []
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call) or "open" not in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)
+                ):
+                    continue
+                mode = node.args[1] if len(node.args) > 1 else None
+                mode = next((k.value for k in node.keywords if k.arg == "mode"), mode)
+                if not (isinstance(mode, ast.Constant) and set(str(mode.value)) & set("wax+")):
+                    out.append(owner)
+    return out
+
+
+def test_one_reader_opens_data_files():
+    assert reading_opens() == ["graph6.read_lines"]
+
+
+def test_the_walk_finds_a_read_outside_the_reader(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import io\n\n"
+        "def write(p):\n    open(p, 'w').close()\n    open(p, mode='a+b').close()\n\n"
+        "def read(p):\n    open(p).close()\n    open(p, 'rb').close()\n\n"
+        "class Reader:\n    def load(self, p, m):\n        return io.open(p, mode=m)\n"
+    )
+    assert reading_opens(tmp_path) == ["a.read", "a.read", "a.Reader"]
 
 
 def test_every_definition_is_reached_from_the_package():
