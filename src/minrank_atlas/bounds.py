@@ -15,9 +15,9 @@ Bound semantics (n = order, connected g unless noted):
   tree           mr = n - P(g) exactly (P = path cover number)
 Disconnected graphs: every bound is the sum over components
 (disjoint_union_row), and the CONNECTED_ONLY columns are blank.  That
-one list drives the BoundsRow check, the blanks of disjoint_union_row
-and the connected-row comparison of catalog.diff.  np, nop and path are
-one line each in combine.
+one list drives check_connected_only (the rule of a BoundsRow and of a
+reference row), the blanks of disjoint_union_row and catalog.diff.  np,
+nop and path are one line each in combine.
 
 combine computes the upper bounds first and starts the zero forcing
 search at n - ub, ub the least of cc, np, nop, path, n - 1 and the tree
@@ -47,6 +47,15 @@ from minrank_atlas.minors import is_outerplanar, is_planar
 CONNECTED_ONLY = ("zfs_lb", "diam_lb", "cc_ub", "is_flag", "np_ub", "nop_ub", "path_ub")
 _unconditional = attrgetter(*CONNECTED_ONLY[:4])
 _connected_only = attrgetter(*CONNECTED_ONLY)
+_BLANK = (None,) * len(CONNECTED_ONLY)
+
+
+def check_connected_only(row) -> None:
+    """The connected-only rule, of a BoundsRow or a catalog.FixtureRow."""
+    if row.con and None in _unconditional(row):
+        raise ValueError("connected row missing an unconditional column")
+    if not row.con and _connected_only(row) != _BLANK:
+        raise ValueError("disconnected row carries a connected-only column")
 
 
 class BoundsRow(namedtuple("BoundsRow", (
@@ -67,10 +76,7 @@ class BoundsRow(namedtuple("BoundsRow", (
             raise ValueError(f"lb {self.lb} exceeds ub {self.ub}")
         if self.mr_exact is not None and not self.lb <= self.mr_exact <= self.ub:
             raise ValueError(f"mr_exact {self.mr_exact} outside [{self.lb}, {self.ub}]")
-        if self.con and None in _unconditional(self):
-            raise ValueError("connected row missing an unconditional column")
-        if not self.con and any(v is not None for v in _connected_only(self)):
-            raise ValueError("disconnected row carries a connected-only column")
+        check_connected_only(self)
         return self
 
 

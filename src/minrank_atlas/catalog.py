@@ -24,8 +24,9 @@ Reference-table TSV columns:
   atlas order size mr mr_by_hand lb ub con zfs_lb diam_lb cc_ub
   np_ub nop_ub path_ub is cv tree
 Blank cells are empty fields, never 0 (zero is a legitimate bound).
-load_fixtures checks each row before it reads the next, and parses
-each distinct token of a column once.
+A row keeps bounds.check_connected_only, and a disconnected row has
+tree F.  load_fixtures checks each row before it reads the next, and
+parses each distinct token of a column once (graph6.ParsedTokens).
 
 Both files are read through graph6.read_lines, so in them only ASCII
 whitespace is whitespace; any other control byte is an ordinary byte.
@@ -42,16 +43,17 @@ Diff relations (the acceptance contract):
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Iterable, Mapping, Sequence
 from operator import attrgetter
 
 from minrank_atlas import graphs
 from minrank_atlas.bounds import (
-    CONNECTED_ONLY, AtlasIndex, BoundsRow, ForbiddenList, combine, disjoint_union_row,
+    CONNECTED_ONLY, AtlasIndex, BoundsRow, ForbiddenList, check_connected_only, combine,
+    disjoint_union_row,
 )
 from minrank_atlas.graph6 import (
-    GRAPH6_BYTES, ONE_BYTE_SHAPES, check_graph6, decode_graph6, read_lines, text,
+    GRAPH6_BYTES, ONE_BYTE_SHAPES, ParsedTokens, check_graph6, decode_graph6, read_lines, text,
 )
 from minrank_atlas.graphs import Graph
 
@@ -96,10 +98,7 @@ class DiffReport(namedtuple("DiffReport", ("rows_checked", "mismatches"))):
         return not self.mismatches
 
     def by_column(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for m in self.mismatches:
-            out[m.column] = out.get(m.column, 0) + 1
-        return out
+        return dict(Counter(m.column for m in self.mismatches))
 
 
 def read_atlas(path) -> list[bytes]:
@@ -161,33 +160,15 @@ def _int(token: str) -> int:
     return int(token)
 
 
-def _opt_int(token: str) -> int | None:
-    return None if token == "" else _int(token)
-
-
-def _opt_bool(token: str) -> bool | None:
-    return None if token == "" else _parse_bool(token)
-
-
-class _Parsed(dict):
-    """The value of each token of one column parsed so far.  A token that
-    fails is never stored, so it fails again with the same message."""
-
-    __slots__ = ("cell",)
-
-    def __init__(self, cell):
-        super().__init__()
-        self.cell = cell
-
-    def __missing__(self, token):
-        value = self[token] = self.cell(token)
-        return value
+def _optional(cell):
+    """The parser of an optional column: a blank cell is None."""
+    return lambda token: None if token == "" else cell(token)
 
 
 # the cell parser of each column of FIXTURE_COLUMNS
 _CELLS = (
     (_int,) * 4 + (_parse_bool,) + (_int,) * 2 + (_parse_bool,)
-    + (_opt_int,) * 6 + (_opt_bool,) * 3
+    + (_optional(_int),) * 6 + (_optional(_parse_bool),) * 3
 )
 
 
@@ -195,7 +176,7 @@ def load_fixtures(path) -> list[FixtureRow]:
     """Load the transcribed reference table, sorted by atlas number."""
     rows: list[FixtureRow] = []
     seen: set[int] = set()
-    parsed = [_Parsed(cell) for cell in _CELLS]
+    parsed = [ParsedTokens(cell) for cell in _CELLS]
     lines = read_lines(path)
     header = text(lines[0]).split("\t")
     if tuple(header) != FIXTURE_COLUMNS:
@@ -207,10 +188,13 @@ def load_fixtures(path) -> list[FixtureRow]:
         if len(f) != len(FIXTURE_COLUMNS):
             raise ValueError(f"{path}:{ln}: expected {len(FIXTURE_COLUMNS)} fields, got {len(f)}")
         try:
-            # dict.__getitem__ calls _Parsed.__missing__ for a new token
+            # dict.__getitem__ parses a new token through ParsedTokens.__missing__
             row = FixtureRow._make(map(dict.__getitem__, parsed, f))
-        except ValueError as exc:  # the first bad cell, left to right
+            check_connected_only(row)
+        except ValueError as exc:  # the first bad cell, left to right, then the rule
             raise ValueError(f"{path}:{ln}: {exc}") from exc
+        if not row.con and row.tree is not False:
+            raise ValueError(f"{path}:{ln}: disconnected row has tree {_cell(row.tree)!r}, not 'F'")
         if row.lb > row.ub:
             raise ValueError(f"{path}:{ln}: lb {row.lb} exceeds ub {row.ub}")
         if not row.lb <= row.mr <= row.ub:
@@ -267,16 +251,14 @@ _connected_equal = attrgetter(*_CONNECTED_EQUAL)
 
 
 def diff(
-    fixtures: Iterable[FixtureRow], computed: Mapping[int, BoundsRow]
+    fixtures: Sequence[FixtureRow], computed: Mapping[int, BoundsRow]
 ) -> DiffReport:
     """Compare computed rows against the transcribed reference."""
     mismatches: list[Mismatch] = []
-    rows = 0
     for f in fixtures:
         c = computed.get(f.atlas_number)
         if c is None:
             raise ValueError(f"no computed row for atlas {f.atlas_number}")
-        rows += 1
         a = f.atlas_number
         if c.order != f.order:
             mismatches.append(Mismatch(a, "order", f.order, c.order))
@@ -301,7 +283,7 @@ def diff(
             mismatches.append(Mismatch(a, "mr_exact", f.mr, c.mr_exact))
         if c.tree and c.mr_exact is None:
             mismatches.append(Mismatch(a, "tree_mr", f.mr, None))
-    return DiffReport(rows_checked=rows, mismatches=mismatches)
+    return DiffReport(rows_checked=len(fixtures), mismatches=mismatches)
 
 
 def _cell(v) -> str:

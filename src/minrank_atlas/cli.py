@@ -80,15 +80,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=DEFAULT_FORBIDDEN, metavar="PATH")
     p.set_defaults(run=cmd_derive_forbidden)
 
-    for name, help_text in (
-        ("zf", "zero forcing number"),
-        ("cc", "clique cover number"),
-        ("diam", "diameter"),
+    for name, help_text, kernel in (
+        ("zf", "zero forcing number", (bounds, "zero_forcing_number")),
+        ("cc", "clique cover number", (bounds, "clique_cover_number")),
+        ("diam", "diameter", (graphs, "diameter")),
     ):
         p = sub.add_parser(name, help=help_text)
         _add_target_flags(p)
         _add_data_flags(p, "atlas")
-        p.set_defaults(run=cmd_single_value)
+        p.set_defaults(run=cmd_single_value, kernel=kernel)
     return top
 
 
@@ -118,9 +118,8 @@ def cmd_bounds(args) -> int:
     g = _load_target(args)
     row = bounds.combine(g, bounds.read_forbidden_list(args.forbidden))
     label = str(args.atlas) if args.graph6 is None else "-"
-    if args.json:
-        number = args.atlas if args.graph6 is None else None
-        sys.stdout.write(_json_line(catalog.bounds_row_dict(number, row)))
+    if args.json:  # args.atlas is None under --graph6
+        sys.stdout.write(_json_line(catalog.bounds_row_dict(args.atlas, row)))
     else:
         print("\t".join(catalog.bounds_row_fields(label, row)))
     return EXIT_OK
@@ -211,14 +210,10 @@ def cmd_derive_forbidden(args) -> int:
 
 def cmd_single_value(args) -> int:
     g = _load_target(args)
-    # the kernels are read off their modules at call time, so a wrapper
+    # the kernel is read off its module at call time, so a wrapper
     # installed there (a tracer, a monkeypatch) sees the call
-    if args.command == "zf":
-        print(bounds.zero_forcing_number(g))
-    elif args.command == "cc":
-        print(bounds.clique_cover_number(g))
-    else:
-        print(graphs.diameter(g))
+    module, name = args.kernel
+    print(getattr(module, name)(g))
     return EXIT_OK
 
 

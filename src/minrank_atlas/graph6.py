@@ -18,7 +18,8 @@ the rule for one-byte size fields, so that the atlas reader clears a
 common line with a lookup and leaves the rest to check_graph6.
 
 It also owns the rules of every data file: read_lines is the one place
-a data file is opened, and text the one decode of what it read.
+a data file is opened, text the one decode of what it read, and
+ParsedTokens the one memo that parses each distinct token once.
 """
 
 from __future__ import annotations
@@ -44,6 +45,21 @@ def read_lines(path) -> list[bytes]:
 def text(data: bytes) -> str:
     """A line or token of a data file as read, for parsing and messages."""
     return data.decode("ascii", "surrogateescape")
+
+
+class ParsedTokens(dict):
+    """Each token's value, parsed on its first lookup (__missing__).  A
+    token that fails is never stored, so it fails again the same way."""
+
+    __slots__ = ("parse",)
+
+    def __init__(self, parse):
+        super().__init__()
+        self.parse = parse
+
+    def __missing__(self, token):
+        value = self[token] = self.parse(token)
+        return value
 
 
 class Graph6Error(ValueError):

@@ -138,9 +138,7 @@ class Graph:
     @classmethod
     def from_edges(cls, order: int, edges) -> Graph:
         rows = [0] * order
-        for i, j in edges:
-            if i == j:
-                raise ValueError(f"loop at vertex {i}")
+        for i, j in edges:  # the constructor rejects a loop (i, i)
             rows[i] |= 1 << j
             rows[j] |= 1 << i
         return cls(order, tuple(rows))

@@ -8,7 +8,7 @@ labeling), its exact rational rank, and its number not being unwitnessed.
 parse_witness_file reads a certificate file through graph6.read_lines in
 one pass, as the other data readers do: each fault is a ValueError that
 starts with 'path:line: '.  It splits lines on ASCII whitespace only and
-parses each distinct matrix token once per file.
+parses each distinct matrix token once per file, in graph6.ParsedTokens.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Mapping
 
-from minrank_atlas.graph6 import read_lines, text
+from minrank_atlas.graph6 import ParsedTokens, read_lines, text
 from minrank_atlas.graphs import Graph, is_isomorphic
 from minrank_atlas.ratmat import (
     RationalMatrix,
@@ -57,7 +57,8 @@ def parse_witness_file(path, claimed_ranks: Mapping[int, int]) -> list[WitnessRe
     """
     lines = read_lines(path)
     records: dict[int, WitnessRecord] = {}
-    values = {}  # the Fraction of each distinct matrix token, parsed once
+    # each distinct matrix token parsed once; parse_rational is looked up per call
+    values = ParsedTokens(lambda token: parse_rational(text(token)))
     atlas_number = None  # of the block being read
     dim = 0  # its dimension, once its 'n' line is read
     rows: list[tuple] = []
@@ -86,13 +87,10 @@ def parse_witness_file(path, claimed_ranks: Mapping[int, int]) -> list[WitnessRe
                 raise ValueError(f"{path}:{ln}: expected {dim} matrix rows, found {len(rows)}")
             if len(parts) != dim:
                 raise ValueError(f"{path}:{ln}: expected {dim} entries per row, got {len(parts)}")
-            for token in parts:
-                if token not in values:
-                    try:
-                        values[token] = parse_rational(text(token))
-                    except ValueError as exc:
-                        raise ValueError(f"{path}:{ln}: {exc}") from exc
-            rows.append(tuple(map(values.__getitem__, parts)))
+            try:
+                rows.append(tuple(map(values.__getitem__, parts)))
+            except ValueError as exc:  # the first bad token, left to right
+                raise ValueError(f"{path}:{ln}: {exc}") from exc
             if len(rows) == dim:
                 records[atlas_number] = WitnessRecord(
                     atlas_number, RationalMatrix(tuple(rows)), claimed_ranks[atlas_number]

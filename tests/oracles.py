@@ -442,6 +442,15 @@ def load_fixtures_by_row(path) -> list[FixtureRow]:
                 row = FixtureRow(*[cell(token) for cell, token in zip(_CELLS, f)])
             except ValueError as exc:
                 raise ValueError(f"{path}:{ln}: {exc}") from exc
+            connected_only = [row.zfs_lb, row.diam_lb, row.cc_ub, row.is_flag,
+                              row.np_ub, row.nop_ub, row.path_ub]
+            if row.con and None in connected_only[:4]:
+                raise ValueError(f"{path}:{ln}: connected row missing an unconditional column")
+            if not row.con and connected_only != [None] * 7:
+                raise ValueError(f"{path}:{ln}: disconnected row carries a connected-only column")
+            if not row.con and row.tree is not False:
+                tree = "" if row.tree is None else "T"
+                raise ValueError(f"{path}:{ln}: disconnected row has tree {tree!r}, not 'F'")
             if row.lb > row.ub:
                 raise ValueError(f"{path}:{ln}: lb {row.lb} exceeds ub {row.ub}")
             if not row.lb <= row.mr <= row.ub:

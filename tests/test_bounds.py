@@ -359,6 +359,55 @@ def test_derive_forbidden_matches_bundle(atlas_corpus, atlas_graphs, fixture_row
                 assert not contains_induced(p, q)
 
 
+def _graph(order, edges):
+    """A graph from edges written as digit pairs: "01 12" is 0-1, 1-2."""
+    return Graph.from_edges(order, [(int(e[0]), int(e[1])) for e in edges.split()])
+
+
+def test_derived_family_is_the_theorems(atlas_corpus, fixture_rows):
+    # the order <= 7 part of Barrett-van der Holst-Loewy (ELA 11, 2004):
+    # mr(G) <= 2 iff G has none of these, nor K3,3,3, as an induced subgraph
+    theorem = {
+        "P4": _graph(4, "01 12 23"),
+        "P3+K2": _graph(5, "01 12 34"),
+        "dart": _graph(5, "01 12 13 23 14 24"),
+        "ltimes": _graph(5, "04 14 24 34 23"),
+        "3K2": _graph(6, "01 23 45"),
+    }
+    derived = derive_forbidden_list(atlas_corpus, {f.atlas_number: f.mr for f in fixture_rows}).patterns
+    matches = {name: [k for k, p in enumerate(derived) if is_isomorphic(p, g)] for name, g in theorem.items()}
+    assert len(derived) == 5 and all(len(ks) == 1 for ks in matches.values()), matches
+    assert sorted(ks[0] for ks in matches.values()) == [0, 1, 2, 3, 4]
+
+
+def test_deletion_laws_past_the_atlas(forbidden):
+    # mr(G - v) <= mr(G) <= mr(G - v) + 2 and |mr(G) - mr(G - e)| <= 1, so
+    # the computed bounds of seeded connected graphs of order 8-10 and of
+    # each of their one-vertex and one-edge deletions must not contradict
+    rng = random.Random(0)
+    checks, bad = 0, []  # a check is one deletion and its two laws
+    for n in (8, 9, 10):
+        seeded = []
+        while len(seeded) < 20:
+            g = random_graph(rng, n)
+            if graphs.is_connected(g):
+                seeded.append(g)
+        for g in seeded:
+            row = combine(g, forbidden)
+            for v in range(n):
+                h = combine(graphs.induced_subgraph(g, g.vertex_mask ^ (1 << v)), forbidden)
+                checks += 1
+                if not (h.lb <= row.ub and row.lb <= h.ub + 2):
+                    bad.append((g, "vertex", v))
+            edges = list(g.edges())
+            for e in edges:
+                h = combine(Graph.from_edges(n, [f for f in edges if f != e]), forbidden)
+                checks += 1
+                if not (row.lb <= h.ub + 1 and h.lb <= row.ub + 1):
+                    bad.append((g, "edge", e))
+    assert bad == [] and checks == 1627
+
+
 def test_derive_forbidden_reports_gaps(atlas_corpus):
     with pytest.raises(ForbiddenDerivationError) as exc:
         derive_forbidden_list(atlas_corpus, {14: 3})

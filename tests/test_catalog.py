@@ -2,8 +2,8 @@ import re
 
 import pytest
 
-from minrank_atlas import catalog
-from minrank_atlas.bounds import AtlasIndex, BoundsRow, combine
+from minrank_atlas import catalog, cli
+from minrank_atlas.bounds import CONNECTED_ONLY, AtlasIndex, BoundsRow, combine
 from minrank_atlas.catalog import (
     FIXTURE_COLUMNS,
     FixtureRow,
@@ -148,7 +148,9 @@ def test_load_fixtures_integer_cells_are_ascii_digits(tmp_path, token):
 
 def test_load_fixtures_cell_grammar_by_column(tmp_path):
     # a blank cell passes only in an optional column (zfs_lb onward) and
-    # "T" only in a flag column; the message names the column's kind
+    # "T" only in a flag column; the message names the column's kind.
+    # GOOD_ROW is connected, so a blank that passes in one of its four
+    # unconditional columns meets the connected-only rule instead.
     for col, name in enumerate(FixtureRow._fields):
         is_flag = name in ("mr_by_hand", "con", "is_flag", "cv", "tree")
         optional = col >= FixtureRow._fields.index("zfs_lb")
@@ -156,13 +158,55 @@ def test_load_fixtures_cell_grammar_by_column(tmp_path):
             row = GOOD_ROW.copy()
             row[col] = token
             p = _write_fixture(tmp_path, [row])
-            if ok:
+            if ok and value is None and name in CONNECTED_ONLY[:4]:
+                message = "t.tsv:2: connected row missing an unconditional column"
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    load_fixtures(p)
+            elif ok:
                 assert getattr(load_fixtures(p)[0], name) is value
             else:
                 kind = "T or F" if is_flag else "integer"
                 message = f"t.tsv:2: expected {kind}, got {token!r}"
                 with pytest.raises(ValueError, match=re.escape(message)):
                     load_fixtures(p)
+
+
+def test_load_fixtures_keeps_the_connected_only_rule(tmp_path, data_dir, capsys):
+    # BoundsRow's rule, on reference rows: atlas 2 (2K1) is disconnected
+    # and atlas 3 (K2) connected; the bundled table keeps it on every row
+    lines = (data_dir / "table1.tsv").read_text().splitlines()
+    row2, row3 = (lines[k].split("\t") for k in (2, 3))
+    assert (row2[0], row2[7], row3[0], row3[7]) == ("2", "F", "3", "T")
+    cases = [(row2, col, "0", "disconnected row carries a connected-only column")
+             for col in (8, 9, 10, 11, 12, 13)]
+    cases += [(row2, 14, "F", "disconnected row carries a connected-only column"),
+              (row2, 16, "T", "disconnected row has tree 'T', not 'F'"),
+              (row2, 16, "", "disconnected row has tree '', not 'F'")]
+    cases += [(row3, col, "", "connected row missing an unconditional column")
+              for col in (8, 9, 10, 14)]
+    for row, col, token, message in cases:
+        bad = row.copy()
+        bad[col] = token
+        p = _write_fixture(tmp_path, [bad])
+        with pytest.raises(ValueError) as info:
+            load_fixtures(p)
+        assert str(info.value) == f"{p}:2: {message}", FIXTURE_COLUMNS[col]
+    # the commands that read the table exit 2, diff included
+    for argv in (["diff"], ["verify-witnesses"], ["derive-forbidden", "--out", str(tmp_path / "f.g6")]):
+        assert cli.main([*argv, "--fixtures", str(p), "--atlas-file", str(data_dir / "atlas.g6")]) == 2
+        assert capsys.readouterr().err == f"error: {p}:2: {message}\n"
+    assert not (tmp_path / "f.g6").exists()
+
+
+def test_reference_cv_is_false_on_every_disconnected_row(fixture_rows, computed_table):
+    # the reference leaves cv F on a disconnected row even when a
+    # component has a cut vertex, while the computed cv is T there; diff
+    # compares cv on connected rows only, so it does not see the split
+    disconnected = [f.atlas_number for f in fixture_rows if not f.con]
+    cvs = {f.cv for f in fixture_rows if not f.con}
+    computed, _ = computed_table
+    assert (len(disconnected), cvs) == (212, {False})
+    assert sum(computed[a].cv for a in disconnected) == 95
 
 
 def test_load_fixtures_repeated_tokens(tmp_path):

@@ -60,6 +60,9 @@ def test_graph_validation():
         Graph(2, (0b10, 1.0))  # a non-int row
     with pytest.raises(TypeError):
         Graph(2.0, (0b10, 0b01))  # a non-int order
+    # from_edges leaves a loop to the constructor's diagonal test
+    with pytest.raises(ValueError, match="^loop at vertex 2$"):
+        Graph.from_edges(3, [(0, 1), (2, 2)])
 
 
 def test_valid_graphs_pass_without_the_scan(monkeypatch):
