@@ -16,8 +16,9 @@ Bound semantics (n = order, connected g unless noted):
 Disconnected graphs: every bound is the sum over components
 (disjoint_union_row), and the CONNECTED_ONLY columns are blank.  That
 one list drives check_connected_only (the rule of a BoundsRow and of a
-reference row), the blanks of disjoint_union_row and catalog.diff.  np,
-nop and path are one line each in combine.
+reference row), the blanks of disjoint_union_row and catalog.diff.
+zero_forcing_number and clique_cover_number sum over components
+themselves.  np, nop and path are one line each in combine.
 
 combine computes the upper bounds first and starts the zero forcing
 search at n - ub, ub the least of cc, np, nop, path, n - 1 and the tree
@@ -112,29 +113,26 @@ def _closure(adj: tuple[int, ...], filled: VertexSet) -> VertexSet:
 def zero_forcing_number(g: Graph, *, at_least: int = 0) -> int:
     """Smallest |B| whose closure fills the graph.
 
-    Searches cardinalities in increasing order, subsets in lexicographic
-    order; sets missing an entire component are skipped since no force
-    can ever reach it.  The search starts at max(#components, min
-    degree, at_least): every component needs a vertex of B, and the
-    first force u -> w needs N[u] minus w inside B, which is deg(u) >=
-    min degree vertices (with no force at all, B is V, larger still).
+    No force crosses a component, so a disconnected graph's Z is the sum
+    over its components, and at_least is ignored there.  A connected
+    graph's search runs over cardinalities in increasing order, subsets
+    in lexicographic order, from max(min degree, at_least): the first
+    force u -> w needs N[u] minus w inside B, which is deg(u) >= min
+    degree vertices (with no force at all, B is V, larger still).
     at_least must be a lower bound on Z(g), or the answer is too large.
     combine passes n - ub, since Z >= n - mr >= n - ub for any ub on mr
     that holds for g alone; the mr <= 2 bound, which holds only when
     the forbidden list is complete, is not one of them.
     """
+    comps = graphs.components(g)
+    if len(comps) > 1:
+        return sum(zero_forcing_number(graphs.induced_subgraph(g, c)) for c in comps)
     adj = g.adj
     full = g.vertex_mask
-    comps = graphs.components(g)
-    several = len(comps) > 1
     singletons = [1 << v for v in range(g.order)]
-    min_degree = min(row.bit_count() for row in adj)
-    for k in range(max(len(comps), min_degree, at_least), g.order + 1):
+    for k in range(max(min(map(int.bit_count, adj)), at_least), g.order + 1):
         for combo in combinations(singletons, k):
-            b = sum(combo)
-            if several and any(not b & c for c in comps):
-                continue
-            if _closure(adj, b) == full:
+            if _closure(adj, sum(combo)) == full:
                 return k
     raise AssertionError("unreachable: the full vertex set always forces")
 
@@ -148,7 +146,8 @@ def clique_cover_number(g: Graph) -> int:
     clique's are its own vertex bits above i shifted the same way.  The
     search branches on the lowest uncovered edge, over the cliques that
     hold both of its ends, depth first on an explicit stack: a cover may
-    need one clique per edge, 1024 on K32,32.
+    need one clique per edge, 1024 on K32,32.  Every clique lies in one
+    component, so a disconnected graph sums its components' covers.
     """
     n = g.order
     uncovered = 0
@@ -156,6 +155,9 @@ def clique_cover_number(g: Graph) -> int:
         uncovered |= (row >> (i + 1)) << (i * n + i + 1)
     if not uncovered:
         return 0
+    comps = graphs.components(g)
+    if len(comps) > 1:
+        return sum(clique_cover_number(graphs.induced_subgraph(g, c)) for c in comps)
     cliques = []
     for c in graphs.maximal_cliques(g):
         if c & (c - 1):
@@ -195,16 +197,14 @@ def clique_cover_number(g: Graph) -> int:
 # Barrett, van der Holst and Loewy, "Graphs whose minimal rank is two"
 # (ELA 11, 2004): over the reals, mr(G) <= 2 iff G has no induced P4,
 # dart, ltimes, P3 + K2, 3K2 or K3,3,3.  The list derived from the atlas
-# holds the first five; K3,3,3 has order 9, so no atlas graph shows it.
+# holds the first five; K3,3,3 has order 9, so no atlas graph shows it,
+# and graphs.embeds rejects it on a smaller host before any search.
 K333 = Graph.from_edges(9, [(i, j) for i in range(9) for j in range(i + 1, 9) if i // 3 != j // 3])
 
 
 def is_forbidden_mr2(g: Graph, forbidden: ForbiddenList) -> bool:
-    """True iff g contains some forbidden pattern, or from order 9 on
-    K333, as an induced subgraph."""
-    return any(graphs.contains_induced(g, p) for p in forbidden.patterns) or (
-        g.order >= 9 and graphs.contains_induced(g, K333)
-    )
+    """True iff g contains some forbidden pattern or K333 as an induced subgraph."""
+    return any(graphs.contains_induced(g, p) for p in (*forbidden.patterns, K333))
 
 
 def tree_minimum_rank(t: Graph) -> int:

@@ -1,8 +1,9 @@
 """Data ingestion (atlas corpus, transcribed reference table), the
 full-table pipeline, and the computed-vs-reference diff.
 
-compute_all combines each isomorphism class once: a disconnected
-graph's row is summed from the rows of its components' classes.
+compute_all combines each isomorphism class once, in one pass in
+corpus order: a disconnected graph's row is summed from the rows of its
+components' classes, which an atlas in order of size computes first.
 
 Atlas file contract: one graph6 string per line, and line k is atlas
 graph k.  Blank lines may follow the last graph but not precede it: a
@@ -214,34 +215,28 @@ def load_fixtures(path) -> list[FixtureRow]:
 
 
 def compute_all(corpus: Sequence[Graph], forbidden: ForbiddenList) -> dict[int, BoundsRow]:
-    """Bounds row per corpus graph, keyed by atlas number (position + 1).
+    """Bounds row per corpus graph, keyed by atlas number (position + 1),
+    in one pass in corpus order.
 
-    combine runs on the connected graphs only.  A component of a
-    disconnected graph is connected, so the row computed for its class,
-    found through one AtlasIndex over the corpus, is its row;
-    disjoint_union_row sums them.  Only a component whose class the
-    corpus lacks is combined on its own.  The index lives for this call
-    only.
+    A connected graph's row is combine's.  A disconnected graph sums its
+    components' rows: each is the row already in out for its class,
+    found through one AtlasIndex that lives for this call only, or
+    combine's when the corpus lacks the class or holds it only later.
     """
-    comps = [graphs.components(g) for g in corpus]
-    connected = [a for a, c in enumerate(comps, 1) if len(c) == 1]
-    rows = [combine(corpus[a - 1], forbidden) for a in connected]
-    connected_rows = dict(zip(connected, rows))
     index = AtlasIndex(corpus)
-
-    def component_row(h: Graph) -> BoundsRow:
-        try:
-            return connected_rows[index.atlas_number(h)]
-        except LookupError:
-            return combine(h, forbidden)
-
     out = {}
-    for a, (g, cs) in enumerate(zip(corpus, comps), 1):
-        if len(cs) == 1:
-            out[a] = connected_rows[a]
-        else:
-            parts = [component_row(graphs.induced_subgraph(g, c)) for c in cs]
-            out[a] = disjoint_union_row(parts)
+    for a, g in enumerate(corpus, 1):
+        comps = graphs.components(g)
+        if len(comps) == 1:
+            out[a] = combine(g, forbidden)
+            continue
+        parts = []
+        for h in (graphs.induced_subgraph(g, c) for c in comps):
+            try:
+                parts.append(out[index.atlas_number(h)])
+            except LookupError:  # KeyError too: a class not yet in out
+                parts.append(combine(h, forbidden))
+        out[a] = disjoint_union_row(parts)
     return out
 
 

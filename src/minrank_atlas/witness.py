@@ -66,36 +66,36 @@ def parse_witness_file(path, claimed_ranks: Mapping[int, int]) -> list[WitnessRe
         parts = line.split()
         if parts and parts[0].startswith(b"#"):
             continue
-        if atlas_number is None:
-            if not parts:
-                continue
-            if len(parts) != 2 or parts[0] != b"atlas" or not parts[1].isdigit():
-                raise ValueError(f"{path}:{ln}: expected 'atlas <number>', got {text(line)!r}")
-            atlas_number = int(parts[1])
-            if atlas_number in records:
-                raise ValueError(f"{path}:{ln}: duplicate record for atlas {atlas_number}")
-            if atlas_number not in claimed_ranks:
-                raise ValueError(f"{path}:{ln}: unknown atlas number {atlas_number}")
-        elif not dim:
-            if len(parts) != 2 or parts[0] != b"n" or not parts[1].isdigit():
-                raise ValueError(f"{path}:{ln}: expected 'n <dimension>', got {text(line)!r}")
-            dim = int(parts[1])
-            if dim < 1:
-                raise ValueError(f"{path}:{ln}: dimension must be positive")
-        else:
-            if not parts:
-                raise ValueError(f"{path}:{ln}: expected {dim} matrix rows, found {len(rows)}")
-            if len(parts) != dim:
-                raise ValueError(f"{path}:{ln}: expected {dim} entries per row, got {len(parts)}")
-            try:
-                rows.append(tuple(map(values.__getitem__, parts)))
-            except ValueError as exc:  # the first bad token, left to right
-                raise ValueError(f"{path}:{ln}: {exc}") from exc
-            if len(rows) == dim:
-                records[atlas_number] = WitnessRecord(
-                    atlas_number, RationalMatrix(tuple(rows)), claimed_ranks[atlas_number]
-                )
-                atlas_number, dim, rows = None, 0, []
+        try:  # one path:line prefix for every fault, int()'s digit limit included
+            if atlas_number is None:
+                if not parts:
+                    continue
+                if len(parts) != 2 or parts[0] != b"atlas" or not parts[1].isdigit():
+                    raise ValueError(f"expected 'atlas <number>', got {text(line)!r}")
+                atlas_number = int(parts[1])
+                if atlas_number in records:
+                    raise ValueError(f"duplicate record for atlas {atlas_number}")
+                if atlas_number not in claimed_ranks:
+                    raise ValueError(f"unknown atlas number {atlas_number}")
+            elif not dim:
+                if len(parts) != 2 or parts[0] != b"n" or not parts[1].isdigit():
+                    raise ValueError(f"expected 'n <dimension>', got {text(line)!r}")
+                dim = int(parts[1])
+                if dim < 1:
+                    raise ValueError("dimension must be positive")
+            else:
+                if not parts:
+                    raise ValueError(f"expected {dim} matrix rows, found {len(rows)}")
+                if len(parts) != dim:
+                    raise ValueError(f"expected {dim} entries per row, got {len(parts)}")
+                rows.append(tuple(map(values.__getitem__, parts)))  # the first bad token raises
+                if len(rows) == dim:
+                    records[atlas_number] = WitnessRecord(
+                        atlas_number, RationalMatrix(tuple(rows)), claimed_ranks[atlas_number]
+                    )
+                    atlas_number, dim, rows = None, 0, []
+        except ValueError as exc:
+            raise ValueError(f"{path}:{ln}: {exc}") from exc
     if dim:
         raise ValueError(f"{path}:{len(lines) + 1}: expected {dim} matrix rows, found {len(rows)}")
     if atlas_number is not None:

@@ -37,6 +37,28 @@ def cycle(n: int) -> Graph:
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+def petersen() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    spokes = [(i, 5 + i) for i in range(5)]
+    return Graph.from_edges(10, outer + inner + spokes)
+
+
+def complete_multipartite(*sizes: int) -> Graph:
+    part = [i for i, size in enumerate(sizes) for _ in range(size)]
+    n = len(part)
+    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if part[i] != part[j]])
+
+
+def disjoint_union(*parts: Graph) -> Graph:
+    """The parts side by side, each relabeled above the ones before it."""
+    rows: list[int] = []
+    for g in parts:
+        shift = len(rows)
+        rows += [row << shift for row in g.adj]
+    return Graph(len(rows), tuple(rows))
+
+
 def matrix(rows) -> RationalMatrix:
     """RationalMatrix of the Fractions of rows (ints, Fractions or strings)."""
     return RationalMatrix(tuple(tuple(Fraction(x) for x in row) for row in rows))

@@ -20,10 +20,13 @@ from minrank_atlas.graphs import Graph, class_key, is_isomorphic, is_tree, conta
 from oracles import (
     brute_clique_cover,
     clique_cover_by_edge_index,
+    complete_multipartite,
     cycle,
     derive_by_deletion_lookup,
+    disjoint_union,
     is_triangle_free,
     path,
+    petersen,
     random_graph,
     random_tree,
     relabel,
@@ -88,11 +91,27 @@ def test_zero_forcing_min_degree_bound():
 
 
 def test_zero_forcing_against_scan_from_one(atlas_graphs):
-    # the production search starts at max(#components, min degree)
+    # the production search sums over components and starts each at its min degree
     rng = random.Random(2008)
     seeded = [random_graph(rng, rng.randint(1, 9), rng.random()) for _ in range(300)]
     for g in [*atlas_graphs.values(), *seeded]:
         assert zero_forcing_number(g) == zero_forcing_scan(g), g
+
+
+def test_zero_forcing_searches_connected_graphs_only(monkeypatch):
+    # no force crosses a component, so Z sums over components and the
+    # subset search starts on each component alone, never on their union
+    searched = set()
+    closure = bounds._closure
+    monkeypatch.setattr(bounds, "_closure", lambda adj, b: searched.add(adj) or closure(adj, b))
+    rng = random.Random(2401)
+    cases = [disjoint_union(path(3), Graph.complete(3)), Graph(3, (0,) * 3)]
+    cases += [random_graph(rng, rng.randint(2, 8), rng.uniform(0.1, 0.4)) for _ in range(40)]
+    assert sum(not graphs.is_connected(g) for g in cases) >= 20
+    for g in cases:
+        assert zero_forcing_number(g) == zero_forcing_scan(g), g
+    assert zero_forcing_number(disjoint_union(petersen(), petersen())) == 10
+    assert searched and all(graphs.is_connected(Graph(len(adj), adj)) for adj in searched)
 
 
 @pytest.mark.parametrize("g", [
@@ -153,6 +172,22 @@ def test_clique_cover_of_one_clique_per_edge_needs_no_recursion():
     # each of K32,32's 1024 edges is its own maximal clique, so the search
     # holds a partial cover 1024 cliques deep
     assert clique_cover_number(Graph.complete_bipartite(32, 32)) == 1024
+
+
+def test_clique_cover_searches_connected_graphs_only(monkeypatch):
+    # every clique lies in one component, so the cover search starts on
+    # each component alone; one K3,3,4 needs 12 triangles
+    searched = []
+    cliques = graphs.maximal_cliques
+    monkeypatch.setattr(graphs, "maximal_cliques", lambda g: searched.append(g) or cliques(g))
+    rng = random.Random(2402)
+    cases = [random_graph(rng, rng.randint(2, 8), rng.uniform(0.1, 0.4)) for _ in range(40)]
+    assert sum(not graphs.is_connected(g) for g in cases) >= 20
+    for g in cases:
+        assert clique_cover_number(g) == clique_cover_by_edge_index(g), g
+    k334 = complete_multipartite(3, 3, 4)
+    assert clique_cover_number(disjoint_union(k334, k334)) == 24
+    assert searched and all(graphs.is_connected(g) for g in searched)
 
 
 def test_clique_cover_triangle_free_equals_size():

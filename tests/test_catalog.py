@@ -344,6 +344,19 @@ def test_compute_all_combines_a_class_the_corpus_lacks(atlas_corpus, forbidden, 
     assert rows == {a: real(g, forbidden) for a, g in enumerate(corpus, 1)}
 
 
+def test_compute_all_combines_a_class_the_corpus_holds_later(atlas_corpus, forbidden, monkeypatch):
+    # the first 60 atlas graphs in reverse: each disconnected graph comes
+    # before its components' classes, so out has no row for them yet
+    corpus = atlas_corpus[:60][::-1]
+    assert corpus[-3] == Graph.complete(2)
+    real = catalog.combine
+    combined = []
+    monkeypatch.setattr(catalog, "combine", lambda g, fb: combined.append(g) or real(g, fb))
+    rows = compute_all(corpus, forbidden)
+    assert combined.count(Graph.complete(2)) > 1
+    assert rows == {a: real(g, forbidden) for a, g in enumerate(corpus, 1)}
+
+
 def test_table_lines_shape(atlas_corpus, forbidden):
     rows = compute_all(atlas_corpus[:18], forbidden)
     lines = list(table_lines(rows))

@@ -11,6 +11,9 @@ import pytest
 
 from minrank_atlas import bounds, catalog, cli, graphs
 from minrank_atlas.catalog import FIXTURE_COLUMNS
+from minrank_atlas.graph6 import to_graph6
+
+from oracles import disjoint_union, petersen
 
 DATA_FLAGS = ["--atlas-file", "data/atlas.g6"]
 
@@ -99,6 +102,9 @@ def test_single_value_helpers(capsys):
     assert run(capsys, ["zf", "--atlas", "52"] + DATA_FLAGS)[:2] == (0, "4\n")
     assert run(capsys, ["cc", "--atlas", "38"] + DATA_FLAGS)[:2] == (0, "5\n")
     assert run(capsys, ["diam", "--atlas", "14"] + DATA_FLAGS)[:2] == (0, "3\n")
+    # Z(Petersen) = 5; each copy is searched alone, so order 30 is quick
+    three = to_graph6(disjoint_union(petersen(), petersen(), petersen()))
+    assert run(capsys, ["zf", "--graph6", three]) == (0, "15\n", "")
     code, _, err = run(capsys, ["diam", "--atlas", "2"] + DATA_FLAGS)
     assert code == 2 and "disconnected" in err
 
@@ -300,6 +306,20 @@ def test_verify_witnesses_parse_error(capsys, tmp_path):
     bad.write_text("atlas zzz\n")
     code, _, err = run(capsys, ["verify-witnesses", "--witnesses", str(bad)])
     assert code == 2 and err.startswith(f"error: {bad}:1: "), err
+
+
+@pytest.mark.parametrize("text, ln", [
+    ("atlas " + "7" * 5000 + "\n", 1),
+    ("atlas 721\nn " + "7" * 5000 + "\n", 2),
+], ids=["atlas", "n"])
+def test_header_past_the_int_digit_limit_names_its_line(capsys, tmp_path, text, ln):
+    # int() refuses a string of more than 4300 digits; a matrix token
+    # already named its line for that, and each header does too
+    bad = tmp_path / "w.txt"
+    bad.write_text(text)
+    code, out, err = run(capsys, ["verify-witnesses", "--witnesses", str(bad)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad}:{ln}: ") and "4300 digits" in err, err
 
 
 @pytest.mark.parametrize("dim", [8, 65])

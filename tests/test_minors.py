@@ -6,14 +6,7 @@ from minrank_atlas import minors
 from minrank_atlas.graphs import Graph, is_connected
 from minrank_atlas.minors import K4, K23, has_minor, is_outerplanar, is_planar
 
-from oracles import K5, K33, brute_has_minor, cycle, path, random_graph, relabel
-
-
-def petersen() -> Graph:
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    spokes = [(i, 5 + i) for i in range(5)]
-    return Graph.from_edges(10, outer + inner + spokes)
+from oracles import K5, K33, brute_has_minor, cycle, path, petersen, random_graph, relabel
 
 
 def test_has_minor_basics():
