@@ -37,7 +37,7 @@ from itertools import combinations
 from operator import attrgetter
 
 from minrank_atlas import graphs
-from minrank_atlas.graph6 import from_graph6, read_lines, text, to_graph6
+from minrank_atlas.graph6 import from_graph6, read_lines, text
 from minrank_atlas.graphs import Graph, VertexSet, bits
 from minrank_atlas.minors import is_outerplanar, is_planar
 
@@ -398,9 +398,3 @@ def read_forbidden_list(path) -> ForbiddenList:
         return ForbiddenList(tuple(patterns))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-
-
-def write_forbidden_list(path, forbidden: ForbiddenList) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        for p in forbidden.patterns:
-            fh.write(to_graph6(p) + "\n")

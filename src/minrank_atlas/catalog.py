@@ -50,25 +50,17 @@ from operator import attrgetter
 
 from minrank_atlas import graphs
 from minrank_atlas.bounds import (
-    CONNECTED_ONLY, AtlasIndex, BoundsRow, ForbiddenList, check_connected_only, combine,
-    disjoint_union_row,
+    AtlasIndex, BoundsRow, ForbiddenList, check_connected_only, combine, disjoint_union_row,
 )
 from minrank_atlas.graph6 import (
     GRAPH6_BYTES, ONE_BYTE_SHAPES, ParsedTokens, check_graph6, decode_graph6, read_lines, text,
 )
 from minrank_atlas.graphs import Graph
 
-FIXTURE_COLUMNS = (
-    "atlas", "order", "size", "mr", "mr_by_hand", "lb", "ub", "con",
-    "zfs_lb", "diam_lb", "cc_ub", "np_ub", "nop_ub", "path_ub",
-    "is", "cv", "tree",
-)
-
-TABLE_COLUMNS = (
-    "atlas", "order", "size", "lb", "ub", "mr_exact", "con",
-    "zfs_lb", "diam_lb", "cc_ub", "np_ub", "nop_ub", "path_ub",
-    "is", "cv", "tree",
-)
+# the bound columns end both headers; diff holds them equal on connected rows
+_BOUND_COLUMNS = ("zfs_lb", "diam_lb", "cc_ub", "np_ub", "nop_ub", "path_ub", "is", "cv", "tree")
+FIXTURE_COLUMNS = ("atlas", "order", "size", "mr", "mr_by_hand", "lb", "ub", "con", *_BOUND_COLUMNS)
+TABLE_COLUMNS = ("atlas", "order", "size", "lb", "ub", "mr_exact", "con", *_BOUND_COLUMNS)
 
 # Column name -> row field where they differ: FixtureRow holds atlas as
 # atlas_number, and "is" is a Python keyword, so FixtureRow and BoundsRow
@@ -240,9 +232,7 @@ def compute_all(corpus: Sequence[Graph], forbidden: ForbiddenList) -> dict[int, 
     return out
 
 
-# the fields diff holds equal on connected rows, in column order
-_CONNECTED_EQUAL = [f for f in FixtureRow._fields if f in CONNECTED_ONLY or f in ("cv", "tree")]
-_connected_equal = attrgetter(*_CONNECTED_EQUAL)
+_connected_equal = attrgetter(*(_FIELD.get(col, col) for col in _BOUND_COLUMNS))
 
 
 def diff(
@@ -267,9 +257,9 @@ def diff(
         if f.con:
             wants, gots = _connected_equal(f), _connected_equal(c)
             if wants != gots:  # the common case compares the tuples only
-                for name, want, got in zip(_CONNECTED_EQUAL, wants, gots):
+                for col, want, got in zip(_BOUND_COLUMNS, wants, gots):
                     if want != got:
-                        mismatches.append(Mismatch(a, _COLUMN.get(name, name), want, got))
+                        mismatches.append(Mismatch(a, col, want, got))
         if c.ub < f.ub:
             mismatches.append(Mismatch(a, "ub", f">= {f.ub}", c.ub))
         if not c.lb <= f.mr <= c.ub:

@@ -4,7 +4,9 @@ Commands: bounds, table, diff, verify-witnesses, derive-forbidden, and
 the single-value helpers zf, cc, diam.  Exit status: 0 success,
 1 verification or diff failure, 2 usage or I/O error.  Data paths
 default to ./data and are overridable per run; there is no environment
-configuration.
+configuration.  _emit writes every output file, whole: its text is
+built before the file is opened, so a command that fails leaves --out
+as it was.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import functools
 import sys
 
 from minrank_atlas import bounds, catalog, graphs, witness
-from minrank_atlas.graph6 import decode_graph6, from_graph6
+from minrank_atlas.graph6 import decode_graph6, from_graph6, to_graph6
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -202,7 +204,7 @@ def cmd_derive_forbidden(args) -> int:
         return EXIT_FAIL
     except LookupError as exc:  # the atlas file lacks the class of a gap's deletion
         raise ValueError(f"{args.atlas_file}: {exc}") from None
-    bounds.write_forbidden_list(args.out, derived)
+    _emit("".join(to_graph6(p) + "\n" for p in derived.patterns), args.out)
     orders = ",".join(str(p.order) for p in derived.patterns)
     print(f"wrote {len(derived.patterns)} patterns (orders {orders}) to {args.out}")
     return EXIT_OK

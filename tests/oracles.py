@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 
 from minrank_atlas.bounds import AtlasIndex, ForbiddenDerivationError, ForbiddenList, _closure
 from minrank_atlas.catalog import _CELLS, FIXTURE_COLUMNS, FixtureRow, Mismatch
@@ -325,30 +325,35 @@ def clique_cover_by_edge_index(g: Graph) -> int:
 
 
 def brute_has_minor(g: Graph, h: Graph) -> bool:
-    """Minor test by enumerating branch-set assignments (class 0 = unused).
+    """Minor test by assigning each g-vertex in turn a branch set (or
+    none), depth first.
 
     Each h-vertex gets a nonempty connected branch set; every h-edge
-    needs some g-edge between the two sets.  Exponential; tiny g only.
+    needs some g-edge between the two sets.  A partial assignment is
+    abandoned once the vertices left cannot fill every empty branch
+    set.  Exponential; tiny g only.
     """
-    k = h.order
     hedges = list(h.edges())
-    for assign in product(range(k + 1), repeat=g.order):
-        sets = [0] * k
-        for v, c in enumerate(assign):
-            if c:
-                sets[c - 1] |= 1 << v
-        if any(s == 0 for s in sets):
-            continue
-        if not all(_connected_in(g, s) for s in sets):
-            continue
-        ok = True
-        for a, b in hedges:
-            if not _touching(g, sets[a], sets[b]):
-                ok = False
-                break
-        if ok:
+    sets = [0] * h.order
+
+    def extend(v: int) -> bool:
+        if sets.count(0) > g.order - v:
+            return False
+        if v == g.order:
+            return all(_connected_in(g, s) for s in sets) and all(
+                _touching(g, sets[a], sets[b]) for a, b in hedges
+            )
+        if extend(v + 1):  # v in no branch set
             return True
-    return False
+        for c in range(h.order):
+            sets[c] |= 1 << v
+            found = extend(v + 1)
+            sets[c] ^= 1 << v
+            if found:
+                return True
+        return False
+
+    return extend(0)
 
 
 def _connected_in(g: Graph, s: int) -> bool:

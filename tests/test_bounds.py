@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from minrank_atlas import bounds, graphs
+from minrank_atlas import bounds, cli, graphs
 from minrank_atlas.bounds import (
     AtlasIndex,
     BoundsRow,
@@ -509,9 +509,10 @@ def test_atlas_index_confirms_every_bucket(atlas_corpus):
         assert class_key(relabel(g, perm)) == class_key(g)
 
 
-def test_read_write_forbidden_round_trip(tmp_path, forbidden):
+def test_read_write_forbidden_round_trip(tmp_path, forbidden, data_dir, monkeypatch):
     path = tmp_path / "fl.g6"
-    bounds.write_forbidden_list(path, forbidden)
+    monkeypatch.chdir(data_dir.parent)  # the default data paths are repo-relative
+    assert cli.main(["derive-forbidden", "--out", str(path)]) == 0
     again = bounds.read_forbidden_list(path)
     assert again.patterns == forbidden.patterns
     path.write_text("# comment only\n\n")

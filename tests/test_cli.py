@@ -13,7 +13,7 @@ from minrank_atlas import bounds, catalog, cli, graphs
 from minrank_atlas.catalog import FIXTURE_COLUMNS
 from minrank_atlas.graph6 import to_graph6
 
-from oracles import disjoint_union, petersen
+from oracles import disjoint_union, graph6_by_integer, path, petersen
 
 DATA_FLAGS = ["--atlas-file", "data/atlas.g6"]
 
@@ -490,6 +490,27 @@ def test_derive_forbidden_gap_deletion_missing_from_the_atlas(capsys, tmp_path, 
     assert (code, out) == (2, "")
     assert err == f"error: {atlas}: no corpus graph matches order 3 size 2\n"
     assert not (tmp_path / "fl.g6").exists()
+
+
+def test_failed_derive_forbidden_leaves_out_as_it_was(capsys, tmp_path):
+    # P63 is the one graph with mr >= 3 and P64 holds each of its deletions,
+    # so P63 is the one pattern, and to_graph6 cannot write order 63
+    atlas = tmp_path / "atlas.g6"
+    size = {n: "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0)) for n in (63, 64)}
+    atlas.write_text("".join(size[n] + graph6_by_integer(path(n))[1:] + "\n" for n in (63, 64)))
+    fixtures = tmp_path / "table.tsv"
+    fixtures.write_text("\t".join(FIXTURE_COLUMNS) + "\n"
+                        "1\t63\t62\t3\tF\t3\t3\tT\t3\t3\t3\t\t\t\tF\tF\tT\n"
+                        "2\t64\t63\t2\tF\t2\t2\tT\t2\t2\t2\t\t\t\tF\tF\tT\n")
+    out_path = tmp_path / "fl.g6"
+    out_path.write_bytes(b"Cr\n")
+    code, out, err = run(capsys, [
+        "derive-forbidden", "--atlas-file", str(atlas), "--fixtures", str(fixtures),
+        "--out", str(out_path),
+    ])
+    assert (code, out) == (2, "")
+    assert err == "error: single-byte size field requires order <= 62\n"
+    assert out_path.read_bytes() == b"Cr\n"
 
 
 def _atlas_copy(tmp_path, data_dir, edit):

@@ -3,8 +3,8 @@ function and class of src/minrank_atlas, and every method that is not a
 dunder, is referenced somewhere in the package outside its own body.
 A helper that only tests call belongs in tests/oracles.py or the test.
 
-The package reads every data file through graph6.read_lines: no other
-definition opens a file for reading."""
+The package reads every data file through graph6.read_lines and writes
+every output file through cli._emit: no other definition opens a file."""
 
 from __future__ import annotations
 
@@ -63,10 +63,11 @@ def unreferenced_definitions(package: Path = PACKAGE) -> list[str]:
     return out
 
 
-def reading_opens(package: Path = PACKAGE) -> list[str]:
+def opens(package: Path = PACKAGE, *, write: bool = False) -> list[str]:
     """'module.name' of the module-level definition around each open()
-    call that has no write mode ('w', 'a', 'x' or '+'), once per call;
-    a mode that is not a literal counts as a read."""
+    call, once per call: the calls with a write mode ('w', 'a', 'x' or
+    '+') when write, else the rest; a mode that is not a literal counts
+    as a read."""
     out = []
     for path in sorted(package.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -78,13 +79,27 @@ def reading_opens(package: Path = PACKAGE) -> list[str]:
                     continue
                 mode = node.args[1] if len(node.args) > 1 else None
                 mode = next((k.value for k in node.keywords if k.arg == "mode"), mode)
-                if not (isinstance(mode, ast.Constant) and set(str(mode.value)) & set("wax+")):
+                writes = isinstance(mode, ast.Constant) and bool(set(str(mode.value)) & set("wax+"))
+                if writes == write:
                     out.append(owner)
     return out
 
 
+def reading_opens(package: Path = PACKAGE) -> list[str]:
+    return opens(package)
+
+
 def test_one_reader_opens_data_files():
     assert reading_opens() == ["graph6.read_lines"]
+
+
+def test_one_writer_writes_output_files(tmp_path):
+    assert opens(write=True) == ["cli._emit"]
+    (tmp_path / "a.py").write_text(
+        "def write(p):\n    open(p, 'w').close()\n    open(p, mode='a+b').close()\n\n"
+        "def read(p, m):\n    open(p).close()\n    open(p, m).close()\n"
+    )
+    assert opens(tmp_path, write=True) == ["a.write", "a.write"]
 
 
 def test_the_walk_finds_a_read_outside_the_reader(tmp_path):
