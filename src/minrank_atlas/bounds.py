@@ -122,7 +122,8 @@ def zero_forcing_number(g: Graph, *, at_least: int = 0) -> int:
     at_least must be a lower bound on Z(g), or the answer is too large.
     combine passes n - ub, since Z >= n - mr >= n - ub for any ub on mr
     that holds for g alone; the mr <= 2 bound, which holds only when
-    the forbidden list is complete, is not one of them.
+    the forbidden list is complete, is not one of them.  verify_witness
+    passes n - rank of a matrix with g's pattern, an ub of that kind.
     """
     comps = graphs.components(g)
     if len(comps) > 1:

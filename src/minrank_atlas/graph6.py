@@ -164,14 +164,14 @@ def _size_field(data: bytes) -> tuple[int, int]:
 
 
 def to_graph6(g: Graph) -> str:
-    """Minimal-length headerless encoding; requires order <= 62."""
+    """Minimal-length headerless encoding: a one-byte size field up to
+    order 62, and '~' with three bytes of 6 bits each above."""
     n = g.order
-    if n > 62:
-        raise ValueError("single-byte size field requires order <= 62")
+    size = chr(n + 63) if n <= 62 else "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
     payload = "".join(["1" if (g.adj[i] >> j) & 1 else "0" for i, j in _pairs(n)])
     payload += "0" * (-len(payload) % 6)
     groups = [chr(int(payload[k : k + 6], 2) + 63) for k in range(0, len(payload), 6)]
-    return chr(n + 63) + "".join(groups)
+    return size + "".join(groups)
 
 
 @functools.cache  # one entry per order, and orders stop at MAX_ORDER

@@ -1,30 +1,27 @@
-"""Exact rational matrices: token parsing, symmetry, nonzero-pattern
-extraction, and rank by fraction-free (Bareiss) elimination.
+"""Exact certificate matrices in integers: token parsing, symmetry,
+nonzero-pattern extraction, and rank by fraction-free (Bareiss) elimination.
 
-Tokens are parsed into and stored as fractions.Fraction.  The rank
-scales each row to integers first and then eliminates over Python ints;
-there is no floating point anywhere on this path.
-
-`fractions` (which imports `decimal`) is imported by the first
-parse_rational call, so commands that check no certificate never load it.
+A rational token parses to a reduced integer pair (numerator,
+denominator).  The certificate reader scales each matrix once by the lcm
+of its denominators, which keeps symmetry, the nonzero pattern and the
+rank; IntMatrix then holds ints only, so every check here is Python int
+arithmetic, with no fraction and no floating point.
 """
 
 from __future__ import annotations
 
 import re
 from collections import namedtuple
-from math import lcm
+from math import gcd
 
 from minrank_atlas.graphs import Graph
-
-Fraction = None  # fractions.Fraction, once parse_rational has run
 
 _RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?\Z")
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse 'sign? digits (/ digits)?', digits ASCII 0-9 only, into a reduced fraction."""
-    global Fraction
+def parse_rational(text: str) -> tuple[int, int]:
+    """Parse 'sign? digits (/ digits)?', digits ASCII 0-9 only, into a
+    reduced (numerator, denominator) pair with a positive denominator."""
     m = _RATIONAL_RE.match(text)
     if m is None:
         raise ValueError(f"malformed rational token {text!r}")
@@ -32,17 +29,18 @@ def parse_rational(text: str) -> Fraction:
     den = int(m.group(2)) if m.group(2) is not None else 1
     if den == 0:
         raise ValueError(f"zero denominator in {text!r}")
-    if Fraction is None:
-        from fractions import Fraction
-    return Fraction(num, den)
+    g = gcd(num, den)
+    return num // g, den // g
 
 
-class RationalMatrix(namedtuple("RationalMatrix", ("rows",))):
-    """Square matrix of Fractions, stored as a tuple of row tuples."""
+class IntMatrix(namedtuple("IntMatrix", ("rows",))):
+    """Square matrix of ints, stored as a tuple of row tuples.  Any other
+    row or entry (a list, a fraction, a float, a bool) is a TypeError when
+    it is built."""
 
     __slots__ = ()
 
-    def __new__(cls, rows: tuple[tuple[Fraction, ...], ...]):
+    def __new__(cls, rows: tuple[tuple[int, ...], ...]):
         self = super().__new__(cls, rows)
         n = len(self.rows)
         if n == 0:
@@ -50,6 +48,8 @@ class RationalMatrix(namedtuple("RationalMatrix", ("rows",))):
         for row in self.rows:
             if len(row) != n:
                 raise ValueError(f"matrix is not square: {n}x{len(row)} row")
+            if type(row) is not tuple or {*map(type, row)} != {int}:
+                raise TypeError(f"matrix rows must be tuples of ints, got {row!r}")
         return self
 
     @property
@@ -57,29 +57,24 @@ class RationalMatrix(namedtuple("RationalMatrix", ("rows",))):
         return len(self.rows)
 
 
-def is_symmetric(m: RationalMatrix) -> bool:
-    rows = m.rows
-    return all(rows[i][j] == rows[j][i] for i in range(m.n) for j in range(i + 1, m.n))
+def is_symmetric(m: IntMatrix) -> bool:
+    return tuple(m.rows) == tuple(zip(*m.rows))
 
 
-def rank(m: RationalMatrix) -> int:
+def rank(m: IntMatrix) -> int:
     """Rank over the rationals by Bareiss elimination over the integers.
 
-    Each row is first multiplied by the lcm of its denominators; a
-    nonzero row scale keeps the rank.  Every quotient the elimination
-    forms is a minor of the scaled matrix, so each `//` leaves no remainder.
-    Pivot rule: first row with a nonzero entry in the current column;
-    with exact arithmetic only determinism matters.
+    Every quotient the elimination forms is a minor of the matrix, so
+    each `//` leaves no remainder.  Pivot rule: first row with a nonzero
+    entry in the current column; with exact arithmetic only determinism
+    matters.
     """
     n = m.n
-    a = []
-    for row in m.rows:
-        scale = lcm(*(x.denominator for x in row))
-        a.append([x.numerator * (scale // x.denominator) for x in row])
+    a = [list(row) for row in m.rows]
     prev = 1
     r = 0
     for c in range(n):
-        piv = next((i for i in range(r, n) if a[i][c] != 0), None)
+        piv = next((i for i in range(r, n) if a[i][c]), None)
         if piv is None:
             continue
         if piv != r:
@@ -97,18 +92,13 @@ def rank(m: RationalMatrix) -> int:
     return r
 
 
-def pattern_graph(m: RationalMatrix) -> Graph:
+def pattern_graph(m: IntMatrix) -> Graph:
     """Graph on n vertices with i ~ j iff the (i,j) entry is nonzero (i != j).
 
     The diagonal is ignored.  m must be symmetric, as verify_witness
     checks first: Graph rejects an asymmetric nonzero pattern, but not
     unequal nonzero entries in mirrored places.
     """
-    rows = []
-    for i in range(m.n):
-        row = 0
-        for j in range(m.n):
-            if i != j and m.rows[i][j] != 0:
-                row |= 1 << j
-        rows.append(row)
-    return Graph(m.n, tuple(rows))
+    return Graph(m.n, tuple(
+        sum(1 << j for j, x in enumerate(row) if x) & ~(1 << i) for i, row in enumerate(m.rows)
+    ))

@@ -1,38 +1,36 @@
 """Optimal-matrix certificates: a record pairs an atlas number with an
-exact symmetric matrix whose rank is claimed to equal that graph's
-minimum rank.  verify_witness alone gives the verdict: the checks a
-certificate fails among symmetry, its off-diagonal nonzero pattern being
-the atlas graph (up to isomorphism; the certificates do not fix a vertex
-labeling), its exact rational rank, and its number not being unwitnessed.
+exact symmetric matrix, and verify_witness alone gives the verdict on it
+against the atlas graph g: the checks it fails among symmetry, its
+off-diagonal nonzero pattern being g (up to isomorphism; the certificates
+do not fix a vertex labeling), its rank being n - Z(g), and its number
+not being unwitnessed.  Since Z(g) >= M(g), mr(g) >= n - Z(g), so a
+certificate that passes proves mr(g) = its rank, with no reference table.
 
 parse_witness_file reads a certificate file through graph6.read_lines in
 one pass, as the other data readers do: each fault is a ValueError that
-starts with 'path:line: '.  It splits lines on ASCII whitespace only and
-parses each distinct matrix token once per file, in graph6.ParsedTokens.
+starts with 'path:line: '.  It splits lines on ASCII whitespace only,
+parses each distinct matrix token once per file, in graph6.ParsedTokens,
+and scales each matrix once by the lcm of its denominators into an
+IntMatrix.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Mapping
+from math import lcm
 
+from minrank_atlas.bounds import zero_forcing_number
 from minrank_atlas.graph6 import ParsedTokens, read_lines, text
 from minrank_atlas.graphs import Graph, is_isomorphic
-from minrank_atlas.ratmat import (
-    RationalMatrix,
-    is_symmetric,
-    parse_rational,
-    pattern_graph,
-    rank,
-)
+from minrank_atlas.ratmat import IntMatrix, is_symmetric, parse_rational, pattern_graph, rank
 
 # Atlas numbers whose minimum rank is settled by other means; the bundled
 # certificate file must not contain them, and a record for one fails.
 KNOWN_UNWITNESSED = frozenset({558, 669, 678, 679, 791, 1086, 1135})
 
 
-class WitnessRecord(namedtuple("WitnessRecord", ("atlas_number", "matrix", "claimed_rank"))):
-    """One parsed certificate and the rank it must reach."""
+class WitnessRecord(namedtuple("WitnessRecord", ("atlas_number", "matrix"))):
+    """One parsed certificate: an atlas number and its integer matrix."""
 
     __slots__ = ()
 
@@ -47,13 +45,12 @@ class WitnessReport(namedtuple("WitnessReport", ("atlas_number", "rank_found", "
         return not self.reasons
 
 
-def parse_witness_file(path, claimed_ranks: Mapping[int, int]) -> list[WitnessRecord]:
+def parse_witness_file(path) -> list[WitnessRecord]:
     """Read blocks of 'atlas <k>' / 'n <d>' / d rows of d rational tokens.
 
     Blank lines separate blocks, and '#' lines are comments wherever they
-    stand.  claimed_ranks maps atlas number -> claimed rank (the reference
-    lower bound); an atlas number without an entry is an error.  Each
-    fault raises a ValueError that starts with 'path:line: '.
+    stand.  Each fault raises a ValueError that starts with 'path:line: '.
+    Whether atlas k exists is the caller's check, against its atlas file.
     """
     lines = read_lines(path)
     records: dict[int, WitnessRecord] = {}
@@ -75,8 +72,6 @@ def parse_witness_file(path, claimed_ranks: Mapping[int, int]) -> list[WitnessRe
                 atlas_number = int(parts[1])
                 if atlas_number in records:
                     raise ValueError(f"duplicate record for atlas {atlas_number}")
-                if atlas_number not in claimed_ranks:
-                    raise ValueError(f"unknown atlas number {atlas_number}")
             elif not dim:
                 if len(parts) != 2 or parts[0] != b"n" or not parts[1].isdigit():
                     raise ValueError(f"expected 'n <dimension>', got {text(line)!r}")
@@ -89,10 +84,10 @@ def parse_witness_file(path, claimed_ranks: Mapping[int, int]) -> list[WitnessRe
                 if len(parts) != dim:
                     raise ValueError(f"expected {dim} entries per row, got {len(parts)}")
                 rows.append(tuple(map(values.__getitem__, parts)))  # the first bad token raises
-                if len(rows) == dim:
-                    records[atlas_number] = WitnessRecord(
-                        atlas_number, RationalMatrix(tuple(rows)), claimed_ranks[atlas_number]
-                    )
+                if len(rows) == dim:  # (num, den) pairs, scaled to ints
+                    scale = lcm(*{den for row in rows for _, den in row})
+                    matrix = tuple(tuple([num * (scale // den) for num, den in row]) for row in rows)
+                    records[atlas_number] = WitnessRecord(atlas_number, IntMatrix(matrix))
                     atlas_number, dim, rows = None, 0, []
         except ValueError as exc:
             raise ValueError(f"{path}:{ln}: {exc}") from exc
@@ -104,10 +99,11 @@ def parse_witness_file(path, claimed_ranks: Mapping[int, int]) -> list[WitnessRe
 
 
 def verify_witness(record: WitnessRecord, g: Graph) -> WitnessReport:
-    """Check one certificate against its atlas graph.  The reasons name
+    """Check one certificate against its atlas graph g.  The reasons name
     its failed checks in order: 'symmetric', 'pattern' (which an asymmetric
-    matrix fails too), 'rank', and 'unexpected' for a KNOWN_UNWITNESSED
-    number; failures are reasons, never exceptions."""
+    matrix fails too), 'rank' (a rank other than n - Z(g)), and
+    'unexpected' for a KNOWN_UNWITNESSED number; failures are reasons,
+    never exceptions."""
     m = record.matrix
     reasons = []
     # an asymmetric matrix has no pattern graph; a dimension other than
@@ -118,7 +114,9 @@ def verify_witness(record: WitnessRecord, g: Graph) -> WitnessReport:
     elif m.n != g.order or not is_isomorphic(pattern_graph(m), g):
         reasons.append("pattern")
     rank_found = rank(m)
-    if rank_found != record.claimed_rank:
+    # m with g's pattern gives Z(g) >= M(g) >= n - rank(m): the scan starts there
+    at_least = 0 if reasons else g.order - rank_found
+    if rank_found != g.order - zero_forcing_number(g, at_least=at_least):
         reasons.append("rank")
     if record.atlas_number in KNOWN_UNWITNESSED:
         reasons.append("unexpected")

@@ -51,6 +51,5 @@ def computed_table(atlas_corpus, forbidden):
 
 
 @pytest.fixture(scope="session")
-def witness_records(fixture_rows):
-    lb = {f.atlas_number: f.lb for f in fixture_rows}
-    return witness.parse_witness_file(DATA / "witnesses.txt", lb)
+def witness_records():
+    return witness.parse_witness_file(DATA / "witnesses.txt")

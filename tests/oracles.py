@@ -8,6 +8,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
+from math import lcm
 
 from minrank_atlas.bounds import AtlasIndex, ForbiddenDerivationError, ForbiddenList, _closure
 from minrank_atlas.catalog import _CELLS, FIXTURE_COLUMNS, FixtureRow, Mismatch
@@ -21,7 +22,7 @@ from minrank_atlas.graphs import (
     is_isomorphic,
     maximal_cliques,
 )
-from minrank_atlas.ratmat import RationalMatrix, parse_rational
+from minrank_atlas.ratmat import IntMatrix, parse_rational
 from minrank_atlas.witness import WitnessRecord
 
 # Kuratowski's graphs: planar iff neither is a minor (Wagner)
@@ -59,9 +60,12 @@ def disjoint_union(*parts: Graph) -> Graph:
     return Graph(len(rows), tuple(rows))
 
 
-def matrix(rows) -> RationalMatrix:
-    """RationalMatrix of the Fractions of rows (ints, Fractions or strings)."""
-    return RationalMatrix(tuple(tuple(Fraction(x) for x in row) for row in rows))
+def matrix(rows) -> IntMatrix:
+    """IntMatrix of rows (ints, Fractions or strings) times the lcm of
+    their denominators, worked out in Fractions."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    return IntMatrix(tuple(tuple(int(x * scale) for x in row) for row in rows))
 
 
 def zf_closure(g: Graph, filled: int) -> int:
@@ -196,6 +200,26 @@ def gauss_jordan_rank(rows) -> int:
             if i != r and a[i][c] != 0:
                 f = a[i][c]
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        r += 1
+    return r
+
+
+def rank_mod_p(rows, p: int) -> int:
+    """Rank over the field of p elements (p prime) of an integer matrix,
+    by Gauss-Jordan reduction with pivot inverses from pow."""
+    a = [[x % p for x in row] for row in rows]
+    r = 0
+    for c in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = pow(a[r][c], -1, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
         r += 1
     return r
 
@@ -495,8 +519,9 @@ def load_fixtures_by_row(path) -> list[FixtureRow]:
     return rows
 
 
-def parse_witness_file_by_token(path, claimed_ranks) -> list[WitnessRecord]:
-    """witness.parse_witness_file, one parse_rational call per matrix token."""
+def parse_witness_file_by_token(path) -> list[WitnessRecord]:
+    """witness.parse_witness_file, one parse_rational call per matrix token,
+    each matrix scaled to integers through Fractions."""
     with open(path, encoding="ascii", errors="surrogateescape") as fh:
         lines = fh.read().split("\n")
     records: dict[int, WitnessRecord] = {}
@@ -515,8 +540,6 @@ def parse_witness_file_by_token(path, claimed_ranks) -> list[WitnessRecord]:
             atlas_number = int(parts[1])
             if atlas_number in records:
                 raise ValueError(f"{path}:{ln}: duplicate record for atlas {atlas_number}")
-            if atlas_number not in claimed_ranks:
-                raise ValueError(f"{path}:{ln}: unknown atlas number {atlas_number}")
         elif not dim:
             if len(parts) != 2 or parts[0] != "n" or not parts[1].isdigit():
                 raise ValueError(f"{path}:{ln}: expected 'n <dimension>', got {line!r}")
@@ -529,13 +552,11 @@ def parse_witness_file_by_token(path, claimed_ranks) -> list[WitnessRecord]:
             if len(parts) != dim:
                 raise ValueError(f"{path}:{ln}: expected {dim} entries per row, got {len(parts)}")
             try:
-                rows.append(tuple(parse_rational(t) for t in parts))
+                rows.append(tuple(Fraction(*parse_rational(t)) for t in parts))
             except ValueError as exc:
                 raise ValueError(f"{path}:{ln}: {exc}") from exc
             if len(rows) == dim:
-                records[atlas_number] = WitnessRecord(
-                    atlas_number, RationalMatrix(tuple(rows)), claimed_ranks[atlas_number]
-                )
+                records[atlas_number] = WitnessRecord(atlas_number, matrix(rows))
                 atlas_number, dim, rows = None, 0, []
     if dim:
         raise ValueError(f"{path}:{len(lines) + 1}: expected {dim} matrix rows, found {len(rows)}")

@@ -14,7 +14,7 @@ from minrank_atlas.graph6 import from_graph6, to_graph6
 from minrank_atlas.ratmat import rank
 from minrank_atlas.witness import KNOWN_UNWITNESSED, verify_witness
 
-from oracles import corpus_integrity_mismatches, gauss_jordan_rank, is_triangle_free, random_graph, zf_closure
+from oracles import corpus_integrity_mismatches, gauss_jordan_rank, is_triangle_free, matrix, random_graph, zf_closure
 from test_minors import grid
 from test_witness import TABLE2_ATLAS
 
@@ -166,17 +166,13 @@ def test_criterion_7_is_semantics(computed_table, fixture_rows):
 def test_criterion_8_oracle_properties(atlas_corpus):
     from fractions import Fraction
 
-    from minrank_atlas.ratmat import RationalMatrix
-
     violations = []
     rng = random.Random(20260810)
 
     pool = [Fraction(k) for k in range(-2, 3)] + [Fraction(1, 2), Fraction(-1, 2)]
     for _ in range(200):
         n = rng.randint(1, 7)
-        m = RationalMatrix(
-            tuple(tuple(rng.choice(pool) for _ in range(n)) for _ in range(n))
-        )
+        m = matrix([[rng.choice(pool) for _ in range(n)] for _ in range(n)])
         if rank(m) != gauss_jordan_rank(m.rows):
             violations.append("rank")
 

@@ -192,7 +192,7 @@ def test_load_fixtures_keeps_the_connected_only_rule(tmp_path, data_dir, capsys)
             load_fixtures(p)
         assert str(info.value) == f"{p}:2: {message}", FIXTURE_COLUMNS[col]
     # the commands that read the table exit 2, diff included
-    for argv in (["diff"], ["verify-witnesses"], ["derive-forbidden", "--out", str(tmp_path / "f.g6")]):
+    for argv in (["diff"], ["derive-forbidden", "--out", str(tmp_path / "f.g6")]):
         assert cli.main([*argv, "--fixtures", str(p), "--atlas-file", str(data_dir / "atlas.g6")]) == 2
         assert capsys.readouterr().err == f"error: {p}:2: {message}\n"
     assert not (tmp_path / "f.g6").exists()

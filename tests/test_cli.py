@@ -196,18 +196,21 @@ def test_non_digit_atlas_cell_exits_2_with_line(capsys, small_data, tmp_path, to
     lines[1] = token + lines[1][1:]
     bad = tmp_path / "bad.tsv"
     bad.write_text("\n".join(lines) + "\n")
-    for command in ("diff", "verify-witnesses"):
-        code, out, err = run(capsys, [
-            command, "--atlas-file", small_data["atlas"], "--fixtures", str(bad),
+    out_path = tmp_path / "fl.g6"
+    for argv in (["diff"], ["derive-forbidden", "--out", str(out_path)]):
+        code, out, err = run(capsys, argv + [
+            "--atlas-file", small_data["atlas"], "--fixtures", str(bad),
         ])
         assert (code, out) == (2, "")
         assert err == f"error: {bad}:2: expected integer, got {token!r}\n"
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize(
     "command", ["diff", "verify-witnesses", "derive-forbidden", "bounds", "witnesses"]
 )
 def test_non_ascii_byte_names_the_line(capsys, small_data, tmp_path, data_dir, command):
+    # verify-witnesses reads no reference table: its case is the atlas file
     if command == "bounds":
         lines = (data_dir / "forbidden_mr2.g6").read_text().splitlines()
         lines[2] = "\u00e9" + lines[2][1:]
@@ -217,6 +220,10 @@ def test_non_ascii_byte_names_the_line(capsys, small_data, tmp_path, data_dir, c
         assert lines[4:6] == ["atlas 721", "n 7"]
         lines[6] = "\udcff" + lines[6]  # a raw 0xff byte before the first matrix token
         argv, flag, ln = ["verify-witnesses"], "--witnesses", 7
+    elif command == "verify-witnesses":
+        lines = open(small_data["atlas"]).read().splitlines()
+        lines[4] = "\u0663" + lines[4][1:]
+        argv, flag, ln = ["verify-witnesses"], "--atlas-file", 5
     else:
         lines = open(small_data["fixtures"]).read().splitlines()
         lines[1] = "\u0663" + lines[1][1:]  # ARABIC-INDIC DIGIT THREE as the atlas cell
@@ -226,7 +233,8 @@ def test_non_ascii_byte_names_the_line(capsys, small_data, tmp_path, data_dir, c
     out_path = tmp_path / "fl.g6"
     if command == "derive-forbidden":
         argv += ["--out", str(out_path)]
-    code, out, err = run(capsys, argv + ["--atlas-file", small_data["atlas"], flag, str(bad)])
+    paths = {"--atlas-file": small_data["atlas"], flag: str(bad)}
+    code, out, err = run(capsys, argv + [arg for item in paths.items() for arg in item])
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {bad}:{ln}: "), err
     assert not out_path.exists()
@@ -492,25 +500,41 @@ def test_derive_forbidden_gap_deletion_missing_from_the_atlas(capsys, tmp_path, 
     assert not (tmp_path / "fl.g6").exists()
 
 
-def test_failed_derive_forbidden_leaves_out_as_it_was(capsys, tmp_path):
+def test_failed_derive_forbidden_leaves_out_as_it_was(capsys, tmp_path, monkeypatch):
+    # the encoder fails on the last of the five patterns, after a streaming
+    # writer would have written four: --out keeps its bytes
+    def encode(g):
+        if g.order == 6:
+            raise ValueError("cannot encode order 6")
+        return to_graph6(g)
+
+    monkeypatch.setattr(cli, "to_graph6", encode)
+    out_path = tmp_path / "fl.g6"
+    out_path.write_bytes(b"Cr\n")
+    code, out, err = run(capsys, ["derive-forbidden", "--out", str(out_path)])
+    assert (code, out) == (2, "")
+    assert err == "error: cannot encode order 6\n"
+    assert out_path.read_bytes() == b"Cr\n"
+
+
+def test_derive_forbidden_writes_an_order_63_pattern(capsys, tmp_path):
     # P63 is the one graph with mr >= 3 and P64 holds each of its deletions,
-    # so P63 is the one pattern, and to_graph6 cannot write order 63
+    # so P63 is the one pattern, written with graph6's '~' size field
     atlas = tmp_path / "atlas.g6"
     size = {n: "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0)) for n in (63, 64)}
-    atlas.write_text("".join(size[n] + graph6_by_integer(path(n))[1:] + "\n" for n in (63, 64)))
+    lines = [size[n] + graph6_by_integer(path(n))[1:] for n in (63, 64)]
+    atlas.write_text("".join(line + "\n" for line in lines))
     fixtures = tmp_path / "table.tsv"
     fixtures.write_text("\t".join(FIXTURE_COLUMNS) + "\n"
                         "1\t63\t62\t3\tF\t3\t3\tT\t3\t3\t3\t\t\t\tF\tF\tT\n"
                         "2\t64\t63\t2\tF\t2\t2\tT\t2\t2\t2\t\t\t\tF\tF\tT\n")
     out_path = tmp_path / "fl.g6"
-    out_path.write_bytes(b"Cr\n")
     code, out, err = run(capsys, [
         "derive-forbidden", "--atlas-file", str(atlas), "--fixtures", str(fixtures),
         "--out", str(out_path),
     ])
-    assert (code, out) == (2, "")
-    assert err == "error: single-byte size field requires order <= 62\n"
-    assert out_path.read_bytes() == b"Cr\n"
+    assert (code, out, err) == (0, f"wrote 1 patterns (orders 63) to {out_path}\n", "")
+    assert out_path.read_text() == lines[0] + "\n"
 
 
 def _atlas_copy(tmp_path, data_dir, edit):
@@ -663,6 +687,27 @@ def test_table_and_diff_run_in_one_process(capsys, small_data):
     assert "multiprocessing" not in proc.stdout.splitlines()[-1].split()
 
 
+def test_verify_witnesses_reads_no_reference_table(capsys, tmp_path, data_dir, monkeypatch):
+    # each certificate must reach n - Z of its atlas graph: a data
+    # directory without table1.tsv serves, and --fixtures is no option
+    (tmp_path / "data").mkdir()
+    for name in ("atlas.g6", "witnesses.txt"):
+        (tmp_path / "data" / name).write_bytes((data_dir / name).read_bytes())
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, ["verify-witnesses"])
+    assert (code, err, out.count("\tpass\n"), out.count("\n")) == (0, "", 35, 35)
+    code, out, err = run(capsys, ["verify-witnesses", "--fixtures", str(data_dir / "table1.tsv")])
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --fixtures" in err
+
+
+def test_verify_witnesses_imports_no_fractions():
+    # certificates are checked in integers from the token on
+    proc = _fresh_python(DIFF_COLD, "verify-witnesses")
+    assert proc.stdout.splitlines()[0] == "721\t3\tpass"
+    assert not {"fractions", "decimal"} & set(proc.stdout.splitlines()[-1].split())
+
+
 @pytest.mark.parametrize("command", ["bounds", "zf"])
 def test_atlas_zero_is_out_of_range(capsys, command):
     code, out, err = run(capsys, [command, "--atlas", "0"] + DATA_FLAGS)
@@ -670,16 +715,11 @@ def test_atlas_zero_is_out_of_range(capsys, command):
     assert "data/atlas.g6 has no atlas 0: it holds atlas 1..1252" in err
 
 
-def test_witness_for_atlas_zero_has_no_graph(capsys, tmp_path, data_dir):
-    # atlas 0 passes the witness parser once the reference table names it
-    fixture_lines = (data_dir / "table1.tsv").read_text().splitlines()
-    row1 = next(l for l in fixture_lines if l.startswith("1\t"))
-    fixtures = tmp_path / "t.tsv"
-    fixtures.write_text("\n".join(fixture_lines + ["0" + row1[1:]]) + "\n")
+def test_witness_for_atlas_zero_has_no_graph(capsys, tmp_path):
+    # atlas 0 passes the witness parser; the atlas file's range rule rejects it
     witnesses = tmp_path / "w.txt"
     witnesses.write_text("atlas 0\nn 1\n0\n")
-    code, out, err = run(capsys, ["verify-witnesses", "--fixtures", str(fixtures),
-                                  "--witnesses", str(witnesses)])
+    code, out, err = run(capsys, ["verify-witnesses", "--witnesses", str(witnesses)])
     assert code == 2 and out == ""
     assert "data/atlas.g6 has no atlas 0: it holds atlas 1..1252" in err
 

@@ -76,8 +76,24 @@ def test_extended_size_field():
     payload = "?" * ((npairs + 5) // 6)
     g = from_graph6("~??~" + payload)
     assert g.order == 63 and g.size() == 0
-    with pytest.raises(ValueError):
-        to_graph6(g)
+    assert to_graph6(g) == "~??~" + payload
+    # orders 63 and 64 round trip with edges; order 62 keeps its one size byte
+    rng = random.Random(263)
+    for n, size in ((62, "}"), (63, "~??~"), (64, "~?@?")):
+        g = random_graph(rng, n, 0.3)
+        text = to_graph6(g)
+        assert text.startswith(size) and len(text) == len(size) + (n * (n - 1) // 2 + 5) // 6
+        assert from_graph6(text) == g and check_graph6(text) == text.encode()
+
+
+def test_eight_byte_size_field_is_refused():
+    # '~~' alone opens an 8-byte size field: refused as such, at offset 0,
+    # not reported as a truncated 4-byte one
+    for text in ("~~", "~~????????"):
+        with pytest.raises(Graph6Error) as exc:
+            from_graph6(text)
+        assert exc.value.offset == 0
+        assert str(exc.value) == "8-byte size fields (n > 258047) are not supported (byte offset 0)"
 
 
 @pytest.mark.parametrize(

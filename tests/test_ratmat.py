@@ -3,14 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+from minrank_atlas.bounds import zero_forcing_number
 from minrank_atlas.graphs import Graph, is_isomorphic
 from minrank_atlas.ratmat import (
-    RationalMatrix,
+    IntMatrix,
     is_symmetric,
     parse_rational,
     pattern_graph,
     rank,
 )
+from minrank_atlas.witness import parse_witness_file
 
 from oracles import gauss_jordan_rank, matrix
 
@@ -20,11 +22,14 @@ def identity(n):
 
 
 def test_parse_rational_examples():
-    assert parse_rational("-19") == Fraction(-19)
-    assert parse_rational("3/5") == Fraction(3, 5)
-    assert parse_rational("2/4") == Fraction(1, 2)
-    assert parse_rational("+7") == Fraction(7)
-    assert parse_rational("0") == 0
+    # reduced (numerator, denominator) pairs, the denominator positive
+    assert parse_rational("-19") == (-19, 1)
+    assert parse_rational("3/5") == (3, 5)
+    assert parse_rational("2/4") == (1, 2)
+    assert parse_rational("-6/4") == (-3, 2)
+    assert parse_rational("+7") == (7, 1)
+    assert parse_rational("0") == (0, 1)
+    assert parse_rational("-0/9") == (0, 1)
 
 
 @pytest.mark.parametrize("bad", [
@@ -39,9 +44,26 @@ def test_parse_rational_rejects(bad):
 
 def test_matrix_validation():
     with pytest.raises(ValueError):
-        RationalMatrix(())
+        IntMatrix(())
     with pytest.raises(ValueError):
         matrix([[1, 2], [3]])
+
+
+@pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(3), 0.5, 1.0, True, "1"],
+                         ids=["fraction", "integral-fraction", "float", "integral-float", "bool", "str"])
+def test_matrix_holds_ints_only(entry):
+    # no fraction or float can reach rank's floor division
+    with pytest.raises(TypeError):
+        IntMatrix(((1, 0), (0, entry)))
+    with pytest.raises(TypeError):
+        IntMatrix(((entry,),))
+
+
+def test_matrix_rows_are_tuples():
+    # is_symmetric compares the rows with the transpose's tuples
+    with pytest.raises(TypeError):
+        IntMatrix(([1, 0], (0, 1)))
+    assert is_symmetric(IntMatrix(((1, 2), (2, 1))))
 
 
 def test_rank_basics():
@@ -55,9 +77,7 @@ def test_rank_basics():
 
 def _random_matrix(rng, n):
     pool = [Fraction(k) for k in range(-2, 3)] + [Fraction(1, 2), Fraction(-1, 2)]
-    return RationalMatrix(
-        tuple(tuple(rng.choice(pool) for _ in range(n)) for _ in range(n))
-    )
+    return matrix([[rng.choice(pool) for _ in range(n)] for _ in range(n)])
 
 
 def test_rank_agrees_with_gauss_jordan():
@@ -85,7 +105,7 @@ def test_rank_permutation_invariant():
         m = _random_matrix(rng, n)
         perm = list(range(n))
         rng.shuffle(perm)
-        permuted = RationalMatrix(
+        permuted = IntMatrix(
             tuple(tuple(m.rows[perm[i]][perm[j]] for j in range(n)) for i in range(n))
         )
         assert rank(m) == rank(permuted)
@@ -99,7 +119,7 @@ def test_rank_duplicate_row_unchanged():
         i, j = rng.randrange(n), rng.randrange(n)
         rows = list(m.rows)
         rows[i] = rows[j]
-        assert rank(RationalMatrix(tuple(rows))) == gauss_jordan_rank(rows)
+        assert rank(IntMatrix(tuple(rows))) == gauss_jordan_rank(rows)
 
 
 def test_is_symmetric():
@@ -119,14 +139,29 @@ def test_pattern_graph():
     assert g.adj == (0b100, 0b100, 0b011)
 
 
-def test_rank_needs_exact_row_scaling():
-    # rows equal up to a rational factor: numerators alone would give rank 2
-    half = Fraction(1, 2)
-    assert rank(matrix([[1, half], [2, 1]])) == 1
-    assert rank(matrix([[Fraction(1, 3), Fraction(1, 5)], [5, 3]])) == 1
-    third = Fraction(1, 3)
-    assert rank(matrix([[third, 1], [1, 3]])) == 1
-    assert rank(matrix([[third, 1], [1, third]])) == 2
+def _parsed(tmp_path, rows):
+    """The IntMatrix that the certificate reader makes of rows of tokens."""
+    path = tmp_path / "w.txt"
+    path.write_text(f"atlas 1\nn {len(rows)}\n" + "".join(" ".join(r) + "\n" for r in rows))
+    (record,) = parse_witness_file(path)
+    return record.matrix
+
+
+def test_rank_needs_exact_row_scaling(tmp_path):
+    # rows equal up to a rational factor: numerators alone would give rank 2;
+    # the reader scales the whole matrix by the lcm of its denominators
+    assert rank(_parsed(tmp_path, [["1", "1/2"], ["2", "1"]])) == 1
+    assert rank(_parsed(tmp_path, [["1/3", "1/5"], ["5", "3"]])) == 1
+    assert rank(_parsed(tmp_path, [["1/3", "1"], ["1", "3"]])) == 1
+    assert rank(_parsed(tmp_path, [["1/3", "1"], ["1", "1/3"]])) == 2
+    assert _parsed(tmp_path, [["1/3", "1/5"], ["5", "3"]]).rows == ((5, 3), (75, 45))
+
+
+def test_equal_rationals_spelled_apart_are_symmetric(tmp_path):
+    # 1/2 and 2/4 in mirrored cells are one value, so one integer
+    m = _parsed(tmp_path, [["1/2", "1/2"], ["2/4", "-3/6"]])
+    assert m.rows == ((1, 1), (1, -1)) and is_symmetric(m)
+    assert not is_symmetric(_parsed(tmp_path, [["0", "1/2"], ["2/3", "0"]]))
 
 
 def _mixed_rational(rng):
@@ -157,7 +192,7 @@ def test_rank_mixed_denominators_deficient_and_swapped():
     assert deficient >= 50 and swapped >= 20
 
 
-def test_rank_invariant_under_certificate_rescaling(witness_records):
+def test_rank_invariant_under_certificate_rescaling(witness_records, atlas_graphs):
     # rank(c*D*P*A*P^T*D) == rank(A) for nonzero rational c and diagonal D
     rng = random.Random(109)
 
@@ -174,5 +209,6 @@ def test_rank_invariant_under_certificate_rescaling(witness_records):
         c = nonzero()
         b = [[c * d[i] * d[j] * a[p[i]][p[j]] for j in range(n)] for i in range(n)]
         want = gauss_jordan_rank(a)
-        assert rank(rec.matrix) == want == rec.claimed_rank
+        g = atlas_graphs[rec.atlas_number]
+        assert rank(rec.matrix) == want == g.order - zero_forcing_number(g)
         assert rank(matrix(b)) == want, rec.atlas_number

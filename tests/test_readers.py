@@ -128,10 +128,6 @@ def _variants(tmp_path, name, text: bytes, head: int, block: int, extra, count, 
         yield path
 
 
-def _lb_by_atlas():
-    return {f.atlas_number: f.lb for f in load_fixtures(REPO / "data" / "table1.tsv")}
-
-
 def test_read_atlas_agrees_with_the_line_by_line_reader(tmp_path):
     text = (REPO / "data" / "atlas.g6").read_bytes()
     outcomes = Counter()
@@ -155,11 +151,10 @@ def test_load_fixtures_agrees_with_the_row_by_row_reader(tmp_path):
 def test_parse_witness_file_agrees_with_the_token_by_token_reader(tmp_path):
     text = (REPO / "data" / "witnesses.txt").read_bytes()
     assert text.split(b"\n")[4:6] == [b"atlas 721", b"n 7"]  # 4 comment lines, 10-line blocks
-    lb = _lb_by_atlas()
     outcomes = Counter()
     for path in _variants(tmp_path, "w.txt", text, 4, 10, _witness_fault, 1000, 2103):
-        new = _outcome(parse_witness_file, path, lb)
-        old = _outcome(parse_witness_file_by_token, path, lb)
+        new = _outcome(parse_witness_file, path)
+        old = _outcome(parse_witness_file_by_token, path)
         assert _agree(path, new, old), (path.read_bytes(), new, old)
         outcomes[isinstance(new, list)] += 1
     assert outcomes[True] > 100 and outcomes[False] > 100
@@ -236,7 +231,7 @@ def test_certificate_tokens_split_only_on_ascii_whitespace(tmp_path):
     assert text.splitlines()[6] == "-1 1 0 0 1 0 1"
     path.write_text(text.replace("-1 1 0 0 1 0 1\n", "-1 1 0 0 1 0\x1c1\n", 1))
     with pytest.raises(ValueError) as info:
-        parse_witness_file(path, _lb_by_atlas())
+        parse_witness_file(path)
     assert str(info.value) == f"{path}:7: expected 7 entries per row, got 6"
 
 
