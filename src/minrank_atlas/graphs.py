@@ -160,12 +160,16 @@ class Graph:
         return (1 << self.order) - 1
 
     def size(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
+        return sum(map(int.bit_count, self.adj)) >> 1
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for i in range(self.order):
-            for j in bits(self.adj[i] >> (i + 1)):
-                yield i, i + 1 + j
+        """The edges (i, j) with i < j, in lexicographic order."""
+        for i, row in enumerate(self.adj):
+            rest = row & -(2 << i)
+            while rest:
+                low = rest & -rest
+                yield i, low.bit_length() - 1
+                rest ^= low
 
 
 def components(g: Graph) -> list[VertexSet]:

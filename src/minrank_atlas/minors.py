@@ -1,9 +1,14 @@
 """Planarity by path addition, and outerplanarity by minor containment.
 
-is_planar works block by block and first counts the block's edges m.
-A block with m < 9 is planar, by Kuratowski's theorem: K3,3 has 9 edges
-and K5 10, and a subdivision has at least as many.  A block of order
-n with m > 3n - 6 is not planar, by Euler's formula.  The rest run
+is_planar works block by block and first counts the block's edges m
+and its degrees.  A block with m < 9 is planar, by Kuratowski's
+theorem: K3,3 has 9 edges and K5 10, and a subdivision has at least as
+many.  So is a block with fewer than 6 vertices of degree >= 3 and
+fewer than 5 of degree >= 4: a K3,3 subdivision has 6 branch vertices
+of degree >= 3 and a K5 subdivision 5 of degree >= 4, and either one
+is 2-connected, so it lies in one block and its branch vertices have
+those degrees there.  A block of order n with m > 3n - 6 is not
+planar, by Euler's formula.  The rest run
 Demoucron-Malgrange-Pertuiset path addition (1964).  A block is
 2-connected, so it has a cycle H to start from, and every face of H
 and of what grows on it is bounded by a cycle.  The fragments of G
@@ -58,19 +63,23 @@ K23 = Graph.complete_bipartite(2, 3)
 def _contract(g: Graph, u: int, v: int) -> Graph:
     """Merge v into u and drop v; parallel edges and loops collapse away."""
     adj = list(g.adj)
-    moved = adj[v] & ~(1 << u)
+    bit = 1 << u
+    moved = adj[v] & ~bit
     adj[u] |= moved
-    for w in bits(moved):
-        adj[w] |= 1 << u
-    return induced_subgraph(Graph(g.order, tuple(adj)), g.vertex_mask ^ (1 << v))
+    while moved:
+        low = moved & -moved
+        adj[low.bit_length() - 1] |= bit
+        moved ^= low
+    return induced_subgraph(Graph(g.order, tuple(adj)), ((1 << g.order) - 1) ^ (1 << v))
 
 
 def has_minor(g: Graph, h: Graph) -> bool:
     """True iff h is a minor of g."""
     seen: set[tuple[int, tuple[int, ...]]] = set()
+    h_size = h.size()
 
     def search(cur: Graph) -> bool:
-        if cur.order < h.order or cur.size() < h.size():
+        if cur.order < h.order or cur.size() < h_size:
             return False
         key = (cur.order, cur.adj)
         if key in seen:
@@ -181,19 +190,25 @@ def _planar_block(adj, block: VertexSet) -> bool:
 
 def is_planar(g: Graph, block_sets: list[VertexSet] | None = None) -> bool:
     """Every block planar.  A block with m < 9 edges is planar, since
-    K3,3 has 9 edges and K5 10 (Kuratowski), and one with m > 3n - 6 is
-    not (Euler); path addition decides the rest.  block_sets, when
-    given, is blocks(g)."""
+    K3,3 has 9 edges and K5 10 (Kuratowski), and so is one with fewer
+    than 6 vertices of degree >= 3 and fewer than 5 of degree >= 4 in
+    the block, since a K3,3 subdivision has 6 branch vertices of degree
+    >= 3 and a K5 subdivision 5 of degree >= 4, all in one block.  One
+    with m > 3n - 6 is not planar (Euler); path addition decides the
+    rest.  block_sets, when given, is blocks(g)."""
     adj = g.adj
     for block in blocks(g) if block_sets is None else block_sets:
-        twice = 0
+        twice = branch3 = branch4 = 0
         rest = block
         while rest:
             low = rest & -rest
-            twice += (adj[low.bit_length() - 1] & block).bit_count()
+            d = (adj[low.bit_length() - 1] & block).bit_count()
+            twice += d
+            branch3 += d >= 3
+            branch4 += d >= 4
             rest ^= low
         m = twice // 2
-        if m < 9:
+        if m < 9 or branch3 < 6 and branch4 < 5:
             continue
         if m > 3 * block.bit_count() - 6 or not _planar_block(adj, block):
             return False

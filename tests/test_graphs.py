@@ -217,6 +217,17 @@ def test_induced_subgraph_against_index_map():
             assert induced_subgraph(g, s) == induced_subgraph_by_index(g, s), (n, s)
 
 
+def test_edges_and_size_against_a_double_loop():
+    # has_minor tries contractions in edges() order, so the order is pinned
+    # too; orders 63 and 64 fill the widest packed row
+    rng = random.Random(31)
+    for n in list(range(1, 65)) + [63, 64] * 4:
+        g = random_graph(rng, n, rng.choice((0.0, 0.2, 0.5, 0.8, 1.0)))
+        naive = [(i, j) for i in range(n) for j in range(i + 1, n) if (g.adj[i] >> j) & 1]
+        assert list(g.edges()) == naive, g
+        assert g.size() == len(naive), g
+
+
 def test_isomorphism_relabeling():
     rng = random.Random(23)
     for _ in range(40):

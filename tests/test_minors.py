@@ -108,6 +108,10 @@ def no_search(g, h):
     raise AssertionError("has_minor called")
 
 
+def no_path_addition(adj, block):
+    raise AssertionError("_planar_block called")
+
+
 def agree_with_whole_graph_search(cases, monkeypatch):
     """is_outerplanar, then is_planar with has_minor patched to raise,
     against the whole-graph search run before the patch."""
@@ -193,6 +197,8 @@ def grid(rows: int, cols: int) -> Graph:
 
 
 OCTAHEDRON = Graph.from_edges(6, [(i, j) for i in range(6) for j in range(i + 1, 6) if j != i + 3])
+K5_MINUS_E = Graph.from_edges(5, [e for e in K5.edges() if e != (0, 1)])
+K5_ONE_EDGE_SUBDIVIDED = Graph.from_edges(6, list(K5_MINUS_E.edges()) + [(0, 5), (5, 1)])
 K23_HUB_EDGE = Graph.from_edges(5, list(K23.edges()) + [(0, 1)])
 K4_PLUS_DEGREE_TWO = Graph.from_edges(5, list(K4.edges()) + [(4, 0), (4, 1)])
 
@@ -204,7 +210,8 @@ HARD_CASES = [
     ("subdivided K4", subdivide(K4), True, False),
     ("subdivided K5", subdivide(K5), False, False),
     ("subdivided K3,3", subdivide(K33), False, False),
-    ("K5 - e", Graph.from_edges(5, [e for e in K5.edges() if e != (0, 1)]), True, False),
+    ("K5 - e", K5_MINUS_E, True, False),
+    ("K5 with one edge subdivided", K5_ONE_EDGE_SUBDIVIDED, False, False),
     ("octahedron", OCTAHEDRON, True, False),
     ("two K5 at a vertex", glue(K5, K5), False, False),
     ("K5 with a pendant path", glue(K5, path(4)), False, False),
@@ -252,25 +259,53 @@ def test_reductions_decide_without_search(monkeypatch):
     # m > 2n - 3 (m = 2n - 2 here, with a degree-2 vertex) and minimum degree >= 3
     assert not is_outerplanar(K4_PLUS_DEGREE_TWO)
     assert not is_outerplanar(K33) and not is_outerplanar(OCTAHEDRON)
+    # fewer than 6 vertices of degree >= 3 and fewer than 5 of degree >= 4:
+    # no room for the branch vertices of a K3,3 or K5 subdivision
+    with monkeypatch.context() as m:
+        m.setattr(minors, "_planar_block", no_path_addition)
+        assert is_planar(K5_MINUS_E) and is_planar(grid(3, 3))
+    # exactly 6 of degree >= 3 (K3,3) or 5 of degree >= 4 (K5 with one
+    # edge subdivided): path addition decides
+    reached = []
+    planar_block = minors._planar_block
+
+    def recorded(adj, block):
+        reached.append(block)
+        return planar_block(adj, block)
+
+    monkeypatch.setattr(minors, "_planar_block", recorded)
+    for g in (K33, K5_ONE_EDGE_SUBDIVIDED):
+        reached.clear()
+        assert not is_planar(g) and reached == [g.vertex_mask], g
+
+
+def branch_counts(adj, block) -> tuple[int, int]:
+    """The block's vertices of degree >= 3 and of degree >= 4 in it."""
+    degrees = [(adj[v] & block).bit_count() for v in range(len(adj)) if block >> v & 1]
+    return sum(d >= 3 for d in degrees), sum(d >= 4 for d in degrees)
 
 
 def test_path_addition_runs_only_between_the_edge_count_exits(atlas_graphs, monkeypatch):
     # is_planar settles a block with m < 9 (planar) or m > 3n - 6 (not)
-    # from its edge count; path addition sees only the blocks in between
+    # from its edge count, and one with too few vertices of degree >= 3
+    # and of degree >= 4 for a Kuratowski subdivision (planar) from its
+    # degrees; path addition sees only the rest
     seen = []
     planar_block = minors._planar_block
 
     def counted(adj, block):
         n = block.bit_count()
         m = sum((adj[v] & block).bit_count() for v in range(len(adj)) if block >> v & 1) // 2
-        seen.append((n, m))
+        seen.append((n, m, *branch_counts(adj, block)))
         return planar_block(adj, block)
 
     monkeypatch.setattr(minors, "_planar_block", counted)
     for g in atlas_graphs.values():
         is_planar(g)
-    assert seen
-    assert all(9 <= m <= 3 * n - 6 for n, m in seen), seen
+    assert all(9 <= m <= 3 * n - 6 for n, m, _, _ in seen), seen
+    assert all(b3 >= 6 or b4 >= 5 for _, _, b3, b4 in seen), seen
+    # 648 calls with the edge-count exits alone
+    assert len(seen) == 341
 
 
 def nx_planar(g: Graph, apex: bool = False) -> bool:
