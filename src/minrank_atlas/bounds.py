@@ -144,11 +144,25 @@ def clique_cover_number(g: Graph) -> int:
     Candidates are maximal cliques only: any clique in a cover can be
     enlarged to a maximal one without increasing the count.  Edge {i<j}
     is bit i*n + j, so row i's edges are (adj[i] above i) << i*n, and a
-    clique's are its own vertex bits above i shifted the same way.  The
-    search branches on the lowest uncovered edge, over the cliques that
-    hold both of its ends, depth first on an explicit stack: a cover may
-    need one clique per edge, 1024 on K32,32.  Every clique lies in one
-    component, so a disconnected graph sums its components' covers.
+    clique's are its own vertex bits above i shifted the same way.
+
+    Forced cliques come first (the data reduction of Gramm-Guo-Hueffner-
+    Niedermeier, ACM JEA 13, 2008): an edge that lies in exactly one
+    maximal clique C is covered in every cover by a subclique of C, and
+    swapping that subclique for C keeps the count and covers no less, so
+    some minimum cover holds C.  Every forced clique is then taken at
+    once: cc(g) = forced + the least number of the other cliques that
+    covers the edges the forced ones leave.  Each of those edges lies in
+    two or more cliques, none forced; the branch runs on them alone.
+
+    The search branches on the lowest uncovered edge, over the cliques
+    that hold both of its ends, depth first on an explicit stack: it may
+    hold one frame per clique of a cover, and n*n/4 cliques always
+    suffice (Erdos-Goodman-Posa, 1966), 1024 at order 64.  It prunes a
+    partial cover that cannot beat the best one by the packing bound: no
+    clique covers more of the left edges than the most any one covers
+    at the start.  Every clique lies in one component, so a disconnected
+    graph sums its components' covers.
     """
     n = g.order
     uncovered = 0
@@ -160,6 +174,7 @@ def clique_cover_number(g: Graph) -> int:
     if len(comps) > 1:
         return sum(clique_cover_number(graphs.induced_subgraph(g, c)) for c in comps)
     cliques = []
+    once = twice = 0  # the edges in at least one, and in at least two, maximal cliques
     for c in graphs.maximal_cliques(g):
         if c & (c - 1):
             em = 0
@@ -169,6 +184,18 @@ def clique_cover_number(g: Graph) -> int:
                 rest ^= low
                 em |= rest << ((low.bit_length() - 1) * n)
             cliques.append((c, em))
+            twice |= once & em
+            once |= em
+    single = once & ~twice
+    forced = 0
+    for _, em in cliques:
+        if em & single:
+            forced += 1
+            uncovered &= ~em
+    if not uncovered:
+        return forced
+    # the cliques left, each cut to the edges it can still cover
+    cliques = [(c, em & uncovered) for c, em in cliques if em & uncovered]
     max_clique_edges = max(em.bit_count() for _, em in cliques)
     best = uncovered.bit_count() + 1
 
@@ -192,7 +219,7 @@ def clique_cover_number(g: Graph) -> int:
                     break
         else:
             stack.pop()
-    return best
+    return forced + best
 
 
 # Barrett, van der Holst and Loewy, "Graphs whose minimal rank is two"

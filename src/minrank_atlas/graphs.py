@@ -227,47 +227,67 @@ def blocks(g: Graph) -> list[VertexSet]:
     """Vertex sets of the biconnected components: 2-connected blocks,
     bridges and isolated vertices.  Every edge lies in exactly one block.
 
-    Tarjan's low-link DFS in vertex-stack form: when a child w returns
-    with low[w] >= disc[u], the vertices stacked since w, plus u, form
-    one block.
+    Tarjan's low-link DFS in vertex-stack form, on an explicit stack of
+    the vertices whose neighbours are still being scanned, children in
+    ascending order: when a child w is done with low[w] >= disc[u], the
+    vertices stacked since w, plus u, form one block.  On entering u,
+    every neighbour already seen is an ancestor (in an undirected DFS a
+    finished vertex has seen all its neighbours), and a neighbour seen
+    later is a descendant, whose disc cannot lower low[u]; so u's
+    back edges are read once, on entry, as one mask.
     """
     n = g.order
     adj = g.adj
-    disc = [-1] * n
+    disc = [0] * n
     low = [0] * n
+    todo = list(adj)  # todo[u]: u's neighbours that may still be children
     stack: list[int] = []
     out: list[VertexSet] = []
+    seen = 0
     timer = 0
-
-    def dfs(u: int, parent: int) -> None:
-        nonlocal timer
-        disc[u] = low[u] = timer
+    for v in range(n):
+        if (seen >> v) & 1:
+            continue
+        seen |= 1 << v
+        disc[v] = low[v] = timer
         timer += 1
-        stack.append(u)
-        rest = adj[u]
-        while rest:
-            w = (rest & -rest).bit_length() - 1
-            rest ^= 1 << w
-            if disc[w] == -1:
-                dfs(w, u)
-                low[u] = min(low[u], low[w])
-                if low[w] >= disc[u]:
-                    block = 1 << u
+        path = [v]  # the DFS path from v; u = path[-1] is being scanned
+        while path:
+            u = path[-1]
+            kids = todo[u] & ~seen
+            if kids:
+                bit = kids & -kids
+                todo[u] = kids ^ bit
+                w = bit.bit_length() - 1
+                least = disc[w] = timer
+                timer += 1
+                back = adj[w] & seen & ~(1 << u)
+                while back:
+                    b = back & -back
+                    d = disc[b.bit_length() - 1]
+                    if d < least:
+                        least = d
+                    back ^= b
+                low[w] = least
+                seen |= bit
+                stack.append(w)
+                path.append(w)
+                continue
+            path.pop()
+            if path:
+                p = path[-1]
+                if low[u] < low[p]:
+                    low[p] = low[u]
+                if low[u] >= disc[p]:
+                    block = 1 << p
                     while True:
                         x = stack.pop()
                         block |= 1 << x
-                        if x == w:
+                        if x == u:
                             break
                     out.append(block)
-            elif w != parent:
-                low[u] = min(low[u], disc[w])
-
-    for v in range(n):
-        if disc[v] == -1:
-            dfs(v, -1)
-            stack.pop()  # the root stays stacked below its last block
-            if not adj[v]:
-                out.append(1 << v)
+        if not adj[v]:
+            out.append(1 << v)
     return out
 
 

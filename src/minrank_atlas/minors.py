@@ -1,14 +1,15 @@
 """Planarity by path addition, and outerplanarity by minor containment.
 
-is_planar works block by block and first counts the block's edges m
-and its degrees.  A block with m < 9 is planar, by Kuratowski's
-theorem: K3,3 has 9 edges and K5 10, and a subdivision has at least as
-many.  So is a block with fewer than 6 vertices of degree >= 3 and
-fewer than 5 of degree >= 4: a K3,3 subdivision has 6 branch vertices
-of degree >= 3 and a K5 subdivision 5 of degree >= 4, and either one
-is 2-connected, so it lies in one block and its branch vertices have
-those degrees there.  A block of order n with m > 3n - 6 is not
-planar, by Euler's formula.  The rest run
+is_planar works block by block.  A block of fewer than 5 vertices
+has at most 6 edges and passes at once; of a larger one it first
+counts the edges m and the degrees.  A block with m < 9 is planar, by
+Kuratowski's theorem: K3,3 has 9 edges and K5 10, and a subdivision
+has at least as many.  So is a block with fewer than 6 vertices of
+degree >= 3 and fewer than 5 of degree >= 4: a K3,3 subdivision has 6
+branch vertices of degree >= 3 and a K5 subdivision 5 of degree >= 4,
+and either one is 2-connected, so it lies in one block and its branch
+vertices have those degrees there.  A block of order n with
+m > 3n - 6 is not planar, by Euler's formula.  The rest run
 Demoucron-Malgrange-Pertuiset path addition (1964).  A block is
 2-connected, so it has a cycle H to start from, and every face of H
 and of what grows on it is bounded by a cycle.  The fragments of G
@@ -18,10 +19,12 @@ attachments.  If some fragment fits no face, G is not planar.
 Otherwise a path between two attachments of one fragment is drawn in
 a face, the only one if some fragment has only one, and splits it.
 For planar G every such choice still extends to an embedding, so the
-method never backtracks and runs in polynomial time.
+method never backtracks and runs in polynomial time.  Vertex sets are
+bit masks throughout, walked inline (low = rest & -rest).
 
 is_outerplanar, block by block: a block of order <= 3 passes, one
-with m > 2n - 3 or minimum degree >= 3 fails, and the rest run
+with m > 2n - 3 or minimum degree >= 3 fails (both read from the
+degrees inside the block, before its graph is built), and the rest run
 has_minor, first against K2,3 and then against K4.  Both are
 2-connected, so such a minor lies in one block.  has_minor is the
 classic recursion: H is a minor of G iff H is a subgraph of G (the
@@ -98,18 +101,24 @@ def has_minor(g: Graph, h: Graph) -> bool:
 
 
 def _mask(vertices) -> VertexSet:
-    """The set of distinct vertices (a repeat would carry into another bit)."""
-    return sum(1 << v for v in vertices)
+    """The set of the listed vertices."""
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
 
 
 def _route(adj, start: int, inner: VertexSet, ends: VertexSet) -> list[int]:
     """A shortest path end, x_k, ..., x_1, start with k >= 1, every x_i in
     inner and end in ends (breadth-first; the caller ensures one exists)."""
-    prev = {x: start for x in bits(adj[start] & inner)}
-    frontier = seen = _mask(prev)
+    prev = [start] * len(adj)  # prev[x]: x's predecessor; start for the first x
+    frontier = seen = adj[start] & inner
     while True:
         grown = 0
-        for x in bits(frontier):
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            x = low.bit_length() - 1
             hit = adj[x] & ends
             if hit:
                 path = [(hit & -hit).bit_length() - 1, x]
@@ -117,9 +126,12 @@ def _route(adj, start: int, inner: VertexSet, ends: VertexSet) -> list[int]:
                     x = prev[x]
                     path.append(x)
                 return path
-            for y in bits(adj[x] & inner & ~seen & ~grown):
-                prev[y] = x
-                grown |= 1 << y
+            new = adj[x] & inner & ~seen & ~grown
+            grown |= new
+            while new:
+                low = new & -new
+                prev[low.bit_length() - 1] = x
+                new ^= low
         seen |= grown
         frontier = grown
 
@@ -138,19 +150,27 @@ def _planar_block(adj, block: VertexSet) -> bool:
     faces, masks = [cycle, cycle], [h, h]
     while True:
         # fragments (attachments, component), component 0 for a chord
-        frags = [
-            ((1 << v) | (1 << w), 0)
-            for v in bits(h)
-            for w in bits(adj[v] & h & ~drawn[v] & -(2 << v))
-        ]
+        frags = []
+        rest = h
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            chords = adj[v] & rest & ~drawn[v]
+            while chords:
+                w = chords & -chords
+                frags.append((low | w, 0))
+                chords ^= w
         rest = block & ~h
         while rest:
             comp = frontier = rest & -rest
             att = 0
             while frontier:
                 grown = 0
-                for x in bits(frontier):
-                    grown |= adj[x]
+                while frontier:
+                    low = frontier & -frontier
+                    grown |= adj[low.bit_length() - 1]
+                    frontier ^= low
                 att |= grown & h
                 frontier = grown & rest & ~comp
                 comp |= frontier
@@ -172,7 +192,7 @@ def _planar_block(adj, block: VertexSet) -> bool:
             start = (att & -att).bit_length() - 1
             path = _route(adj, start, comp, att ^ (1 << start))
         else:
-            path = list(bits(att))
+            path = [(att & -att).bit_length() - 1, att.bit_length() - 1]
         for x, y in zip(path, path[1:]):
             drawn[x] |= 1 << y
             drawn[y] |= 1 << x
@@ -189,15 +209,18 @@ def _planar_block(adj, block: VertexSet) -> bool:
 
 
 def is_planar(g: Graph, block_sets: list[VertexSet] | None = None) -> bool:
-    """Every block planar.  A block with m < 9 edges is planar, since
-    K3,3 has 9 edges and K5 10 (Kuratowski), and so is one with fewer
-    than 6 vertices of degree >= 3 and fewer than 5 of degree >= 4 in
-    the block, since a K3,3 subdivision has 6 branch vertices of degree
-    >= 3 and a K5 subdivision 5 of degree >= 4, all in one block.  One
-    with m > 3n - 6 is not planar (Euler); path addition decides the
-    rest.  block_sets, when given, is blocks(g)."""
+    """Every block planar.  A block of fewer than 5 vertices has at most
+    6 edges, and one with m < 9 edges is planar, since K3,3 has 9 edges
+    and K5 10 (Kuratowski); so is one with fewer than 6 vertices of
+    degree >= 3 and fewer than 5 of degree >= 4 in the block, since a
+    K3,3 subdivision has 6 branch vertices of degree >= 3 and a K5
+    subdivision 5 of degree >= 4, all in one block.  One with
+    m > 3n - 6 is not planar (Euler); path addition decides the rest.
+    block_sets, when given, is blocks(g)."""
     adj = g.adj
     for block in blocks(g) if block_sets is None else block_sets:
+        if block.bit_count() < 5:
+            continue
         twice = branch3 = branch4 = 0
         rest = block
         while rest:
@@ -216,16 +239,22 @@ def is_planar(g: Graph, block_sets: list[VertexSet] | None = None) -> bool:
 
 
 def is_outerplanar(g: Graph, block_sets: list[VertexSet] | None = None) -> bool:
-    """No K2,3 minor and no K4 minor, tested block by block, K2,3 first:
-    a searched block is not K4, so a K4 minor implies a K2,3 minor (see
-    the module docstring), and the K4 search, redundant once the K2,3
-    search has failed, runs last.  block_sets, when given, is blocks(g)."""
+    """No K2,3 minor and no K4 minor, tested block by block.  A block of
+    order n <= 3 passes.  One with m > 2n - 3 edges or minimum degree
+    >= 3 fails, both read from the degrees adj[v] & block before the
+    block's graph is built.  The rest search K2,3 first: a searched
+    block is not K4, so a K4 minor implies a K2,3 minor (see the module
+    docstring), and the K4 search, redundant once the K2,3 search has
+    failed, runs last.  block_sets, when given, is blocks(g)."""
+    adj = g.adj
     for block in blocks(g) if block_sets is None else block_sets:
-        if block.bit_count() <= 3:
+        n = block.bit_count()
+        if n <= 3:
             continue
-        b = induced_subgraph(g, block)
-        if b.size() > 2 * b.order - 3 or min(map(int.bit_count, b.adj)) >= 3:
+        degrees = [(adj[v] & block).bit_count() for v in bits(block)]
+        if sum(degrees) > 4 * n - 6 or min(degrees) >= 3:
             return False
+        b = induced_subgraph(g, block)
         if has_minor(b, K23) or has_minor(b, K4):
             return False
     return True

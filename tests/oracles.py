@@ -380,6 +380,47 @@ def brute_has_minor(g: Graph, h: Graph) -> bool:
     return extend(0)
 
 
+def blocks_by_recursion(g: Graph) -> list[int]:
+    """graphs.blocks by Tarjan's low-link DFS as a recursion, children in
+    ascending order, each back edge read when its neighbour is scanned:
+    the same blocks in the same order."""
+    n = g.order
+    adj = g.adj
+    disc = [-1] * n
+    low = [0] * n
+    stack: list[int] = []
+    out: list[int] = []
+    timer = 0
+
+    def dfs(u: int, parent: int) -> None:
+        nonlocal timer
+        disc[u] = low[u] = timer
+        timer += 1
+        stack.append(u)
+        for w in bits(adj[u]):
+            if disc[w] == -1:
+                dfs(w, u)
+                low[u] = min(low[u], low[w])
+                if low[w] >= disc[u]:
+                    block = 1 << u
+                    while True:
+                        x = stack.pop()
+                        block |= 1 << x
+                        if x == w:
+                            break
+                    out.append(block)
+            elif w != parent:
+                low[u] = min(low[u], disc[w])
+
+    for v in range(n):
+        if disc[v] == -1:
+            dfs(v, -1)
+            stack.pop()  # the root stays stacked below its last block
+            if not adj[v]:
+                out.append(1 << v)
+    return out
+
+
 def _connected_in(g: Graph, s: int) -> bool:
     start = s & -s
     comp = start

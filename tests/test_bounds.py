@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -169,8 +170,8 @@ def test_clique_cover_examples():
 
 
 def test_clique_cover_of_one_clique_per_edge_needs_no_recursion():
-    # each of K32,32's 1024 edges is its own maximal clique, so the search
-    # holds a partial cover 1024 cliques deep
+    # each of K32,32's 1024 edges is its own maximal clique, so every
+    # clique is forced and the cover is taken with no search
     assert clique_cover_number(Graph.complete_bipartite(32, 32)) == 1024
 
 
@@ -215,6 +216,118 @@ def test_clique_cover_brute_agreement():
         g = random_graph(rng, rng.randint(1, 5), rng.random())
         assert clique_cover_number(g) == brute_clique_cover(g)
         assert 0 <= clique_cover_number(g) <= g.size() or g.size() == 0
+
+
+def forced_cliques(g: Graph) -> tuple[int, int]:
+    """How many maximal cliques hold an edge no other maximal clique
+    holds, and how many maximal cliques have an edge."""
+    cliques = [c for c in graphs.maximal_cliques(g) if c & (c - 1)]
+    forced = set()
+    for i, j in g.edges():
+        holders = [c for c in cliques if (c >> i) & (c >> j) & 1]
+        if len(holders) == 1:
+            forced.add(holders[0])
+    return len(forced), len(cliques)
+
+
+def friendship(k: int) -> Graph:
+    """k triangles sharing vertex 0."""
+    return Graph.from_edges(2 * k + 1, [e for t in range(1, 2 * k, 2) for e in ((0, t), (0, t + 1), (t, t + 1))])
+
+
+def random_block_graph(rng, count: int) -> Graph:
+    """count cliques of 2 to 5 vertices, each glued at one vertex of those before."""
+    n, edges = 1, []
+    for _ in range(count):
+        size = rng.randint(2, 5)
+        vs = [rng.randrange(n), *range(n, n + size - 1)]
+        n += size - 1
+        edges += combinations(vs, 2)
+    return Graph.from_edges(n, edges)
+
+
+def glue_on(g: Graph, part: Graph, at: int) -> Graph:
+    """g and part with part's vertex 0 identified with g's vertex at."""
+    rename = [at, *range(g.order, g.order + part.order - 1)]
+    return Graph.from_edges(
+        g.order + part.order - 1, [*g.edges(), *((rename[i], rename[j]) for i, j in part.edges())]
+    )
+
+
+def count_frames(monkeypatch) -> list[int]:
+    """A counter of clique_cover_number's search frames, taken by
+    counting the iter calls over the clique list: one per frame."""
+    frames = [0]
+
+    def counting_iter(options):
+        frames[0] += 1
+        return iter(options)
+
+    monkeypatch.setattr(bounds, "iter", counting_iter, raising=False)
+    return frames
+
+
+def test_forced_cliques_against_the_edge_index_search(monkeypatch):
+    frames = count_frames(monkeypatch)
+    rng = random.Random(2801)
+    k222, k333 = complete_multipartite(2, 2, 2), complete_multipartite(3, 3, 3)
+
+    def check(g: Graph) -> tuple[int, int, int]:
+        """cc(g) against the oracle; (forced, cliques, frames)."""
+        frames[0] = 0
+        assert clique_cover_number(g) == clique_cover_by_edge_index(g), g
+        return (*forced_cliques(g), frames[0])
+
+    # every clique forced: the forced step is the whole answer
+    every = [friendship(k) for k in range(1, 9)]
+    every += [random_block_graph(rng, rng.randint(1, 9)) for _ in range(40)]
+    every += [random_tree(rng, n) for n in range(2, 21)]
+    for g in every:
+        forced, cliques, searched = check(g)
+        assert forced == cliques and searched == 0, g
+    k3232 = Graph.complete_bipartite(32, 32)
+    frames[0] = 0
+    assert clique_cover_number(k3232) == 1024 and frames[0] == 0
+
+    # none forced: each edge of K2,2,2 lies in 2 triangles, of K3,3,3 in 3
+    for g, cc in ((k222, 4), (k333, 9)):
+        assert check(g)[0] == 0 and clique_cover_number(g) == cc
+
+    # forced and unforced mixed: pendant triangles and paths glued on
+    triangle, pendant = Graph.complete(3), path(4)
+    for host, cc in ((k222, 4), (k333, 9)):
+        for at in range(host.order):
+            g = glue_on(host, triangle, at)
+            forced, _, searched = check(g)
+            assert forced == 1 and searched > 0 and clique_cover_number(g) == cc + 1
+            g = glue_on(glue_on(g, pendant, rng.randrange(g.order)), triangle, rng.randrange(g.order))
+            forced, cliques, _ = check(g)
+            assert 0 < forced < cliques and clique_cover_number(g) == cc + 5
+
+    seeded = []
+    while len(seeded) < 120:
+        g = random_graph(rng, rng.randint(8, 12), rng.uniform(0.3, 0.8))
+        if graphs.is_connected(g):
+            seeded.append(check(g))
+    assert sum(0 < forced < cliques for forced, cliques, _ in seeded) >= 60
+    assert sum(forced == 0 for forced, _, _ in seeded) >= 3
+    assert sum(searched > 0 for _, _, searched in seeded) >= 40
+
+
+def test_clique_cover_search_frames_are_pinned(atlas_graphs, monkeypatch):
+    # The work of the cover search, pinned: a search that prunes less
+    # gives the same numbers and shows only here.  "len(stack) + need <=
+    # best" for "<" pushes 359 frames on the atlas and 1886 on the
+    # seeded graphs.
+    frames = count_frames(monkeypatch)
+    for g in atlas_graphs.values():
+        clique_cover_number(g)
+    assert frames[0] == 155
+    frames[0] = 0
+    rng = random.Random(2808)
+    for _ in range(60):
+        clique_cover_number(random_graph(rng, rng.randint(8, 12), rng.uniform(0.3, 0.8)))
+    assert frames[0] == 654
 
 
 def test_structural_upper_bounds(forbidden):

@@ -22,6 +22,7 @@ from minrank_atlas.graphs import (
 )
 
 from oracles import (
+    blocks_by_recursion,
     brute_contains_induced,
     brute_contains_subgraph,
     cycle,
@@ -139,6 +140,27 @@ def test_blocks_examples():
     # triangle, a bridge to a pendant vertex, and an isolated vertex
     g = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3)])
     assert sorted(blocks(g)) == [0b00111, 0b01100, 0b10000]
+
+
+def isolate(g: Graph, gone: int) -> Graph:
+    """g with every edge at a vertex of gone removed."""
+    return Graph(g.order, tuple(0 if (gone >> v) & 1 else row & ~gone for v, row in enumerate(g.adj)))
+
+
+def test_blocks_match_the_recursive_dfs(atlas_graphs):
+    # the explicit-stack DFS returns the recursion's list, order included
+    rng = random.Random(2802)
+    seeded = [random_graph(rng, rng.randint(1, 64), rng.random() ** 3) for _ in range(1000)]
+    assert {g.order for g in seeded} == set(range(1, 65))
+    # isolated vertices before, between and after the rest
+    spaced = [
+        isolate(g, sum(1 << v for v in range(0, g.order, (2, 3, 5, 7)[i % 4])))
+        for i, g in enumerate(seeded[:200])
+    ]
+    cases = [*atlas_graphs.values(), *seeded, *spaced, path(64), Graph(64, (0,) * 64)]
+    assert sum(0 in g.adj and g.size() > 0 for g in cases) >= 300
+    for g in cases:
+        assert blocks(g) == blocks_by_recursion(g), g
 
 
 def _cut_vertices_brute(g: Graph) -> int:

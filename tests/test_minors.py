@@ -163,6 +163,23 @@ def test_searched_blocks_with_a_k4_minor_have_a_k23_minor(atlas_graphs, monkeypa
     assert {b.order for b in searched} == set(range(4, 10))
 
 
+def test_minor_search_calls_over_the_atlas_are_pinned(atlas_graphs, monkeypatch):
+    # The minor search is the exponential part of is_outerplanar: every
+    # early exit in front of it keeps these counts, and a change to
+    # them is a change to the method
+    calls = {K23: 0, K4: 0}
+    search = minors.has_minor
+
+    def count(b, h):
+        calls[h] += 1
+        return search(b, h)
+
+    monkeypatch.setattr(minors, "has_minor", count)
+    for g in atlas_graphs.values():
+        is_outerplanar(g)
+    assert calls == {K23: 519, K4: 237}
+
+
 def subdivide(g: Graph) -> Graph:
     """g with every edge replaced by a path of length two."""
     edges = []
