@@ -20,6 +20,12 @@ reference row), the blanks of disjoint_union_row and catalog.diff.
 zero_forcing_number and clique_cover_number sum over components
 themselves.  np, nop and path are one line each in combine.
 
+Block columns: cc, np and nop are decided block by block (combine
+gives the theorems).  combine reads them on a graph with a cut vertex
+from its blocks' rows when its caller hands it the rows of the pieces
+(catalog.compute_all, which holds every smaller atlas class); alone
+(bounds --graph6) it computes them on the graph itself.
+
 combine computes the upper bounds first and starts the zero forcing
 search at n - ub, ub the least of cc, np, nop, path, n - 1 and the tree
 rank: Z(g) >= M(g) = n - mr(g) (AIM Minimum Rank-Special Graphs Work
@@ -32,13 +38,13 @@ about g alone.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from itertools import combinations
 from operator import attrgetter
 
 from minrank_atlas import graphs
 from minrank_atlas.graph6 import from_graph6, read_lines, text
-from minrank_atlas.graphs import Graph, VertexSet, bits
+from minrank_atlas.graphs import Graph, VertexSet
 from minrank_atlas.minors import is_outerplanar, is_planar
 
 
@@ -240,25 +246,34 @@ def tree_minimum_rank(t: Graph) -> int:
 
     A path partition of a tree is a spanning linear forest, so
     P(t) = n - (most edges in a linear forest of t), and mr(t) is that
-    edge count.  One DFS returns, per vertex v, the most forest edges
-    in v's subtree with v free (up to two child edges) and with v
-    joined to its parent (at most one).  Taking the edge to a child c
-    gains joined(c) + 1 - free(c), which is 0 or 1, so v takes up to its
-    limit of the children that gain 1.
+    edge count.  Per vertex v, in the reverse of a breadth-first order
+    from vertex 0 (so after all of v's children), it finds the most
+    forest edges in v's subtree with v free (up to two child edges) and
+    with v joined to its parent (at most one).  Taking the edge to a
+    child c gains joined(c) + 1 - free(c), which is 0 or 1, so v takes
+    up to its limit of the children that gain 1.
     """
     if not graphs.is_tree(t):
         raise ValueError("path cover formula applies to trees only")
-
-    def dfs(v: int, parent: int) -> tuple[int, int]:
-        base = gains = 0
-        for c in bits(t.adj[v]):
-            if c != parent:
-                free, joined = dfs(c, v)
-                base += free
-                gains += joined + 1 - free
-        return base + min(gains, 2), base + min(gains, 1)
-
-    return dfs(0, -1)[0]
+    adj = t.adj
+    parent = [0] * t.order  # the root is its own parent; it has no loop
+    order = [0]
+    for v in order:
+        kids = adj[v] & ~(1 << parent[v])
+        while kids:
+            low = kids & -kids
+            parent[low.bit_length() - 1] = v
+            order.append(low.bit_length() - 1)
+            kids ^= low
+    base = [0] * t.order
+    gains = [0] * t.order
+    for v in reversed(order):
+        free = base[v] + min(gains[v], 2)
+        joined = base[v] + min(gains[v], 1)
+        if v:
+            base[parent[v]] += free
+            gains[parent[v]] += joined + 1 - free
+    return free
 
 
 def disjoint_union_row(parts: Sequence[BoundsRow]) -> BoundsRow:
@@ -282,27 +297,55 @@ def disjoint_union_row(parts: Sequence[BoundsRow]) -> BoundsRow:
     )
 
 
-def combine(g: Graph, forbidden: ForbiddenList) -> BoundsRow:
+def combine(
+    g: Graph, forbidden: ForbiddenList, piece_row: Callable[[Graph], BoundsRow] | None = None
+) -> BoundsRow:
     """Fold every bound into one row; disconnected graphs sum over components.
 
     A connected row computes graphs.blocks once: cv comes from it, and
     the planarity and outerplanarity tests take it.  It counts edges
     once too: it is a tree iff it has n - 1, and the path test reads that.
+
+    piece_row, when given, returns the row of a connected piece of g;
+    a caller that already holds those rows passes it (compute_all).  A
+    disconnected g then sums piece_row over its components, and a
+    connected g with a cut vertex takes cc, np and nop from its blocks:
+    every clique lies in one block, and so does every K5, K3,3, K4 or
+    K2,3 subdivision or minor, since each is 2-connected.  So cc is the
+    sum over the blocks, 1 for a K2 or K3 block and the block row's
+    cc_ub for a larger one, and g is planar (outerplanar) iff every
+    block row has np_ub (nop_ub) None.  Without piece_row every column
+    is computed on g itself, and components are combined recursively.
     """
     comps = graphs.components(g)
     if len(comps) > 1:
-        return disjoint_union_row(
-            [combine(graphs.induced_subgraph(g, c), forbidden) for c in comps]
-        )
+        return disjoint_union_row([
+            piece_row(h) if piece_row else combine(h, forbidden)
+            for h in (graphs.induced_subgraph(g, c) for c in comps)
+        ])
 
     n = g.order
     size = g.size()
     tree = size == n - 1  # g is connected
     block_sets = graphs.blocks(g)
     cv = bool(graphs.articulation_points(g, block_sets))
-    cc = clique_cover_number(g)
-    np_ub = None if is_planar(g, block_sets) else n - 4
-    nop_ub = None if is_outerplanar(g, block_sets) else n - 3
+    if cv and piece_row:
+        cc = 0
+        planar = outerplanar = True
+        for b in block_sets:
+            if b.bit_count() <= 3:  # K2 or K3: one clique, planar and outerplanar
+                cc += 1
+                continue
+            r = piece_row(graphs.induced_subgraph(g, b))
+            cc += r.cc_ub
+            planar = planar and r.np_ub is None
+            outerplanar = outerplanar and r.nop_ub is None
+        np_ub = None if planar else n - 4
+        nop_ub = None if outerplanar else n - 3
+    else:
+        cc = clique_cover_number(g)
+        np_ub = None if is_planar(g, block_sets) else n - 4
+        nop_ub = None if is_outerplanar(g, block_sets) else n - 3
     path_ub = None if tree and max(map(int.bit_count, g.adj)) <= 2 else n - 2
     ubs = [cc, n - 1]
     ubs.extend(v for v in (np_ub, nop_ub, path_ub) if v is not None)

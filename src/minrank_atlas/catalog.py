@@ -2,8 +2,11 @@
 full-table pipeline, and the computed-vs-reference diff.
 
 compute_all combines each isomorphism class once, in one pass in
-corpus order: a disconnected graph's row is summed from the rows of its
-components' classes, which an atlas in order of size computes first.
+corpus order, and hands combine the rows it already holds: a
+disconnected graph's row is summed from the rows of its components'
+classes, and a graph with a cut vertex reads its clique cover,
+planarity and outerplanarity from the rows of its blocks' classes.  An
+atlas in order of size computes both kinds of piece first.
 
 Atlas file contract: one graph6 string per line, and line k is atlas
 graph k.  Blank lines may follow the last graph but not precede it: a
@@ -48,10 +51,7 @@ from collections import Counter, namedtuple
 from collections.abc import Iterable, Mapping, Sequence
 from operator import attrgetter
 
-from minrank_atlas import graphs
-from minrank_atlas.bounds import (
-    AtlasIndex, BoundsRow, ForbiddenList, check_connected_only, combine, disjoint_union_row,
-)
+from minrank_atlas.bounds import AtlasIndex, BoundsRow, ForbiddenList, check_connected_only, combine
 from minrank_atlas.graph6 import (
     GRAPH6_BYTES, ONE_BYTE_SHAPES, ParsedTokens, check_graph6, decode_graph6, read_lines, text,
 )
@@ -208,27 +208,27 @@ def load_fixtures(path) -> list[FixtureRow]:
 
 def compute_all(corpus: Sequence[Graph], forbidden: ForbiddenList) -> dict[int, BoundsRow]:
     """Bounds row per corpus graph, keyed by atlas number (position + 1),
-    in one pass in corpus order.
+    in one pass in corpus order: one combine call per graph.
 
-    A connected graph's row is combine's.  A disconnected graph sums its
-    components' rows: each is the row already in out for its class,
-    found through one AtlasIndex that lives for this call only, or
-    combine's when the corpus lacks the class or holds it only later.
+    combine takes the rows of a graph's pieces from row: its components
+    when it is disconnected, its blocks of 4 or more vertices when it has
+    a cut vertex.  row returns the row already in out for the piece's
+    class, found through one AtlasIndex that lives for this call only,
+    or combine's own when the corpus lacks the class or holds it only
+    later.  That fallback passes no row, so row holds no reference to
+    itself and is freed by refcount when this call returns.
     """
     index = AtlasIndex(corpus)
     out = {}
+
+    def row(h: Graph) -> BoundsRow:
+        try:
+            return out[index.atlas_number(h)]
+        except LookupError:  # KeyError too: a class not yet in out
+            return combine(h, forbidden)
+
     for a, g in enumerate(corpus, 1):
-        comps = graphs.components(g)
-        if len(comps) == 1:
-            out[a] = combine(g, forbidden)
-            continue
-        parts = []
-        for h in (graphs.induced_subgraph(g, c) for c in comps):
-            try:
-                parts.append(out[index.atlas_number(h)])
-            except LookupError:  # KeyError too: a class not yet in out
-                parts.append(combine(h, forbidden))
-        out[a] = disjoint_union_row(parts)
+        out[a] = combine(g, forbidden, row)
     return out
 
 

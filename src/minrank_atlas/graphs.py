@@ -434,14 +434,20 @@ def embeds(g: Graph, pattern: Graph, *, induced: bool) -> bool:
 
 
 def maximal_cliques(g: Graph) -> list[VertexSet]:
-    """All maximal cliques (Bron-Kerbosch with pivoting), sorted by bitset value."""
+    """All maximal cliques (Bron-Kerbosch with pivoting), sorted by bitset value.
+
+    The calls (r, p, x) wait on an explicit stack: a call's children take
+    their arguments from the loop over its candidates alone, never from
+    a child's result, so each call pushes all of them at once.
+    """
     out: list[VertexSet] = []
     adj = g.adj
-
-    def expand(r: int, p: int, x: int) -> None:
+    stack = [(0, g.vertex_mask, 0)]
+    while stack:
+        r, p, x = stack.pop()
         if not p and not x:
             out.append(r)
-            return
+            continue
         pivot_row = 0
         best = -1
         rest = p | x
@@ -457,10 +463,8 @@ def maximal_cliques(g: Graph) -> list[VertexSet]:
         while cand:
             bit = cand & -cand
             row = adj[bit.bit_length() - 1]
-            expand(r | bit, p & row, x & row)
+            stack.append((r | bit, p & row, x & row))
             p ^= bit
             x |= bit
             cand ^= bit
-
-    expand(0, g.vertex_mask, 0)
     return sorted(out)

@@ -93,6 +93,96 @@ def corpus_integrity_mismatches(corpus, fixtures) -> list[Mismatch]:
     return out
 
 
+def _components_within(g: Graph, s: int) -> list[int]:
+    """The vertex sets of the components of g[s], in g's labels, each
+    grown one neighbourhood at a time from the lowest vertex left."""
+    out = []
+    while s:
+        comp = s & -s
+        while True:
+            grown = comp
+            for u in bits(comp):
+                grown |= g.adj[u] & s
+            if grown == comp:
+                break
+            comp = grown
+        out.append(comp)
+        s ^= comp
+    return out
+
+
+def _found(mr, index, g: Graph, s: int) -> int | None:
+    """The value found for the class of g[s]; None if open or not in the corpus."""
+    try:
+        return mr.get(index.atlas_number(induced_subgraph(g, s)))
+    except LookupError:
+        return None
+
+
+def mr_by_cut_vertex(corpus, rows, known=None) -> dict[int, int | None]:
+    """Minimum rank per atlas number, None where it stays open.
+
+    A graph with a cut vertex v takes the reduction of Barioli, Fallat
+    and Hogben (LAA 392, 2004): with G_i the v-branches (v joined to one
+    component C_i of G - v), mr(G) = sum mr(C_i) + min(sum r_i, 2), where
+    r_i = mr(G_i) - mr(C_i).  A disconnected graph sums its components.
+    Each piece's value is the one already found for its class, so the
+    corpus lists smaller graphs first, as the atlas does; the first cut
+    vertex whose pieces all have values is used.  A graph the split
+    does not settle takes its row's mr_exact, else known[a] (values
+    supplied from outside, such as the reference's by-hand rows).
+    """
+    known = known or {}
+    index = AtlasIndex(corpus)
+    mr: dict[int, int | None] = {}
+    for a, g in enumerate(corpus, 1):
+        value = None
+        comps = _components_within(g, g.vertex_mask)
+        if len(comps) > 1:
+            values = [_found(mr, index, g, c) for c in comps]
+            if None not in values:
+                value = sum(values)
+        else:
+            for v in range(g.order):
+                branches = _components_within(g, g.vertex_mask ^ (1 << v))
+                if len(branches) < 2:
+                    continue
+                without = [_found(mr, index, g, c) for c in branches]
+                joined = [_found(mr, index, g, c | 1 << v) for c in branches]
+                if None not in without and None not in joined:
+                    value = sum(without) + min(sum(joined) - sum(without), 2)
+                    break
+        if value is None:
+            value = rows[a].mr_exact if rows[a].mr_exact is not None else known.get(a)
+        mr[a] = value
+    return mr
+
+
+def deletion_law_faults(corpus, mr) -> tuple[int, int, list]:
+    """The vertex law mr(G - v) <= mr(G) <= mr(G - v) + 2 and the edge law
+    |mr(G) - mr(G - e)| <= 1, over every pair whose deletion class has a
+    value in mr (keyed by atlas number): the vertex and edge pairs
+    checked and the (atlas, "vertex" or "edge", deletion's atlas) faults."""
+    atlas_of = AtlasIndex(corpus).atlas_number
+    vertex_pairs, edge_pairs, bad = 0, 0, []
+    for a, m in mr.items():
+        g = corpus[a - 1]
+        for v in range(g.order if g.order > 1 else 0):
+            b = atlas_of(induced_subgraph(g, g.vertex_mask ^ (1 << v)))
+            if b in mr:
+                vertex_pairs += 1
+                if not mr[b] <= m <= mr[b] + 2:
+                    bad.append((a, "vertex", b))
+        edges = list(g.edges())
+        for e in edges:
+            b = atlas_of(Graph.from_edges(g.order, [f for f in edges if f != e]))
+            if b in mr:
+                edge_pairs += 1
+                if abs(m - mr[b]) > 1:
+                    bad.append((a, "edge", b))
+    return vertex_pairs, edge_pairs, bad
+
+
 def derive_by_deletion_lookup(corpus, mr_by_atlas) -> ForbiddenList:
     """The forbidden family by per-deletion class lookups, in atlas order.
 

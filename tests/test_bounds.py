@@ -1,3 +1,4 @@
+import gc
 import random
 from itertools import combinations
 
@@ -426,6 +427,19 @@ def test_path_cover_dp_agreement():
     for _ in range(60):
         t = random_tree(rng, rng.randint(1, 7))
         assert tree_path_cover_number(t) == tree_path_cover_brute(t)
+
+
+def test_tree_minimum_rank_leaves_no_reference_cycle():
+    # one pass over a breadth-first order, no nested recursive function:
+    # a call leaves nothing for the cyclic collector
+    t = random_tree(random.Random(85), 30)
+    gc.collect()
+    gc.disable()
+    try:
+        tree_minimum_rank(t)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_path_cover_against_all_corpus_trees(atlas_graphs):

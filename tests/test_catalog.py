@@ -3,7 +3,7 @@ import re
 import pytest
 
 from minrank_atlas import catalog, cli
-from minrank_atlas.bounds import CONNECTED_ONLY, AtlasIndex, BoundsRow, combine
+from minrank_atlas.bounds import CONNECTED_ONLY, BoundsRow, clique_cover_number, combine
 from minrank_atlas.catalog import (
     FIXTURE_COLUMNS,
     FixtureRow,
@@ -13,9 +13,10 @@ from minrank_atlas.catalog import (
     load_fixtures,
     table_lines,
 )
-from minrank_atlas.graphs import Graph, induced_subgraph, is_connected, is_isomorphic
+from minrank_atlas.graphs import Graph, articulation_points, is_connected, is_isomorphic
+from minrank_atlas.minors import is_outerplanar, is_planar
 
-from oracles import corpus_integrity_mismatches, path
+from oracles import corpus_integrity_mismatches, cycle, deletion_law_faults, mr_by_cut_vertex, path
 
 
 def test_load_atlas_spot_entries(atlas_corpus):
@@ -64,24 +65,7 @@ def test_reference_mr_obeys_the_deletion_laws(atlas_corpus, fixture_rows):
     # mr(G - v) <= mr(G) <= mr(G - v) + 2 and |mr(G) - mr(G - e)| <= 1,
     # on every pair whose deletion class has a reference row
     mr = {f.atlas_number: f.mr for f in fixture_rows}
-    atlas_of = AtlasIndex(atlas_corpus).atlas_number
-    vertex_pairs, edge_pairs, bad = 0, 0, []
-    for a, m in mr.items():
-        g = atlas_corpus[a - 1]
-        for v in range(g.order if g.order > 1 else 0):
-            b = atlas_of(induced_subgraph(g, g.vertex_mask ^ (1 << v)))
-            if b in mr:
-                vertex_pairs += 1
-                if not mr[b] <= m <= mr[b] + 2:
-                    bad.append((a, "vertex", b))
-        edges = list(g.edges())
-        for e in edges:
-            b = atlas_of(Graph.from_edges(g.order, [f for f in edges if f != e]))
-            if b in mr:
-                edge_pairs += 1
-                if abs(m - mr[b]) > 1:
-                    bad.append((a, "edge", b))
-    assert (vertex_pairs, edge_pairs, bad) == (6713, 11126, [])
+    assert deletion_law_faults(atlas_corpus, mr) == (6713, 11126, [])
 
 
 def _write_fixture(tmp_path, rows):
@@ -338,7 +322,7 @@ def test_compute_all_combines_a_class_the_corpus_lacks(atlas_corpus, forbidden, 
     corpus[2] = corpus[3]
     real = catalog.combine
     combined = []
-    monkeypatch.setattr(catalog, "combine", lambda g, fb: combined.append(g) or real(g, fb))
+    monkeypatch.setattr(catalog, "combine", lambda g, fb, row=None: combined.append(g) or real(g, fb, row))
     rows = compute_all(corpus, forbidden)
     assert Graph.complete(2) in combined
     assert rows == {a: real(g, forbidden) for a, g in enumerate(corpus, 1)}
@@ -351,10 +335,57 @@ def test_compute_all_combines_a_class_the_corpus_holds_later(atlas_corpus, forbi
     assert corpus[-3] == Graph.complete(2)
     real = catalog.combine
     combined = []
-    monkeypatch.setattr(catalog, "combine", lambda g, fb: combined.append(g) or real(g, fb))
+    monkeypatch.setattr(catalog, "combine", lambda g, fb, row=None: combined.append(g) or real(g, fb, row))
     rows = compute_all(corpus, forbidden)
     assert combined.count(Graph.complete(2)) > 1
     assert rows == {a: real(g, forbidden) for a, g in enumerate(corpus, 1)}
+
+
+def test_compute_all_combines_a_block_class_the_corpus_lacks(atlas_corpus, forbidden, monkeypatch):
+    # line 16 (C4) overwritten by line 17's graph: no corpus graph is a
+    # C4, so the C4 component of C4 + K1 and the C4 block of atlas 37
+    # (C4 with a pendant edge) fall back to combine
+    c4 = cycle(4)
+    corpus = list(atlas_corpus[:60])
+    assert is_isomorphic(corpus[15], c4) and articulation_points(corpus[36])
+    corpus[15] = corpus[16]
+    real = catalog.combine
+    combined = []
+    monkeypatch.setattr(catalog, "combine", lambda g, fb, row=None: combined.append(g) or real(g, fb, row))
+    rows = compute_all(corpus, forbidden)
+    assert sum(is_isomorphic(g, c4) for g in combined) == 2
+    assert rows == {a: real(g, forbidden) for a, g in enumerate(corpus, 1)}
+
+
+def test_cut_vertex_rows_take_their_block_columns_from_their_blocks(atlas_corpus, computed_table, forbidden):
+    # compute_all reads cc, np and nop of a graph with a cut vertex from
+    # its blocks' rows; each must be the column computed on g itself
+    computed, _ = computed_table
+    cut = [a for a, g in enumerate(atlas_corpus, 1) if is_connected(g) and articulation_points(g)]
+    assert len(cut) == 456
+    for a in cut:
+        g, row = atlas_corpus[a - 1], computed[a]
+        assert row.cc_ub == clique_cover_number(g), a
+        assert (row.np_ub is None) == is_planar(g), a
+        assert (row.nop_ub is None) == is_outerplanar(g), a
+        assert row == combine(g, forbidden), a
+
+
+def test_cut_vertex_reduction_pins_every_atlas_row(atlas_corpus, computed_table, fixture_rows):
+    # the oracle settles every cut-vertex and disconnected row that the
+    # bounds leave open; only the 42 by-hand rows need outside values
+    computed, _ = computed_table
+    by_hand = {f.atlas_number: f.mr for f in fixture_rows if f.mr_by_hand}
+    alone = mr_by_cut_vertex(atlas_corpus, computed)
+    assert sum(v is not None for v in alone.values()) == 1210
+    assert {a for a, v in alone.items() if v is None} == set(by_hand)
+    mr = mr_by_cut_vertex(atlas_corpus, computed, by_hand)
+    assert None not in mr.values() and len(mr) == 1252
+    reference = {f.atlas_number: f.mr for f in fixture_rows}
+    assert [a for a in reference if mr[a] != reference[a]] == []
+    assert [a for a, v in mr.items() if not computed[a].lb <= v <= computed[a].ub] == []
+    assert [mr[a] for a in (339, 343, 344)] == [4, 4, 4]  # untranscribed cut-vertex rows
+    assert deletion_law_faults(atlas_corpus, mr) == (8474, 12342, [])
 
 
 def test_table_lines_shape(atlas_corpus, forbidden):

@@ -1,3 +1,4 @@
+import gc
 import random
 from itertools import combinations
 
@@ -432,6 +433,19 @@ def test_maximal_cliques_properties():
         for i, j in g.edges():
             e = (1 << i) | (1 << j)
             assert any(c & e == e for c in cliques)
+
+
+def test_maximal_cliques_leaves_no_reference_cycle():
+    # the search runs on an explicit stack, so a call leaves nothing for
+    # the cyclic collector
+    g = random_graph(random.Random(84), 12)
+    gc.collect()
+    gc.disable()
+    try:
+        maximal_cliques(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def to_networkx(g):

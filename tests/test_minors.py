@@ -3,6 +3,7 @@ import random
 import pytest
 
 from minrank_atlas import minors
+from minrank_atlas.catalog import compute_all
 from minrank_atlas.graphs import Graph, is_connected
 from minrank_atlas.minors import K4, K23, has_minor, is_outerplanar, is_planar
 
@@ -178,6 +179,17 @@ def test_minor_search_calls_over_the_atlas_are_pinned(atlas_graphs, monkeypatch)
     for g in atlas_graphs.values():
         is_outerplanar(g)
     assert calls == {K23: 519, K4: 237}
+
+
+def test_minor_search_calls_in_compute_all_are_pinned(atlas_corpus, forbidden, monkeypatch):
+    # compute_all reads a cut-vertex row's outerplanarity from its blocks'
+    # rows, so of the 1252 atlas graphs only the 540 with no cut vertex
+    # search; the direct counts above over all 1252 graphs do not move
+    calls = []
+    search = minors.has_minor
+    monkeypatch.setattr(minors, "has_minor", lambda b, h: calls.append(h) or search(b, h))
+    compute_all(atlas_corpus, forbidden)
+    assert len(calls) == 220
 
 
 def subdivide(g: Graph) -> Graph:

@@ -4,7 +4,13 @@ dunder, is referenced somewhere in the package outside its own body.
 A helper that only tests call belongs in tests/oracles.py or the test.
 
 The package reads every data file through graph6.read_lines and writes
-every output file through cli._emit: no other definition opens a file."""
+every output file through cli._emit: no other definition opens a file.
+
+No function nested in another refers to its own name, except the one
+named in test_no_nested_function_refers_to_itself: such a closure
+holds a cell that holds the closure, so every call of the outer
+function leaves a reference cycle for the cyclic collector.  An
+explicit stack does the same work with none."""
 
 from __future__ import annotations
 
@@ -13,7 +19,8 @@ from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "minrank_atlas"
-DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFS = (*FUNCS, ast.ClassDef)
 
 
 def _references(tree: ast.AST) -> tuple[Counter, Counter]:
@@ -85,6 +92,27 @@ def opens(package: Path = PACKAGE, *, write: bool = False) -> list[str]:
     return out
 
 
+def self_referring_closures(package: Path = PACKAGE) -> list[str]:
+    """'module.outer.name' for every function defined inside a
+    module-level function or a method ('module.Class.method.name'),
+    at any depth, whose body reads its own name."""
+    out = []
+    for path in sorted(package.glob("*.py")):
+        outers = []
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(top, ast.ClassDef):
+                outers += [(f"{top.name}.{item.name}", item) for item in top.body if isinstance(item, FUNCS)]
+            elif isinstance(top, FUNCS):
+                outers.append((top.name, top))
+        for label, outer in outers:
+            for node in ast.walk(outer):
+                if node is outer or not isinstance(node, FUNCS):
+                    continue
+                if any(isinstance(n, ast.Name) and n.id == node.name for n in ast.walk(node)):
+                    out.append(f"{path.stem}.{label}.{node.name}")
+    return out
+
+
 def reading_opens(package: Path = PACKAGE) -> list[str]:
     return opens(package)
 
@@ -127,3 +155,25 @@ def test_the_walk_finds_a_definition_nothing_calls(tmp_path):
     )
     (tmp_path / "b.py").write_text("from a import Box\n\nBox().shown()\n")
     assert unreferenced_definitions(tmp_path) == ["a.lonely", "a.Box.hidden"]
+
+
+def test_no_nested_function_refers_to_itself():
+    # has_minor's search leaves production with the minor search itself
+    # (ROADMAP item 4); until then it stays as it is, since a change to
+    # it moves the graph-queries benchmark
+    assert self_referring_closures() == ["minors.has_minor.search"]
+
+
+def test_the_walk_finds_a_closure_that_refers_to_itself(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def outer(n):\n"
+        "    def walk(k):\n        return walk(k - 1) if k else 0\n"
+        "    def flat(k):\n        return k\n"
+        "    return walk(n) + flat(n)\n\n"
+        "def top(n):\n    return top(n - 1) if n else 0\n\n"
+        "class Box:\n"
+        "    def method(self):\n"
+        "        def again():\n            return again\n"
+        "        return again()\n"
+    )
+    assert self_referring_closures(tmp_path) == ["a.outer.walk", "a.Box.method.again"]
