@@ -20,9 +20,11 @@ reference row), the blanks of disjoint_union_row and catalog.diff.
 zero_forcing_number and clique_cover_number sum over components
 themselves.  np, nop and path are one line each in combine.
 
-Block columns: cc, np and nop are decided block by block (combine
-gives the theorems).  combine reads them on a graph with a cut vertex
-from its blocks' rows when its caller hands it the rows of the pieces
+Block columns: cc, np and nop are decided block by block, and np and
+nop of a 2-connected graph with a degree-2 vertex are those of the
+graph with that vertex contracted, up to one connectivity test (combine
+gives the theorems).  combine reads them from the rows of those smaller
+graphs when its caller hands it the rows of the pieces
 (catalog.compute_all, which holds every smaller atlas class); alone
 (bounds --graph6) it computes them on the graph itself.
 
@@ -314,8 +316,34 @@ def combine(
     K2,3 subdivision or minor, since each is 2-connected.  So cc is the
     sum over the blocks, 1 for a K2 or K3 block and the block row's
     cc_ub for a larger one, and g is planar (outerplanar) iff every
-    block row has np_ub (nop_ub) None.  Without piece_row every column
-    is computed on g itself, and components are combined recursively.
+    block row has np_ub (nop_ub) None.
+
+    With piece_row, a 2-connected g of order n >= 4 with a vertex of
+    degree 2 takes np and nop from one smaller row too (the degree-2
+    reduction of Mitchell's outerplanarity test, IPL 9, 1979).  Let v be
+    the lowest such vertex, u < w its neighbours, and H = contract(g, u,
+    v): g - v when u and w are adjacent, g with the path u v w replaced
+    by the edge uw when they are not.  H is 2-connected of order n - 1.
+    Suppressing v keeps 2-connectivity; so does deleting it, since a cut
+    vertex x of g - v outside {u, w} would leave u and w, joined by uw,
+    on one side, and v would not reconnect g - x, while g - v - u is
+    g - u without its leaf v.  Then:
+      (a) g is planar iff H is.  H is a minor of g; and in a plane
+          drawing of H, v goes on the edge uw, or into a face beside it.
+      (b) g is outerplanar iff H is and H - {u, w} is connected, that is
+          g - {u, v, w}.  A 2-connected outerplanar graph of order >= 3
+          has one Hamiltonian cycle C, its outer face.  If uw lies on C,
+          C - {u, w} is a path; if uw is a chord, it splits C - {u, w}
+          into two arcs that no edge joins, as such an edge would cross
+          uw.  So the test says uw lies on C, and v then goes outside C
+          beside uw.  Conversely, in an outerplanar g both edges at v
+          lie on g's cycle, and u v w replaced by uw is a Hamiltonian
+          cycle of H through uw, with every other edge inside it.
+    n >= 4 keeps H - {u, w} nonempty.  cc, zero forcing, diameter and
+    the forbidden flag are computed on g as before.
+
+    Without piece_row every column is computed on g itself, and
+    components are combined recursively.
     """
     comps = graphs.components(g)
     if len(comps) > 1:
@@ -344,8 +372,20 @@ def combine(
         nop_ub = None if outerplanar else n - 3
     else:
         cc = clique_cover_number(g)
-        np_ub = None if is_planar(g, block_sets) else n - 4
-        nop_ub = None if is_outerplanar(g, block_sets) else n - 3
+        v = None  # the lowest vertex of degree 2 of a 2-connected g
+        if piece_row and n >= 4:  # g has no cut vertex here
+            v = next((x for x, r in enumerate(g.adj) if r.bit_count() == 2), None)
+        if v is None:
+            np_ub = None if is_planar(g, block_sets) else n - 4
+            nop_ub = None if is_outerplanar(g, block_sets) else n - 3
+        else:
+            ends = g.adj[v]
+            r = piece_row(graphs.contract(g, (ends & -ends).bit_length() - 1, v))
+            np_ub = None if r.np_ub is None else n - 4
+            outerplanar = r.nop_ub is None and graphs.is_connected(
+                graphs.induced_subgraph(g, g.vertex_mask ^ ends ^ (1 << v))
+            )
+            nop_ub = None if outerplanar else n - 3
     path_ub = None if tree and max(map(int.bit_count, g.adj)) <= 2 else n - 2
     ubs = [cc, n - 1]
     ubs.extend(v for v in (np_ub, nop_ub, path_ub) if v is not None)

@@ -4,9 +4,11 @@ full-table pipeline, and the computed-vs-reference diff.
 compute_all combines each isomorphism class once, in one pass in
 corpus order, and hands combine the rows it already holds: a
 disconnected graph's row is summed from the rows of its components'
-classes, and a graph with a cut vertex reads its clique cover,
-planarity and outerplanarity from the rows of its blocks' classes.  An
-atlas in order of size computes both kinds of piece first.
+classes, a graph with a cut vertex reads its clique cover, planarity
+and outerplanarity from the rows of its blocks' classes, and a
+2-connected graph with a degree-2 vertex reads its planarity and
+outerplanarity from the row of the graph with that vertex contracted.
+An atlas in order of size computes every such piece first.
 
 Atlas file contract: one graph6 string per line, and line k is atlas
 graph k.  Blank lines may follow the last graph but not precede it: a
@@ -212,11 +214,13 @@ def compute_all(corpus: Sequence[Graph], forbidden: ForbiddenList) -> dict[int, 
 
     combine takes the rows of a graph's pieces from row: its components
     when it is disconnected, its blocks of 4 or more vertices when it has
-    a cut vertex.  row returns the row already in out for the piece's
-    class, found through one AtlasIndex that lives for this call only,
-    or combine's own when the corpus lacks the class or holds it only
-    later.  That fallback passes no row, so row holds no reference to
-    itself and is freed by refcount when this call returns.
+    a cut vertex, and the graph with its lowest degree-2 vertex
+    contracted when it is 2-connected of order >= 4.  row returns the
+    row already in out for the piece's class, found through one
+    AtlasIndex that lives for this call only, or combine's own when the
+    corpus lacks the class or holds it only later.  That fallback passes
+    no row, so row holds no reference to itself and is freed by refcount
+    when this call returns.
     """
     index = AtlasIndex(corpus)
     out = {}

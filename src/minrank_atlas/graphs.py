@@ -325,6 +325,20 @@ def induced_subgraph(g: Graph, s: VertexSet) -> Graph:
     return Graph(len(rows), tuple(rows))
 
 
+def contract(g: Graph, u: int, v: int) -> Graph:
+    """Merge v into u and drop v; parallel edges and loops collapse away,
+    and the labels above v shift down by one."""
+    adj = list(g.adj)
+    bit = 1 << u
+    moved = adj[v] & ~bit
+    adj[u] |= moved
+    while moved:
+        low = moved & -moved
+        adj[low.bit_length() - 1] |= bit
+        moved ^= low
+    return induced_subgraph(Graph(g.order, tuple(adj)), ((1 << g.order) - 1) ^ (1 << v))
+
+
 def class_key(g: Graph) -> tuple[int, int, tuple[int, ...]]:
     """(order, size, degree sequence): isomorphic graphs share it, so only
     graphs with equal keys need the bijection search."""

@@ -29,8 +29,14 @@ has_minor, first against K2,3 and then against K4.  Both are
 2-connected, so such a minor lies in one block.  has_minor is the
 classic recursion: H is a minor of G iff H is a subgraph of G (the
 shared search graphs.embeds, not induced) or a minor of some
-single-edge contraction of G.  It is exponential; a visited set keeps
-repeated contractions from blowing up.
+single-edge contraction of G (graphs.contract).  It is exponential; a
+visited set keeps repeated contractions from blowing up.  Only the
+bounds command reaches it (combine with no piece rows, for --atlas and
+--graph6).  catalog.compute_all reads the outerplanarity of a graph
+with a cut vertex or a degree-2 vertex from smaller rows
+(bounds.combine); what is left of order >= 4 is 2-connected with
+minimum degree >= 3 and fails before any search.  So a table or diff
+run over the bundled atlas makes no minor search.
 
 A graph is outerplanar iff it has no K4 minor and no K2,3 minor
 (Chartrand-Harary 1967).  A block that reaches the search is
@@ -57,23 +63,10 @@ the same benchmark fix.
 
 from __future__ import annotations
 
-from minrank_atlas.graphs import Graph, VertexSet, bits, blocks, embeds, induced_subgraph
+from minrank_atlas.graphs import Graph, VertexSet, bits, blocks, contract, embeds, induced_subgraph
 
 K4 = Graph.complete(4)
 K23 = Graph.complete_bipartite(2, 3)
-
-
-def _contract(g: Graph, u: int, v: int) -> Graph:
-    """Merge v into u and drop v; parallel edges and loops collapse away."""
-    adj = list(g.adj)
-    bit = 1 << u
-    moved = adj[v] & ~bit
-    adj[u] |= moved
-    while moved:
-        low = moved & -moved
-        adj[low.bit_length() - 1] |= bit
-        moved ^= low
-    return induced_subgraph(Graph(g.order, tuple(adj)), ((1 << g.order) - 1) ^ (1 << v))
 
 
 def has_minor(g: Graph, h: Graph) -> bool:
@@ -93,7 +86,7 @@ def has_minor(g: Graph, h: Graph) -> bool:
         if cur.order == h.order:
             return False
         for i, j in cur.edges():
-            if search(_contract(cur, i, j)):
+            if search(contract(cur, i, j)):
                 return True
         return False
 

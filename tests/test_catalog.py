@@ -1,9 +1,10 @@
+import gc
 import re
 
 import pytest
 
 from minrank_atlas import catalog, cli
-from minrank_atlas.bounds import CONNECTED_ONLY, BoundsRow, clique_cover_number, combine
+from minrank_atlas.bounds import CONNECTED_ONLY, AtlasIndex, BoundsRow, clique_cover_number, combine
 from minrank_atlas.catalog import (
     FIXTURE_COLUMNS,
     FixtureRow,
@@ -343,8 +344,9 @@ def test_compute_all_combines_a_class_the_corpus_holds_later(atlas_corpus, forbi
 
 def test_compute_all_combines_a_block_class_the_corpus_lacks(atlas_corpus, forbidden, monkeypatch):
     # line 16 (C4) overwritten by line 17's graph: no corpus graph is a
-    # C4, so the C4 component of C4 + K1 and the C4 block of atlas 37
-    # (C4 with a pendant edge) fall back to combine
+    # C4, so the C4 component of C4 + K1, the C4 block of atlas 37 (C4
+    # with a pendant edge) and the C4 that C5 (atlas 38) reaches with a
+    # degree-2 vertex contracted fall back to combine
     c4 = cycle(4)
     corpus = list(atlas_corpus[:60])
     assert is_isomorphic(corpus[15], c4) and articulation_points(corpus[36])
@@ -353,7 +355,7 @@ def test_compute_all_combines_a_block_class_the_corpus_lacks(atlas_corpus, forbi
     combined = []
     monkeypatch.setattr(catalog, "combine", lambda g, fb, row=None: combined.append(g) or real(g, fb, row))
     rows = compute_all(corpus, forbidden)
-    assert sum(is_isomorphic(g, c4) for g in combined) == 2
+    assert sum(is_isomorphic(g, c4) for g in combined) == 3
     assert rows == {a: real(g, forbidden) for a, g in enumerate(corpus, 1)}
 
 
@@ -369,6 +371,68 @@ def test_cut_vertex_rows_take_their_block_columns_from_their_blocks(atlas_corpus
         assert (row.np_ub is None) == is_planar(g), a
         assert (row.nop_ub is None) == is_outerplanar(g), a
         assert row == combine(g, forbidden), a
+
+
+def test_two_connected_rows_take_np_and_nop_from_a_smaller_row(atlas_corpus, computed_table, forbidden):
+    # compute_all reads np and nop of a 2-connected graph with a degree-2
+    # vertex from the row of that vertex contracted; each must be the
+    # column computed on g itself, and the row standalone combine's
+    computed, _ = computed_table
+    no_cut = [(a, g) for a, g in enumerate(atlas_corpus, 1) if is_connected(g) and not articulation_points(g)]
+    assert len(no_cut) == 540
+    assert sum(g.order >= 4 and 2 in map(int.bit_count, g.adj) for _, g in no_cut) == 365
+    for a, g in no_cut:
+        row = computed[a]
+        assert (row.np_ub is None) == is_planar(g), a
+        assert (row.nop_ub is None) == is_outerplanar(g), a
+        assert row == combine(g, forbidden), a
+
+
+def test_compute_all_combines_a_contraction_the_corpus_lacks(forbidden, monkeypatch):
+    # C5's lowest degree-2 vertex contracted gives a C4.  Alone, the corpus
+    # lacks C4; with C4 after it, out has no row for C4 yet; and C4's own
+    # contraction, a K3, is missing too.  Each falls back to combine
+    c5, c4, k3 = cycle(5), cycle(4), Graph.complete(3)
+    real = catalog.combine
+    calls = []
+    def combined(g, fb, row=None):
+        calls.append((g, row is None))
+        return real(g, fb, row)
+
+    monkeypatch.setattr(catalog, "combine", combined)
+    for corpus, expected in (
+        ([c5], [(c5, False), (c4, True)]),
+        ([c5, c4], [(c5, False), (c4, True), (c4, False), (k3, True)]),
+    ):
+        calls.clear()
+        rows = compute_all(corpus, forbidden)
+        assert len(calls) == len(expected)
+        for (h, fallback), (e, want) in zip(calls, expected):
+            assert is_isomorphic(h, e) and fallback == want, (h, fallback)
+        assert rows == {a: real(g, forbidden) for a, g in enumerate(corpus, 1)}
+
+
+def test_atlas_index_lookups_in_compute_all_are_pinned(atlas_corpus, forbidden, monkeypatch):
+    # one lookup per piece: 614 components of the 256 disconnected rows,
+    # 398 blocks of 4 or more vertices of the 456 cut-vertex rows (a K2 or
+    # K3 block needs none) and 365 contractions of 2-connected rows
+    calls = []
+    lookup = AtlasIndex.atlas_number
+    monkeypatch.setattr(AtlasIndex, "atlas_number", lambda self, h: calls.append(h) or lookup(self, h))
+    compute_all(atlas_corpus, forbidden)
+    assert len(calls) == 1377
+
+
+def test_compute_all_leaves_no_reference_cycle(atlas_corpus, forbidden):
+    # the row function holds no reference to itself, and over the atlas
+    # no row runs the minor search, whose nested search refers to itself
+    gc.collect()
+    gc.disable()
+    try:
+        compute_all(atlas_corpus, forbidden)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_cut_vertex_reduction_pins_every_atlas_row(atlas_corpus, computed_table, fixture_rows):

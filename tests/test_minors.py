@@ -4,7 +4,7 @@ import pytest
 
 from minrank_atlas import minors
 from minrank_atlas.catalog import compute_all
-from minrank_atlas.graphs import Graph, is_connected
+from minrank_atlas.graphs import Graph, articulation_points, bits, contract, induced_subgraph, is_connected
 from minrank_atlas.minors import K4, K23, has_minor, is_outerplanar, is_planar
 
 from oracles import K5, K33, brute_has_minor, cycle, path, petersen, random_graph, relabel
@@ -37,7 +37,7 @@ def test_contract_against_edge_list_construction():
         g = random_graph(rng, rng.randint(2, 9), rng.random())
         for i, j in g.edges():
             for u, v in ((i, j), (j, i)):
-                got = minors._contract(g, u, v)
+                got = contract(g, u, v)
                 assert got == contract_by_edge_list(g, u, v), (g, u, v)
                 contracted += 1
     assert contracted >= 3000
@@ -183,13 +183,15 @@ def test_minor_search_calls_over_the_atlas_are_pinned(atlas_graphs, monkeypatch)
 
 def test_minor_search_calls_in_compute_all_are_pinned(atlas_corpus, forbidden, monkeypatch):
     # compute_all reads a cut-vertex row's outerplanarity from its blocks'
-    # rows, so of the 1252 atlas graphs only the 540 with no cut vertex
-    # search; the direct counts above over all 1252 graphs do not move
+    # rows, and a 2-connected row's with a degree-2 vertex from the row of
+    # that vertex contracted; the 175 rows left have order <= 3 or minimum
+    # degree >= 3, which is_outerplanar settles before any search.  The
+    # direct counts above over all 1252 graphs do not move
     calls = []
     search = minors.has_minor
     monkeypatch.setattr(minors, "has_minor", lambda b, h: calls.append(h) or search(b, h))
     compute_all(atlas_corpus, forbidden)
-    assert len(calls) == 220
+    assert len(calls) == 0
 
 
 def subdivide(g: Graph) -> Graph:
@@ -355,6 +357,41 @@ def test_planarity_against_networkx():
         # outerplanar iff adding a vertex joined to every vertex keeps it planar
         assert is_planar(g) == nx_planar(g), g
         assert is_outerplanar(g) == nx_planar(g, apex=True), g
+
+
+def test_degree_two_rule_against_networkx():
+    # bounds.combine's rule for a 2-connected g of order >= 4 with a vertex
+    # v of degree 2, neighbours u and w, and H = v contracted into u:
+    # (a) g planar iff H is; (b) g outerplanar iff H is and g - {u, v, w},
+    # which is H - {u, w}, is connected.  Every degree-2 vertex; into
+    # either neighbour, since both give the same H
+    rng = random.Random(89)
+    seen = {}
+    checked = 0
+    while checked < 400:
+        g = random_graph(rng, rng.randint(4, 10), rng.uniform(0.2, 0.7))
+        twos = [v for v, row in enumerate(g.adj) if row.bit_count() == 2]
+        if not twos or not is_connected(g) or articulation_points(g):
+            continue
+        checked += 1
+        planar, outerplanar = nx_planar(g), nx_planar(g, apex=True)
+        for v in twos:
+            u, w = bits(g.adj[v])
+            through = is_connected(induced_subgraph(g, g.vertex_mask ^ g.adj[v] ^ (1 << v)))
+            h = contract(g, u, v)
+            assert contract(g, w, v) == h, (g, v)
+            h_outerplanar = nx_planar(h, apex=True)
+            assert nx_planar(h) == planar, (g, v)
+            assert (h_outerplanar and through) == outerplanar, (g, v)
+            # (u and w adjacent, H outerplanar, g - {u, v, w} connected)
+            key = (bool(g.adj[u] >> w & 1), h_outerplanar, through)
+            seen[key] = seen.get(key, 0) + 1
+    # both kinds of neighbour pair, and H outerplanar with either answer
+    # of the connectivity test
+    assert sorted(k for k, count in seen.items() if count >= 5) == [
+        (False, False, False), (False, False, True), (False, True, False), (False, True, True),
+        (True, False, False), (True, False, True), (True, True, False), (True, True, True),
+    ], seen
 
 
 def with_pendant_trees(g: Graph, rng, extra: int) -> Graph:
