@@ -431,22 +431,50 @@ class ForbiddenDerivationError(ValueError):
         super().__init__(f"missing minimum-rank rows block the derivation: {detail}")
 
 
+# The number of isomorphism classes of graphs of order k (OEIS A000088)
+CLASSES = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+
+
 class AtlasIndex:
     """Isomorphism class -> atlas number (1-based position) over a corpus.
 
-    Buckets by graphs.class_key.  Every candidate is confirmed,
-    singletons included, since a user corpus need not hold every class;
-    with equal orders the induced search is a bijection test.
+    The corpus is grouped by order, and the first lookup of order k
+    buckets that order's graphs by graphs.class_key, once.  Order k is
+    certified when the corpus holds exactly CLASSES[k] graphs of order k
+    and their keys are pairwise distinct.  Isomorphic graphs share a
+    key, so those graphs are pairwise non-isomorphic: they are CLASSES[k]
+    distinct classes, which is every class of order k.  A query h of
+    order k is then isomorphic to one of them, whose key is h's key, and
+    no other has that key.  So on a certified order a lookup is one dict
+    read.  On any other order (a truncated or user corpus, a class held
+    twice, order >= 8) every candidate in h's bucket is confirmed, in
+    corpus order, so the lowest matching atlas number wins; with equal
+    orders the induced search is a bijection test.
     """
 
     def __init__(self, corpus: Sequence[Graph]):
-        self._buckets: dict[tuple, list[tuple[int, Graph]]] = {}
+        self._by_order: dict[int, list[tuple[int, Graph]]] = {}
         for a, g in enumerate(corpus, 1):
-            self._buckets.setdefault(graphs.class_key(g), []).append((a, g))
+            self._by_order.setdefault(g.order, []).append((a, g))
+        # order -> (certified, class_key -> its graphs in corpus order)
+        self._keyed: dict[int, tuple[bool, dict[tuple, list[tuple[int, Graph]]]]] = {}
+
+    def _key_order(self, k: int):
+        """Bucket the corpus graphs of order k and decide whether k is certified."""
+        held = self._by_order.get(k, ())
+        buckets: dict[tuple, list[tuple[int, Graph]]] = {}
+        for a, g in held:
+            buckets.setdefault(graphs.class_key(g), []).append((a, g))
+        self._keyed[k] = keyed = (len(held) == CLASSES.get(k) == len(buckets), buckets)
+        return keyed
 
     def atlas_number(self, h: Graph) -> int:
         """Atlas number of the corpus graph isomorphic to h; LookupError if none."""
-        for a, g in self._buckets.get(graphs.class_key(h), ()):
+        certified, buckets = self._keyed.get(h.order) or self._key_order(h.order)
+        bucket = buckets.get(graphs.class_key(h), ())
+        if certified:
+            return bucket[0][0]
+        for a, g in bucket:
             if graphs.contains_induced(g, h):
                 return a
         raise LookupError(f"no corpus graph matches order {h.order} size {h.size()}")

@@ -218,9 +218,12 @@ def compute_all(corpus: Sequence[Graph], forbidden: ForbiddenList) -> dict[int, 
     contracted when it is 2-connected of order >= 4.  row returns the
     row already in out for the piece's class, found through one
     AtlasIndex that lives for this call only, or combine's own when the
-    corpus lacks the class or holds it only later.  That fallback passes
-    no row, so row holds no reference to itself and is freed by refcount
-    when this call returns.
+    corpus lacks the class or holds it only later.  Every piece has a
+    lower order than its graph, and the bundled atlas certifies every
+    order (see AtlasIndex), so there each lookup is one dict read with
+    no confirming search, and the order-7 graphs, which no piece has,
+    are never keyed.  The fallback passes no row, so row holds no
+    reference to itself and is freed by refcount when this call returns.
     """
     index = AtlasIndex(corpus)
     out = {}

@@ -7,7 +7,10 @@ solvers branch-light.  Graphs are immutable and hashable.  embeds is
 the one backtracking search, shared by induced containment, isomorphism
 and the minor test's subgraph step.  It rejects on edge and non-edge
 counts before searching, and searches iteratively along a plan built
-once per pattern and kept in a bounded cache.
+once per pattern and kept in a bounded cache.  class_key is the one
+isomorphism invariant: the prefilter of is_isomorphic and the bucket
+key of bounds.AtlasIndex, on whose certified orders it decides the
+class with no search.
 
 Every construction is validated on the whole adjacency matrix at once.
 The n rows are packed into one int, row i in bits [i*w, (i+1)*w) with
@@ -339,10 +342,30 @@ def contract(g: Graph, u: int, v: int) -> Graph:
     return induced_subgraph(Graph(g.order, tuple(adj)), ((1 << g.order) - 1) ^ (1 << v))
 
 
-def class_key(g: Graph) -> tuple[int, int, tuple[int, ...]]:
-    """(order, size, degree sequence): isomorphic graphs share it, so only
-    graphs with equal keys need the bijection search."""
-    return g.order, g.size(), tuple(sorted(row.bit_count() for row in g.adj))
+def class_key(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """(order, the sorted per-vertex (degree, triangles through v, sum of
+    neighbour degrees)): isomorphic graphs share it, so only graphs with
+    equal keys need the bijection search.  It separates all 1252 atlas
+    classes.  Each triple is packed into one int, degree above bit 23
+    and triangles above bit 12: up to order 64 a degree is < 64, a
+    vertex has < 2**11 triangles and its neighbours' degrees sum to
+    < 2**12, so the fields cannot overlap and the ints sort as the
+    triples do."""
+    adj = g.adj
+    deg = list(map(int.bit_count, adj))
+    fields = []
+    for d, row in zip(deg, adj):
+        twice = spread = 0  # twice the triangles through v; the neighbours' degree sum
+        rest = row
+        while rest:
+            low = rest & -rest
+            w = low.bit_length() - 1
+            twice += (adj[w] & row).bit_count()
+            spread += deg[w]
+            rest ^= low
+        fields.append(d << 23 | twice << 11 | spread)
+    fields.sort()
+    return g.order, tuple(fields)
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
@@ -362,7 +385,8 @@ def contains_induced(g: Graph, pattern: Graph) -> bool:
 
 # Plans, not answers, are cached.  The cache is a bounded LRU rather
 # than a plan held by each looping caller, because the patterns are not
-# bounded: AtlasIndex sends one query graph per lookup.  The loops that
+# bounded: AtlasIndex sends one query graph per lookup on an order it
+# cannot certify (on a certified order it searches none).  The loops that
 # repeat a pattern (the forbidden list and K4/K2,3 in every combine, the
 # kept graphs and each deletion across the hosts of
 # derive_forbidden_list, a query across its bucket, an atlas graph

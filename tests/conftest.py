@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from minrank_atlas import bounds, catalog, witness
+from minrank_atlas import bounds, catalog, graphs, witness
 
 REPO = Path(__file__).resolve().parent.parent
 DATA = REPO / "data"
@@ -53,3 +54,32 @@ def computed_table(atlas_corpus, forbidden):
 @pytest.fixture(scope="session")
 def witness_records():
     return witness.parse_witness_file(DATA / "witnesses.txt")
+
+
+@pytest.fixture
+def lookup_counts(monkeypatch):
+    """Counts, while the test runs, of "lookups" (AtlasIndex.atlas_number
+    calls), "confirmations" (the contains_induced searches a lookup runs)
+    and "contains_induced" (every call, from anywhere)."""
+    counts = Counter()
+    depth = [0]  # lookups in progress
+    search = graphs.contains_induced
+    lookup = bounds.AtlasIndex.atlas_number
+
+    def counted_search(g, pattern):
+        counts["contains_induced"] += 1
+        if depth[0]:
+            counts["confirmations"] += 1
+        return search(g, pattern)
+
+    def counted_lookup(self, h):
+        counts["lookups"] += 1
+        depth[0] += 1
+        try:
+            return lookup(self, h)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(graphs, "contains_induced", counted_search)
+    monkeypatch.setattr(bounds.AtlasIndex, "atlas_number", counted_lookup)
+    return counts

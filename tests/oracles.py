@@ -563,6 +563,17 @@ def relabel(g: Graph, perm: list[int]) -> Graph:
     return Graph(g.order, tuple(rows))
 
 
+def to_networkx(g: Graph):
+    """g as a networkx graph on the same vertex labels; networkx is a
+    test-only dependency, imported on first use."""
+    import networkx as nx
+
+    h = nx.Graph()
+    h.add_nodes_from(range(g.order))
+    h.add_edges_from(g.edges())
+    return h
+
+
 def graph6_by_integer(g: Graph) -> str:
     """graph6 line (order <= 62) packed into one big integer: the pair
     bits in column-major order, zero-padded, then cut into 6-bit groups

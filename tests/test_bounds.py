@@ -1,5 +1,6 @@
 import gc
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -17,6 +18,7 @@ from minrank_atlas.bounds import (
     tree_minimum_rank,
     zero_forcing_number,
 )
+from minrank_atlas.catalog import compute_all
 from minrank_atlas.graphs import Graph, class_key, is_isomorphic, is_tree, contains_induced
 
 from oracles import (
@@ -32,6 +34,7 @@ from oracles import (
     random_graph,
     random_tree,
     relabel,
+    to_networkx,
     tree_path_cover_brute,
     zero_forcing_scan,
     zf_closure,
@@ -601,31 +604,34 @@ def test_derive_forbidden_agrees_with_deletion_lookup(atlas_corpus, fixture_rows
     assert gaps >= 5 and len(outcomes) - 2 - gaps >= 5
 
 
-def test_atlas_index_finds_relabelled_graphs(atlas_corpus, atlas_graphs):
+def _relabelled(g: Graph, rng) -> Graph:
+    perm = list(range(g.order))
+    rng.shuffle(perm)
+    return relabel(g, perm)
+
+
+def test_atlas_index_finds_relabelled_graphs(atlas_corpus, atlas_graphs, lookup_counts):
+    # the atlas holds every class of each order once, so every order is
+    # certified and no lookup runs a confirming search
     index = AtlasIndex(atlas_corpus)
     rng = random.Random(113)
-    small = [a for a, g in atlas_graphs.items() if g.order <= 6]
-    assert len(small) == 208
-    for a in small:
-        g = atlas_graphs[a]
-        perm = list(range(g.order))
-        rng.shuffle(perm)
-        assert index.atlas_number(relabel(g, perm)) == a
+    for a, g in atlas_graphs.items():
+        assert index.atlas_number(_relabelled(g, rng)) == a
+    assert lookup_counts["lookups"] == 1252 and lookup_counts["confirmations"] == 0
 
 
 def test_atlas_index_confirms_every_bucket(atlas_corpus):
-    # truncate just before the first graph whose class key an earlier
-    # graph already has: its bucket is nonempty but holds another class,
-    # so the lookup must still fail
-    seen = set()
-    for cut, g in enumerate(atlas_corpus):
-        key = class_key(g)
-        if key in seen:
-            break
-        seen.add(key)
-    index = AtlasIndex(atlas_corpus[:cut])
+    # the cube Q3 and the Wagner graph are both cubic and triangle-free on
+    # 8 vertices, so they share a class key, and they are not isomorphic
+    # (Q3 is bipartite, and the Wagner graph has the 5-cycle 0 1 2 3 4):
+    # the bucket is nonempty but holds another class, so the lookup fails
+    cube = Graph.from_edges(8, [(v, v ^ b) for v in range(8) for b in (1, 2, 4) if v < v ^ b])
+    wagner = Graph.from_edges(8, [(v, (v + 1) % 8) for v in range(8)] + [(v, v + 4) for v in range(4)])
+    assert class_key(cube) == class_key(wagner) and not is_isomorphic(cube, wagner)
+    index = AtlasIndex([cube])
+    assert index.atlas_number(relabel(cube, [3, 6, 0, 5, 7, 1, 4, 2])) == 1
     with pytest.raises(LookupError):
-        index.atlas_number(atlas_corpus[cut])
+        index.atlas_number(wagner)
     with pytest.raises(LookupError):
         index.atlas_number(Graph.complete(7))
     # the key is a class invariant: no relabeling moves a graph to another bucket
@@ -634,6 +640,75 @@ def test_atlas_index_confirms_every_bucket(atlas_corpus):
         perm = list(range(g.order))
         rng.shuffle(perm)
         assert class_key(relabel(g, perm)) == class_key(g)
+
+
+def test_atlas_index_certifies_only_complete_orders(atlas_corpus, lookup_counts):
+    rng = random.Random(31)
+    # without C5 (atlas 38) order 5 confirms the one candidate of each
+    # bucket, and C5's key has no bucket; the graphs after it move down one
+    assert is_isomorphic(atlas_corpus[37], cycle(5))
+    index = AtlasIndex(atlas_corpus[:37] + atlas_corpus[38:])
+    for a, g in enumerate(atlas_corpus, 1):
+        lookup_counts.clear()
+        if a == 38:
+            with pytest.raises(LookupError):
+                index.atlas_number(_relabelled(g, rng))
+        else:
+            assert index.atlas_number(_relabelled(g, rng)) == a - (a > 38)
+        assert lookup_counts["confirmations"] == (g.order == 5 and a != 38), a
+    # atlas 8 (4K1) replaced by a relabelled C4 (atlas 16): order 4 holds
+    # 11 graphs but 10 keys, so it confirms, and C4 finds its lower copy
+    twice = list(atlas_corpus)
+    twice[7] = _relabelled(atlas_corpus[15], rng)
+    index = AtlasIndex(twice)
+    for a, g in enumerate(atlas_corpus, 1):
+        lookup_counts.clear()
+        if a == 8:
+            with pytest.raises(LookupError):
+                index.atlas_number(_relabelled(g, rng))
+        else:
+            assert index.atlas_number(_relabelled(g, rng)) == (8 if a == 16 else a)
+        assert lookup_counts["confirmations"] == (g.order == 4 and a != 8), a
+
+
+def test_classes_are_the_networkx_atlas_counts():
+    nx = pytest.importorskip("networkx")
+    counts = Counter(len(h) for h in nx.graph_atlas_g()[1:])  # networkx 0 is the null graph
+    assert bounds.CLASSES == dict(counts) == {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+
+
+def test_class_key_is_the_networkx_triples(atlas_corpus):
+    # per vertex (degree, triangles through it, neighbours' degree sum),
+    # taken from networkx on its own copy of the atlas, unpacked from
+    # class_key's fields; the triples tell all 1252 classes apart
+    nx = pytest.importorskip("networkx")
+    keys = set()
+    for g, h in zip(atlas_corpus, nx.graph_atlas_g()[1:]):
+        triangles = nx.triangles(h)
+        triples = sorted((h.degree(v), triangles[v], sum(h.degree(w) for w in h[v])) for v in h)
+        keys.add((len(h), tuple(triples)))
+        order, fields = class_key(g)
+        assert (order, [(f >> 23, f >> 12 & 0x7FF, f & 0xFFF) for f in fields]) == (len(h), triples)
+    assert len(keys) == len({class_key(g) for g in atlas_corpus}) == 1252
+
+
+def test_compute_all_lookups_find_isomorphic_atlas_graphs(atlas_corpus, forbidden, monkeypatch):
+    nx = pytest.importorskip("networkx")
+    # every (piece, atlas number) pair compute_all resolves, checked by
+    # networkx's own isomorphism test against networkx's own atlas graph
+    found = []
+    lookup = AtlasIndex.atlas_number
+
+    def record(self, h):
+        found.append((h, lookup(self, h)))
+        return found[-1][1]
+
+    monkeypatch.setattr(AtlasIndex, "atlas_number", record)
+    compute_all(atlas_corpus, forbidden)
+    assert len(found) == 1377
+    reference = nx.graph_atlas_g()
+    for h, a in found:
+        assert nx.is_isomorphic(to_networkx(h), reference[a]), (h, a)
 
 
 def test_read_write_forbidden_round_trip(tmp_path, forbidden, data_dir, monkeypatch):

@@ -4,7 +4,7 @@ import re
 import pytest
 
 from minrank_atlas import catalog, cli
-from minrank_atlas.bounds import CONNECTED_ONLY, AtlasIndex, BoundsRow, clique_cover_number, combine
+from minrank_atlas.bounds import CONNECTED_ONLY, BoundsRow, clique_cover_number, combine
 from minrank_atlas.catalog import (
     FIXTURE_COLUMNS,
     FixtureRow,
@@ -17,7 +17,7 @@ from minrank_atlas.catalog import (
 from minrank_atlas.graphs import Graph, articulation_points, is_connected, is_isomorphic
 from minrank_atlas.minors import is_outerplanar, is_planar
 
-from oracles import corpus_integrity_mismatches, cycle, deletion_law_faults, mr_by_cut_vertex, path
+from oracles import corpus_integrity_mismatches, cycle, deletion_law_faults, mr_by_cut_vertex, path, relabel
 
 
 def test_load_atlas_spot_entries(atlas_corpus):
@@ -412,15 +412,22 @@ def test_compute_all_combines_a_contraction_the_corpus_lacks(forbidden, monkeypa
         assert rows == {a: real(g, forbidden) for a, g in enumerate(corpus, 1)}
 
 
-def test_atlas_index_lookups_in_compute_all_are_pinned(atlas_corpus, forbidden, monkeypatch):
-    # one lookup per piece: 614 components of the 256 disconnected rows,
-    # 398 blocks of 4 or more vertices of the 456 cut-vertex rows (a K2 or
-    # K3 block needs none) and 365 contractions of 2-connected rows
-    calls = []
-    lookup = AtlasIndex.atlas_number
-    monkeypatch.setattr(AtlasIndex, "atlas_number", lambda self, h: calls.append(h) or lookup(self, h))
-    compute_all(atlas_corpus, forbidden)
-    assert len(calls) == 1377
+def test_compute_all_over_uncertified_orders_equals_combine(atlas_corpus, forbidden, lookup_counts):
+    # without C5 (atlas 38) order 5 is uncertified and C5's pieces fall
+    # back to combine; with atlas 8 (4K1) replaced by a relabelled C4
+    # (atlas 16) order 4 holds C4 twice, and its lookups find atlas 8
+    c4 = atlas_corpus[15]
+    without_c5 = atlas_corpus[:37] + atlas_corpus[38:]
+    c4_twice = [*atlas_corpus[:7], relabel(c4, [2, 0, 3, 1]), *atlas_corpus[8:]]
+    alone = {}
+    for corpus in (without_c5, c4_twice):
+        lookup_counts.clear()
+        rows = compute_all(corpus, forbidden)
+        assert lookup_counts["confirmations"] > 0
+        for g in corpus:
+            if g not in alone:
+                alone[g] = combine(g, forbidden)
+        assert rows == {a: alone[g] for a, g in enumerate(corpus, 1)}
 
 
 def test_compute_all_leaves_no_reference_cycle(atlas_corpus, forbidden):

@@ -31,6 +31,7 @@ from oracles import (
     path,
     random_graph,
     relabel,
+    to_networkx,
 )
 
 
@@ -446,14 +447,6 @@ def test_maximal_cliques_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
-
-
-def to_networkx(g):
-    nx = pytest.importorskip("networkx")
-    h = nx.Graph()
-    h.add_nodes_from(range(g.order))
-    h.add_edges_from(g.edges())
-    return h
 
 
 def test_maximal_cliques_against_networkx(atlas_graphs):

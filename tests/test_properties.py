@@ -1,7 +1,8 @@
 """Property tests: Graph accepts and rejects exactly as the row-and-pair
 rule of oracles.graph_fault, the bound columns are graph invariants, the
-graph6 reader fails only with its own error, and a malformed witness
-block is reported at its path:line.  Derandomized, so every run draws
+graph6 reader fails only with its own error, an AtlasIndex lookup finds
+a graph networkx calls isomorphic, and a malformed witness block is
+reported at its path:line.  Derandomized, so every run draws
 the same examples."""
 
 import pytest
@@ -9,12 +10,12 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from minrank_atlas.bounds import combine
+from minrank_atlas.bounds import AtlasIndex, combine
 from minrank_atlas.graph6 import Graph6Error, from_graph6
 from minrank_atlas.graphs import Graph
 from minrank_atlas.witness import parse_witness_file
 
-from oracles import graph_fault, relabel
+from oracles import graph_fault, relabel, to_networkx
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150, database=None)
 
@@ -75,6 +76,23 @@ def graph_and_permutation(draw):
 def test_every_column_is_invariant_under_relabelling(forbidden, case):
     g, perm = case
     assert combine(relabel(g, perm), forbidden) == combine(g, forbidden)
+
+
+@pytest.fixture(scope="module")
+def indexed_atlas(atlas_corpus):
+    """An AtlasIndex over the atlas, and networkx's own copy of the atlas."""
+    nx = pytest.importorskip("networkx")
+    return AtlasIndex(atlas_corpus), nx.graph_atlas_g()
+
+
+@PROPERTY
+@given(graph_and_permutation().filter(lambda case: case[0].order <= 6))
+def test_atlas_index_finds_an_isomorphic_atlas_graph(indexed_atlas, case):
+    nx = pytest.importorskip("networkx")
+    index, reference = indexed_atlas
+    g, perm = case
+    a = index.atlas_number(relabel(g, perm))
+    assert nx.is_isomorphic(to_networkx(g), reference[a])
 
 
 GRAPH6_BYTES = [chr(c) for c in range(63, 127)]
