@@ -20,13 +20,8 @@ reference row), the blanks of disjoint_union_row and catalog.diff.
 zero_forcing_number and clique_cover_number sum over components
 themselves.  np, nop and path are one line each in combine.
 
-Block columns: cc, np and nop are decided block by block, and np and
-nop of a 2-connected graph with a degree-2 vertex are those of the
-graph with that vertex contracted, up to one connectivity test (combine
-gives the theorems).  combine reads them from the rows of those smaller
-graphs when its caller hands it the rows of the pieces
-(catalog.compute_all, which holds every smaller atlas class); alone
-(bounds --graph6) it computes them on the graph itself.
+Block columns: combine's docstring gives the reductions by which it
+reads cc, np and nop from the rows of smaller graphs (piece_row).
 
 combine computes the upper bounds first and starts the zero forcing
 search at n - ub, ub the least of cc, np, nop, path, n - 1 and the tree

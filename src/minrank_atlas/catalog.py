@@ -2,13 +2,9 @@
 full-table pipeline, and the computed-vs-reference diff.
 
 compute_all combines each isomorphism class once, in one pass in
-corpus order, and hands combine the rows it already holds: a
-disconnected graph's row is summed from the rows of its components'
-classes, a graph with a cut vertex reads its clique cover, planarity
-and outerplanarity from the rows of its blocks' classes, and a
-2-connected graph with a degree-2 vertex reads its planarity and
-outerplanarity from the row of the graph with that vertex contracted.
-An atlas in order of size computes every such piece first.
+corpus order, and hands combine the rows it already holds (piece_row;
+combine's docstring gives the reductions that read them).  An atlas in
+order of size computes every such piece first.
 
 Atlas file contract: one graph6 string per line, and line k is atlas
 graph k.  Blank lines may follow the last graph but not precede it: a

@@ -146,18 +146,6 @@ class Graph:
             rows[j] |= 1 << i
         return cls(order, tuple(rows))
 
-    @classmethod
-    def complete(cls, order: int) -> Graph:
-        full = (1 << order) - 1
-        return cls(order, tuple(full ^ (1 << i) for i in range(order)))
-
-    @classmethod
-    def complete_bipartite(cls, a: int, b: int) -> Graph:
-        left = (1 << a) - 1
-        right = ((1 << (a + b)) - 1) ^ left
-        rows = [right] * a + [left] * b
-        return cls(a + b, tuple(rows))
-
     @property
     def vertex_mask(self) -> VertexSet:
         return (1 << self.order) - 1
@@ -387,7 +375,8 @@ def contains_induced(g: Graph, pattern: Graph) -> bool:
 # than a plan held by each looping caller, because the patterns are not
 # bounded: AtlasIndex sends one query graph per lookup on an order it
 # cannot certify (on a certified order it searches none).  The loops that
-# repeat a pattern (the forbidden list and K4/K2,3 in every combine, the
+# repeat a pattern (the forbidden list in every combine, K4/K2,3 in the
+# combine of the bounds command, which alone runs the minor search, the
 # kept graphs and each deletion across the hosts of
 # derive_forbidden_list, a query across its bucket, an atlas graph
 # across verify-witnesses runs) reuse it while it is recent.

@@ -1,72 +1,48 @@
 """Planarity by path addition, and outerplanarity by minor containment.
 
-is_planar works block by block.  A block of fewer than 5 vertices
-has at most 6 edges and passes at once; of a larger one it first
-counts the edges m and the degrees.  A block with m < 9 is planar, by
-Kuratowski's theorem: K3,3 has 9 edges and K5 10, and a subdivision
-has at least as many.  So is a block with fewer than 6 vertices of
-degree >= 3 and fewer than 5 of degree >= 4: a K3,3 subdivision has 6
-branch vertices of degree >= 3 and a K5 subdivision 5 of degree >= 4,
-and either one is 2-connected, so it lies in one block and its branch
-vertices have those degrees there.  A block of order n with
-m > 3n - 6 is not planar, by Euler's formula.  The rest run
-Demoucron-Malgrange-Pertuiset path addition (1964).  A block is
-2-connected, so it has a cycle H to start from, and every face of H
-and of what grows on it is bounded by a cycle.  The fragments of G
-relative to H are the chords of H and the components of G - H with
-their attachments in H; a fragment fits a face holding all its
-attachments.  If some fragment fits no face, G is not planar.
-Otherwise a path between two attachments of one fragment is drawn in
-a face, the only one if some fragment has only one, and splits it.
-For planar G every such choice still extends to an embedding, so the
-method never backtracks and runs in polynomial time.  Vertex sets are
-bit masks throughout, walked inline (low = rest & -rest).
+Both are decided block by block, since K5, K3,3, K4 and K2,3 are
+2-connected, and so is every subdivision of one: such a subdivision or
+minor lies in one block.  is_planar and is_outerplanar state their
+rules; _planar_block is the path addition, and has_minor the classic
+recursion: H is a minor of G iff H is a subgraph of G (the shared
+search graphs.embeds, not induced) or a minor of some single-edge
+contraction of G (graphs.contract).  It is exponential; a visited set
+keeps repeated contractions from blowing up.  Vertex sets are bit
+masks throughout, walked inline (low = rest & -rest).
 
-is_outerplanar, block by block: a block of order <= 3 passes, one
-with m > 2n - 3 or minimum degree >= 3 fails (both read from the
-degrees inside the block, before its graph is built), and the rest run
-has_minor, first against K2,3 and then against K4.  Both are
-2-connected, so such a minor lies in one block.  has_minor is the
-classic recursion: H is a minor of G iff H is a subgraph of G (the
-shared search graphs.embeds, not induced) or a minor of some
-single-edge contraction of G (graphs.contract).  It is exponential; a
-visited set keeps repeated contractions from blowing up.  Only the
-bounds command reaches it (combine with no piece rows, for --atlas and
---graph6).  catalog.compute_all reads the outerplanarity of a graph
-with a cut vertex or a degree-2 vertex from smaller rows
-(bounds.combine); what is left of order >= 4 is 2-connected with
-minimum degree >= 3 and fails before any search.  So a table or diff
-run over the bundled atlas makes no minor search.
+A block that reaches is_outerplanar's minor search is 2-connected with
+minimum degree <= 2, so it is not K4, and in such a block a K4 minor
+brings a K2,3 minor with it.  K4 has maximum degree 3, so its minor is
+a subdivision of it in the block.  If the subdivision subdivides the
+edge between corners a and b, then a and b are the hubs of a K2,3
+subdivision: its spokes are that subdivided edge and the paths through
+each of the other two corners.  If it is a bare K4, the block has a
+vertex v outside it, and v reaches two corners a and b by paths that
+share only v (the block is 2-connected); a and b are then the hubs of a
+K2,3 subdivision with spokes through v and through each of the other
+two corners.  So the K2,3 search, which stops at its first hit, runs
+first, and the K4 search, which would run to exhaustion on every
+series-parallel block that is not outerplanar, runs only once the K2,3
+search has failed.  There it is provably redundant.  It stays because
+dropping it speeds up the benchmark's graph-queries loop so much that
+peak memory, which grows with the operations that loop holds until the
+run ends, reads as a regression.
 
-A graph is outerplanar iff it has no K4 minor and no K2,3 minor
-(Chartrand-Harary 1967).  A block that reaches the search is
-2-connected with minimum degree <= 2, so it is not K4, and in such a
-block a K4 minor brings a K2,3 minor with it.  K4 has maximum degree
-3, so its minor is a subdivision of it in the block.  If the
-subdivision subdivides the edge between corners a and b, then a and b
-are the hubs of a K2,3 subdivision: its spokes are that subdivided
-edge and the paths through each of the other two corners.  If it is a
-bare K4, the block has a vertex v outside it, and v reaches two
-corners a and b by paths that share only v (the block is 2-connected);
-a and b are then the hubs of a K2,3 subdivision with spokes through v
-and through each of the other two corners.  So the K2,3 search, which
-stops at its first hit, runs first, and the K4 search, which would run
-to exhaustion on every series-parallel block that is not outerplanar,
-runs only once the K2,3 search has failed.  There it is provably
-redundant.  It stays because dropping it speeds up the benchmark's
-graph-queries loop so much that peak memory, which grows with the
-operations that loop holds until the run ends, reads as a regression.
-Path addition on a block plus an apex vertex would decide
-outerplanarity in polynomial time and retire has_minor; it waits for
-the same benchmark fix.
+The degree-2 reduction (Mitchell, IPL 9, 1979; bounds.combine proves
+its step) would retire has_minor.  Take a block of order >= 4 and
+repeat: with no vertex of degree 2 left it is not outerplanar; with one,
+v with neighbours u and w, it is not outerplanar if what is left minus
+{u, v, w} is disconnected, and otherwise v is deleted and uw joined.
+Reaching a triangle, it is outerplanar.  That is polynomial, and it
+waits for the same benchmark fix as the K4 search.
 """
 
 from __future__ import annotations
 
 from minrank_atlas.graphs import Graph, VertexSet, bits, blocks, contract, embeds, induced_subgraph
 
-K4 = Graph.complete(4)
-K23 = Graph.complete_bipartite(2, 3)
+K4 = Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+K23 = Graph.from_edges(5, [(i, j) for i in range(2) for j in range(2, 5)])
 
 
 def has_minor(g: Graph, h: Graph) -> bool:
@@ -130,8 +106,19 @@ def _route(adj, start: int, inner: VertexSet, ends: VertexSet) -> list[int]:
 
 
 def _planar_block(adj, block: VertexSet) -> bool:
-    """Path addition on a 2-connected block of order >= 3; adj[v] & block
-    are v's neighbours in the block.  Faces are cyclic vertex lists."""
+    """Path addition on a 2-connected block of order >= 3
+    (Demoucron-Malgrange-Pertuiset, 1964); adj[v] & block are v's
+    neighbours in the block.  The block has a cycle H to start from, and
+    every face of H and of what grows on it is bounded by a cycle; faces
+    are cyclic vertex lists.  The fragments of the block relative to H
+    are the chords of H and the components of block - H with their
+    attachments in H; a fragment fits a face holding all its
+    attachments.  If some fragment fits no face, the block is not
+    planar.  Otherwise a path between two attachments of one fragment is
+    drawn in a face, the only one if some fragment has only one, and
+    splits it.  For a planar block every such choice still extends to an
+    embedding, so the method never backtracks and runs in polynomial
+    time."""
     u = (block & -block).bit_length() - 1
     a = (adj[u] & block & -(adj[u] & block)).bit_length() - 1
     cycle = _route(adj, u, block ^ (1 << u) ^ (1 << a), 1 << a)
@@ -202,18 +189,17 @@ def _planar_block(adj, block: VertexSet) -> bool:
 
 
 def is_planar(g: Graph, block_sets: list[VertexSet] | None = None) -> bool:
-    """Every block planar.  A block of fewer than 5 vertices has at most
-    6 edges, and one with m < 9 edges is planar, since K3,3 has 9 edges
-    and K5 10 (Kuratowski); so is one with fewer than 6 vertices of
-    degree >= 3 and fewer than 5 of degree >= 4 in the block, since a
-    K3,3 subdivision has 6 branch vertices of degree >= 3 and a K5
-    subdivision 5 of degree >= 4, all in one block.  One with
-    m > 3n - 6 is not planar (Euler); path addition decides the rest.
-    block_sets, when given, is blocks(g)."""
+    """Every block planar.  A nonplanar block holds a subdivision of K3,3,
+    with 6 branch vertices of degree >= 3, or of K5, with 5 of degree
+    >= 4 (Kuratowski), and those degrees hold inside the block.  So a
+    block with fewer than 6 vertices of degree >= 3 and fewer than 5 of
+    degree >= 4 in it is planar; that takes in every block of fewer than
+    5 vertices or 9 edges, since 6 such vertices need 9 edges and 5 need
+    10.  One of order n with m > 3n - 6 edges is not planar (Euler);
+    path addition decides the rest.  block_sets, when given, is
+    blocks(g)."""
     adj = g.adj
     for block in blocks(g) if block_sets is None else block_sets:
-        if block.bit_count() < 5:
-            continue
         twice = branch3 = branch4 = 0
         rest = block
         while rest:
@@ -223,22 +209,22 @@ def is_planar(g: Graph, block_sets: list[VertexSet] | None = None) -> bool:
             branch3 += d >= 3
             branch4 += d >= 4
             rest ^= low
-        m = twice // 2
-        if m < 9 or branch3 < 6 and branch4 < 5:
+        if branch3 < 6 and branch4 < 5:
             continue
-        if m > 3 * block.bit_count() - 6 or not _planar_block(adj, block):
+        if twice // 2 > 3 * block.bit_count() - 6 or not _planar_block(adj, block):
             return False
     return True
 
 
 def is_outerplanar(g: Graph, block_sets: list[VertexSet] | None = None) -> bool:
-    """No K2,3 minor and no K4 minor, tested block by block.  A block of
-    order n <= 3 passes.  One with m > 2n - 3 edges or minimum degree
-    >= 3 fails, both read from the degrees adj[v] & block before the
-    block's graph is built.  The rest search K2,3 first: a searched
-    block is not K4, so a K4 minor implies a K2,3 minor (see the module
-    docstring), and the K4 search, redundant once the K2,3 search has
-    failed, runs last.  block_sets, when given, is blocks(g)."""
+    """Every block outerplanar: no K2,3 minor and no K4 minor
+    (Chartrand-Harary 1967).  A block of order n <= 3 passes.  One with
+    m > 2n - 3 edges or minimum degree >= 3 fails, since a 2-connected
+    outerplanar graph is its Hamiltonian outer cycle plus at most n - 3
+    chords and has a vertex of degree 2; both are read from the degrees
+    adj[v] & block before the block's graph is built.  The rest search
+    K2,3 first, then K4, which is redundant there (see the module
+    docstring).  block_sets, when given, is blocks(g)."""
     adj = g.adj
     for block in blocks(g) if block_sets is None else block_sets:
         n = block.bit_count()

@@ -25,11 +25,6 @@ from minrank_atlas.graphs import (
 from minrank_atlas.ratmat import IntMatrix, parse_rational
 from minrank_atlas.witness import WitnessRecord
 
-# Kuratowski's graphs: planar iff neither is a minor (Wagner)
-K5 = Graph.complete(5)
-K33 = Graph.complete_bipartite(3, 3)
-
-
 def path(n: int) -> Graph:
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
@@ -49,6 +44,15 @@ def complete_multipartite(*sizes: int) -> Graph:
     part = [i for i, size in enumerate(sizes) for _ in range(size)]
     n = len(part)
     return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if part[i] != part[j]])
+
+
+def complete(n: int) -> Graph:
+    return complete_multipartite(*[1] * n)
+
+
+# Kuratowski's graphs: planar iff neither is a minor (Wagner)
+K5 = complete(5)
+K33 = complete_multipartite(3, 3)
 
 
 def disjoint_union(*parts: Graph) -> Graph:
@@ -312,6 +316,30 @@ def rank_mod_p(rows, p: int) -> int:
                 a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
         r += 1
     return r
+
+
+def rank_gf2(rows) -> int:
+    """Rank over GF(2) of the rows, each an int bit mask: a row is reduced
+    by the kept row with its lowest bit until it is 0 or has a new one."""
+    pivots: dict[int, int] = {}  # lowest bit -> kept row
+    for row in rows:
+        while row:
+            low = row & -row
+            if low not in pivots:
+                pivots[low] = row
+                break
+            row ^= pivots[low]
+    return len(pivots)
+
+
+def mr_gf2(g: Graph) -> int:
+    """Minimum rank of g over GF(2), by exhaustion.  There the only nonzero
+    entry is 1, so the symmetric matrices with g's pattern are
+    A(g) + diag(d) for d in {0, 1}^n: the least rank over all 2^n."""
+    return min(
+        rank_gf2([row | (d >> i & 1) << i for i, row in enumerate(g.adj)])
+        for d in range(1 << g.order)
+    )
 
 
 def tree_path_cover_brute(t: Graph) -> int:

@@ -24,15 +24,18 @@ from minrank_atlas.graphs import Graph, class_key, is_isomorphic, is_tree, conta
 from oracles import (
     brute_clique_cover,
     clique_cover_by_edge_index,
+    complete,
     complete_multipartite,
     cycle,
     derive_by_deletion_lookup,
     disjoint_union,
     is_triangle_free,
+    mr_gf2,
     path,
     petersen,
     random_graph,
     random_tree,
+    rank_mod_p,
     relabel,
     to_networkx,
     tree_path_cover_brute,
@@ -44,7 +47,7 @@ from oracles import (
 def test_zf_closure_examples():
     p3 = path(3)
     assert zf_closure(p3, 0b001) == 0b111
-    k3 = Graph.complete(3)
+    k3 = complete(3)
     assert zf_closure(k3, 0b001) == 0b001
     assert zf_closure(k3, k3.vertex_mask) == k3.vertex_mask
     with pytest.raises(ValueError):
@@ -67,17 +70,17 @@ def test_zf_closure_properties():
 @pytest.mark.parametrize("n", range(1, 8))
 def test_zero_forcing_families(n):
     assert zero_forcing_number(path(n)) == 1
-    assert zero_forcing_number(Graph.complete(n)) == max(1, n - 1)
+    assert zero_forcing_number(complete(n)) == max(1, n - 1)
     assert zero_forcing_number(Graph(n, (0,) * n)) == n
     if n >= 3:
         assert zero_forcing_number(cycle(n)) == 2
 
 
 def test_zero_forcing_stars_and_bipartite():
-    assert zero_forcing_number(Graph.complete_bipartite(1, 3)) == 2
-    assert zero_forcing_number(Graph.complete_bipartite(1, 4)) == 3
-    assert zero_forcing_number(Graph.complete_bipartite(2, 3)) == 3
-    assert zero_forcing_number(Graph.complete_bipartite(3, 3)) == 4
+    assert zero_forcing_number(complete_multipartite(1, 3)) == 2
+    assert zero_forcing_number(complete_multipartite(1, 4)) == 3
+    assert zero_forcing_number(complete_multipartite(2, 3)) == 3
+    assert zero_forcing_number(complete_multipartite(3, 3)) == 4
 
 
 def test_zero_forcing_disconnected_is_additive():
@@ -110,7 +113,7 @@ def test_zero_forcing_searches_connected_graphs_only(monkeypatch):
     closure = bounds._closure
     monkeypatch.setattr(bounds, "_closure", lambda adj, b: searched.add(adj) or closure(adj, b))
     rng = random.Random(2401)
-    cases = [disjoint_union(path(3), Graph.complete(3)), Graph(3, (0,) * 3)]
+    cases = [disjoint_union(path(3), complete(3)), Graph(3, (0,) * 3)]
     cases += [random_graph(rng, rng.randint(2, 8), rng.uniform(0.1, 0.4)) for _ in range(40)]
     assert sum(not graphs.is_connected(g) for g in cases) >= 20
     for g in cases:
@@ -122,8 +125,8 @@ def test_zero_forcing_searches_connected_graphs_only(monkeypatch):
 @pytest.mark.parametrize("g", [
     *(path(n) for n in range(1, 8)),
     *(cycle(n) for n in range(3, 8)),
-    *(Graph.complete_bipartite(1, n) for n in range(2, 6)),
-    Graph.complete_bipartite(3, 3),
+    *(complete_multipartite(1, n) for n in range(2, 6)),
+    complete_multipartite(3, 3),
 ], ids=repr)
 def test_zero_forcing_start_at_most_z_keeps_the_answer(g):
     z = zero_forcing_number(g)
@@ -154,7 +157,7 @@ def test_combine_zero_forcing_start_beyond_the_atlas(forbidden, monkeypatch):
 
 
 def test_zfs_and_diam_gating(forbidden):
-    assert combine(Graph.complete(5), forbidden).zfs_lb == 1
+    assert combine(complete(5), forbidden).zfs_lb == 1
     assert combine(path(6), forbidden).zfs_lb == 5
     assert combine(path(4), forbidden).diam_lb == 3
     assert combine(Graph(1, (0,)), forbidden).diam_lb == 0
@@ -163,11 +166,11 @@ def test_zfs_and_diam_gating(forbidden):
 
 
 def test_clique_cover_examples():
-    assert clique_cover_number(Graph.complete(5)) == 1
+    assert clique_cover_number(complete(5)) == 1
     assert clique_cover_number(path(4)) == 3
     assert clique_cover_number(cycle(5)) == 5
     assert clique_cover_number(Graph(4, (0,) * 4)) == 0
-    assert clique_cover_number(Graph.complete_bipartite(2, 3)) == 6
+    assert clique_cover_number(complete_multipartite(2, 3)) == 6
     # two triangles sharing an edge: the triangles cover everything
     g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
     assert clique_cover_number(g) == 2
@@ -176,7 +179,7 @@ def test_clique_cover_examples():
 def test_clique_cover_of_one_clique_per_edge_needs_no_recursion():
     # each of K32,32's 1024 edges is its own maximal clique, so every
     # clique is forced and the cover is taken with no search
-    assert clique_cover_number(Graph.complete_bipartite(32, 32)) == 1024
+    assert clique_cover_number(complete_multipartite(32, 32)) == 1024
 
 
 def test_clique_cover_searches_connected_graphs_only(monkeypatch):
@@ -289,7 +292,7 @@ def test_forced_cliques_against_the_edge_index_search(monkeypatch):
     for g in every:
         forced, cliques, searched = check(g)
         assert forced == cliques and searched == 0, g
-    k3232 = Graph.complete_bipartite(32, 32)
+    k3232 = complete_multipartite(32, 32)
     frames[0] = 0
     assert clique_cover_number(k3232) == 1024 and frames[0] == 0
 
@@ -298,7 +301,7 @@ def test_forced_cliques_against_the_edge_index_search(monkeypatch):
         assert check(g)[0] == 0 and clique_cover_number(g) == cc
 
     # forced and unforced mixed: pendant triangles and paths glued on
-    triangle, pendant = Graph.complete(3), path(4)
+    triangle, pendant = complete(3), path(4)
     for host, cc in ((k222, 4), (k333, 9)):
         for at in range(host.order):
             g = glue_on(host, triangle, at)
@@ -339,17 +342,17 @@ def test_structural_upper_bounds(forbidden):
         row = combine(g, forbidden)
         return row.np_ub, row.nop_ub, row.path_ub
 
-    assert structural(Graph.complete(5)) == (1, 2, 3)
-    assert structural(Graph.complete(4)) == (None, 1, 2)
+    assert structural(complete(5)) == (1, 2, 3)
+    assert structural(complete(4)) == (None, 1, 2)
     assert structural(path(4)) == (None, None, None)
-    assert structural(Graph.complete(7)) == (3, 4, 5)
+    assert structural(complete(7)) == (3, 4, 5)
 
 
 def test_forbidden_flag_with_bundled_list(forbidden):
     assert is_forbidden_mr2(path(4), forbidden)
     assert is_forbidden_mr2(cycle(5), forbidden)
-    assert not is_forbidden_mr2(Graph.complete(3), forbidden)
-    assert not is_forbidden_mr2(Graph.complete_bipartite(1, 3), forbidden)
+    assert not is_forbidden_mr2(complete(3), forbidden)
+    assert not is_forbidden_mr2(complete_multipartite(1, 3), forbidden)
     # disconnected members of the family
     p3_k2 = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
     assert is_forbidden_mr2(p3_k2, forbidden)
@@ -390,7 +393,7 @@ def test_k333_forces_minimum_rank_three(forbidden):
         assert not any(contains_induced(h, p) for p in forbidden.patterns)
         assert is_forbidden_mr2(h, forbidden)
     # K4,4 (mr 2) holds no K3,3,3
-    assert not is_forbidden_mr2(Graph.complete_bipartite(4, 4), forbidden)
+    assert not is_forbidden_mr2(complete_multipartite(4, 4), forbidden)
 
 
 def test_forbidden_list_requires_patterns():
@@ -409,8 +412,8 @@ def test_path_cover_paths(n):
 
 
 def test_path_cover_examples():
-    assert tree_path_cover_number(Graph.complete_bipartite(1, 3)) == 2
-    assert tree_path_cover_number(Graph.complete_bipartite(1, 4)) == 3
+    assert tree_path_cover_number(complete_multipartite(1, 3)) == 2
+    assert tree_path_cover_number(complete_multipartite(1, 4)) == 3
     double_star = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5)])
     assert tree_path_cover_number(double_star) == 2
     # 5 legs of 8 around a center: two legs share a path through it
@@ -453,12 +456,12 @@ def test_path_cover_against_all_corpus_trees(atlas_graphs):
 
 def test_tree_minimum_rank_examples():
     assert tree_minimum_rank(path(7)) == 6
-    assert tree_minimum_rank(Graph.complete_bipartite(1, 4)) == 2
+    assert tree_minimum_rank(complete_multipartite(1, 4)) == 2
     assert tree_minimum_rank(Graph(1, (0,))) == 0
 
 
 def test_combine_k5(forbidden):
-    row = combine(Graph.complete(5), forbidden)
+    row = combine(complete(5), forbidden)
     assert (row.lb, row.ub, row.mr_exact) == (1, 1, 1)
     assert row.con and not row.tree and not row.cv
     assert (row.zfs_lb, row.diam_lb, row.cc_ub) == (1, 1, 1)
@@ -545,32 +548,85 @@ def test_derived_family_is_the_theorems(atlas_corpus, fixture_rows):
     assert sorted(ks[0] for ks in matches.values()) == [0, 1, 2, 3, 4]
 
 
-def test_deletion_laws_past_the_atlas(forbidden):
-    # mr(G - v) <= mr(G) <= mr(G - v) + 2 and |mr(G) - mr(G - e)| <= 1, so
-    # the computed bounds of seeded connected graphs of order 8-10 and of
-    # each of their one-vertex and one-edge deletions must not contradict
+def seeded_past_the_atlas() -> list[Graph]:
+    """60 seeded connected graphs, 20 each of order 8, 9 and 10."""
     rng = random.Random(0)
-    checks, bad = 0, []  # a check is one deletion and its two laws
+    seeded = []
     for n in (8, 9, 10):
-        seeded = []
-        while len(seeded) < 20:
+        while len(seeded) < 20 * (n - 7):
             g = random_graph(rng, n)
             if graphs.is_connected(g):
                 seeded.append(g)
-        for g in seeded:
-            row = combine(g, forbidden)
-            for v in range(n):
-                h = combine(graphs.induced_subgraph(g, g.vertex_mask ^ (1 << v)), forbidden)
-                checks += 1
-                if not (h.lb <= row.ub and row.lb <= h.ub + 2):
-                    bad.append((g, "vertex", v))
-            edges = list(g.edges())
-            for e in edges:
-                h = combine(Graph.from_edges(n, [f for f in edges if f != e]), forbidden)
-                checks += 1
-                if not (row.lb <= h.ub + 1 and h.lb <= row.ub + 1):
-                    bad.append((g, "edge", e))
+    return seeded
+
+
+def test_deletion_laws_past_the_atlas(forbidden):
+    # mr(G - v) <= mr(G) <= mr(G - v) + 2 and |mr(G) - mr(G - e)| <= 1, so
+    # the computed bounds of seeded connected graphs of order 8-10 and of
+    # each of their one-vertex and one-edge deletions must not contradict;
+    # and n - Z >= diam on each seeded graph (see
+    # test_zero_forcing_bound_is_at_least_the_diameter)
+    checks, bad = 0, []  # a check is one deletion and its two laws
+    for g in seeded_past_the_atlas():
+        n = g.order
+        row = combine(g, forbidden)
+        if row.zfs_lb < row.diam_lb:
+            bad.append((g, "diameter", row.diam_lb))
+        for v in range(n):
+            h = combine(graphs.induced_subgraph(g, g.vertex_mask ^ (1 << v)), forbidden)
+            checks += 1
+            if not (h.lb <= row.ub and row.lb <= h.ub + 2):
+                bad.append((g, "vertex", v))
+        edges = list(g.edges())
+        for e in edges:
+            h = combine(Graph.from_edges(n, [f for f in edges if f != e]), forbidden)
+            checks += 1
+            if not (row.lb <= h.ub + 1 and h.lb <= row.ub + 1):
+                bad.append((g, "edge", e))
     assert bad == [] and checks == 1627
+
+
+def test_zero_forcing_bound_is_at_least_the_diameter(computed_table):
+    # n - Z(g) >= diam(g) on a connected g: for a diametral path
+    # P = v0 ... vd, the set {v0} and V - P forces P in order, since
+    # v(i-1)'s only white neighbour is vi (a shortest path has no chord
+    # and V - P is blue), so Z <= n - d
+    computed, _ = computed_table
+    rows = [r for r in computed.values() if r.con]
+    assert [r for r in rows if r.zfs_lb < r.diam_lb] == []
+    assert len(rows) == 996 and sum(r.zfs_lb == r.diam_lb for r in rows) == 239
+
+
+def test_lower_bounds_hold_over_gf2(computed_table, fixtures_by_atlas, atlas_graphs, forbidden):
+    # n - Z and diam bound mr from below over every field, so none may
+    # exceed the minimum rank over GF(2), found by exhaustion with no
+    # code shared with the bound kernels
+    computed, _ = computed_table
+    gf2 = {a: mr_gf2(g) for a, g in atlas_graphs.items()}
+    assert [a for a, r in computed.items() if r.lb > gf2[a]] == []
+    # against the real mr (the reference, or mr_exact where the table
+    # has no row): GF(2) never goes below it, and goes above it on 312
+    split = Counter()
+    for a, r in computed.items():
+        real = fixtures_by_atlas[a].mr if a in fixtures_by_atlas else r.mr_exact
+        split["none" if real is None else (gf2[a] > real) - (gf2[a] < real)] += 1
+    assert split == {0: 937, 1: 312, "none": 3}
+    assert [a for a, r in computed.items() if a not in fixtures_by_atlas and r.mr_exact is None] == [339, 343, 344]
+    # the flag's lb = 3 holds over GF(2) on the atlas, since each bundled
+    # pattern has mr 3 there and mr is monotone under induced subgraphs;
+    # K3,3,3 has mr 2 over GF(2), so past the atlas only n - Z and diam
+    # are checked.  rank_mod_p checks the elimination on these six
+    k333 = complete_multipartite(3, 3, 3)
+    for g, mr in [*((p, 3) for p in forbidden.patterns), (k333, 2)]:
+        assert mr_gf2(g) == mr, g
+        ranks = []
+        for d in range(1 << g.order):
+            rows = [row | (d >> i & 1) << i for i, row in enumerate(g.adj)]
+            ranks.append(rank_mod_p([[r >> j & 1 for j in range(g.order)] for r in rows], 2))
+        assert min(ranks) == mr, g
+    for g in seeded_past_the_atlas():
+        row = combine(g, forbidden)
+        assert max(row.zfs_lb, row.diam_lb) <= mr_gf2(g), g
 
 
 def test_derive_forbidden_reports_gaps(atlas_corpus):
@@ -633,7 +689,7 @@ def test_atlas_index_confirms_every_bucket(atlas_corpus):
     with pytest.raises(LookupError):
         index.atlas_number(wagner)
     with pytest.raises(LookupError):
-        index.atlas_number(Graph.complete(7))
+        index.atlas_number(complete(7))
     # the key is a class invariant: no relabeling moves a graph to another bucket
     rng = random.Random(29)
     for g in atlas_corpus:

@@ -17,7 +17,7 @@ from minrank_atlas.catalog import (
 from minrank_atlas.graphs import Graph, articulation_points, is_connected, is_isomorphic
 from minrank_atlas.minors import is_outerplanar, is_planar
 
-from oracles import corpus_integrity_mismatches, cycle, deletion_law_faults, mr_by_cut_vertex, path, relabel
+from oracles import complete, corpus_integrity_mismatches, cycle, deletion_law_faults, mr_by_cut_vertex, path, relabel
 
 
 def test_load_atlas_spot_entries(atlas_corpus):
@@ -325,7 +325,7 @@ def test_compute_all_combines_a_class_the_corpus_lacks(atlas_corpus, forbidden, 
     combined = []
     monkeypatch.setattr(catalog, "combine", lambda g, fb, row=None: combined.append(g) or real(g, fb, row))
     rows = compute_all(corpus, forbidden)
-    assert Graph.complete(2) in combined
+    assert complete(2) in combined
     assert rows == {a: real(g, forbidden) for a, g in enumerate(corpus, 1)}
 
 
@@ -333,12 +333,12 @@ def test_compute_all_combines_a_class_the_corpus_holds_later(atlas_corpus, forbi
     # the first 60 atlas graphs in reverse: each disconnected graph comes
     # before its components' classes, so out has no row for them yet
     corpus = atlas_corpus[:60][::-1]
-    assert corpus[-3] == Graph.complete(2)
+    assert corpus[-3] == complete(2)
     real = catalog.combine
     combined = []
     monkeypatch.setattr(catalog, "combine", lambda g, fb, row=None: combined.append(g) or real(g, fb, row))
     rows = compute_all(corpus, forbidden)
-    assert combined.count(Graph.complete(2)) > 1
+    assert combined.count(complete(2)) > 1
     assert rows == {a: real(g, forbidden) for a, g in enumerate(corpus, 1)}
 
 
@@ -392,7 +392,7 @@ def test_compute_all_combines_a_contraction_the_corpus_lacks(forbidden, monkeypa
     # C5's lowest degree-2 vertex contracted gives a C4.  Alone, the corpus
     # lacks C4; with C4 after it, out has no row for C4 yet; and C4's own
     # contraction, a K3, is missing too.  Each falls back to combine
-    c5, c4, k3 = cycle(5), cycle(4), Graph.complete(3)
+    c5, c4, k3 = cycle(5), cycle(4), complete(3)
     real = catalog.combine
     calls = []
     def combined(g, fb, row=None):

@@ -26,6 +26,8 @@ from oracles import (
     blocks_by_recursion,
     brute_contains_induced,
     brute_contains_subgraph,
+    complete,
+    complete_multipartite,
     cycle,
     induced_subgraph_by_index,
     path,
@@ -83,10 +85,10 @@ def test_valid_graphs_pass_without_the_scan(monkeypatch):
 
 
 def test_size_families():
-    assert Graph.complete(5).size() == 10
+    assert complete(5).size() == 10
     assert Graph(1, (0,)).size() == 0
     assert path(6).size() == 5
-    assert Graph.complete_bipartite(3, 3).size() == 9
+    assert complete_multipartite(3, 3).size() == 9
 
 
 def test_components_and_connectivity():
@@ -94,7 +96,7 @@ def test_components_and_connectivity():
     assert components(two) == [0b01, 0b10]
     assert not is_connected(two)
     assert is_connected(Graph(1, (0,)))
-    assert is_connected(Graph.complete(5))
+    assert is_connected(complete(5))
 
 
 def test_components_partition_random():
@@ -113,7 +115,7 @@ def test_components_partition_random():
 @pytest.mark.parametrize("n", range(2, 8))
 def test_diameter_families(n):
     assert diameter(path(n)) == n - 1
-    assert diameter(Graph.complete(n)) == 1
+    assert diameter(complete(n)) == 1
 
 
 def test_diameter_edge_cases():
@@ -127,7 +129,7 @@ def test_articulation_points():
     assert articulation_points(path(4)) == 0b0110
     assert articulation_points(cycle(5)) == 0
     assert articulation_points(Graph.from_edges(2, [(0, 1)])) == 0
-    star = Graph.complete_bipartite(1, 3)
+    star = complete_multipartite(1, 3)
     assert articulation_points(star) == 0b0001
     bowtie = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
     assert articulation_points(bowtie) == 0b00100
@@ -203,7 +205,7 @@ def test_tree_and_path_predicates(forbidden):
     # a path is a tree of maximum degree <= 2: combine leaves its path_ub blank
     assert is_tree(Graph(1, (0,))) and combine(Graph(1, (0,)), forbidden).path_ub is None
     assert is_tree(path(5)) and combine(path(5), forbidden).path_ub is None
-    star = Graph.complete_bipartite(1, 3)
+    star = complete_multipartite(1, 3)
     assert is_tree(star) and combine(star, forbidden).path_ub is not None
     assert not is_tree(cycle(4))
     assert not is_tree(Graph(3, (0, 0, 0)))  # disconnected forest is not a tree
@@ -217,14 +219,14 @@ def test_complement_involution():
 
 
 def test_induced_subgraph():
-    k3 = induced_subgraph(Graph.complete(5), 0b10101)
-    assert is_isomorphic(k3, Graph.complete(3))
+    k3 = induced_subgraph(complete(5), 0b10101)
+    assert is_isomorphic(k3, complete(3))
     p3 = induced_subgraph(path(4), 0b0111)
     assert is_isomorphic(p3, path(3))
     with pytest.raises(ValueError):
-        induced_subgraph(Graph.complete(3), 0)
+        induced_subgraph(complete(3), 0)
     with pytest.raises(ValueError):
-        induced_subgraph(Graph.complete(3), 0b1000)
+        induced_subgraph(complete(3), 0b1000)
 
 
 def test_induced_subgraph_against_index_map():
@@ -271,7 +273,7 @@ def test_isomorphism_symmetric():
 
 
 def test_isomorphism_rejections():
-    assert not is_isomorphic(path(4), Graph.complete_bipartite(1, 3))
+    assert not is_isomorphic(path(4), complete_multipartite(1, 3))
     assert not is_isomorphic(path(4), path(3))
     # same order, size, and degree sequence, still non-isomorphic
     two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
@@ -287,14 +289,14 @@ def test_contains_induced():
     # (host, pattern, induced answer, plain answer); the cases after the
     # first four are grouped by the count or degree exit they exercise
     k1 = Graph(1, (0,))
-    star = Graph.complete_bipartite(1, 3)
+    star = complete_multipartite(1, 3)
     k2_k1 = Graph.from_edges(3, [(0, 1)])
     three_k1 = Graph(3, (0, 0, 0))
     two_k2 = Graph.from_edges(4, [(0, 1), (2, 3)])
     k5_minus_edge = Graph.from_edges(5, [(i, j) for i in range(5) for j in range(i + 1, 5) if (i, j) != (0, 1)])
     cases = [
         (path(5), path(4), True, True),
-        (Graph.complete(5), path(4), False, True),
+        (complete(5), path(4), False, True),
         (cycle(5), path(4), True, True),
         (path(3), path(4), False, False),
         # equal orders and sizes, different degree sequences
@@ -302,9 +304,9 @@ def test_contains_induced():
         (star, path(4), False, False),
         # too many pattern non-edges: 2K2 has 4 and K5 - e 1; 3K1 has 3 and K4 none
         (k5_minus_edge, two_k2, False, True),
-        (Graph.complete(4), three_k1, False, True),
+        (complete(4), three_k1, False, True),
         # a pattern degree (4) above every host degree (2), with edges to spare
-        (cycle(8), Graph.complete_bipartite(1, 4), False, False),
+        (cycle(8), complete_multipartite(1, 4), False, False),
         # isolated pattern vertices
         (path(3), k2_k1, False, True),
         (path(4), k2_k1, True, True),
@@ -313,14 +315,14 @@ def test_contains_induced():
         # order 1
         (k1, k1, True, True),
         (path(3), k1, True, True),
-        (k1, Graph.complete(2), False, False),
+        (k1, complete(2), False, False),
         # order 64: the top vertex bit, and counts past a machine word
         (path(64), path(64), True, True),
         (cycle(64), path(63), True, True),
         (cycle(64), path(64), False, True),
-        (Graph.complete(64), path(5), False, True),
-        (Graph.complete(64), Graph.complete(64), True, True),
-        (relabel(path(64), [63 - v for v in range(64)]), Graph.complete(3), False, False),
+        (complete(64), path(5), False, True),
+        (complete(64), complete(64), True, True),
+        (relabel(path(64), [63 - v for v in range(64)]), complete(3), False, False),
     ]
     for g, p, induced, plain in cases:
         assert contains_induced(g, p) == embeds(g, p, induced=True) == induced, (g, p)
@@ -407,7 +409,7 @@ def test_embedding_search_against_networkx():
 
 
 def test_maximal_cliques_examples():
-    assert maximal_cliques(Graph.complete(5)) == [0b11111]
+    assert maximal_cliques(complete(5)) == [0b11111]
     c5 = cycle(5)
     assert sorted(c.bit_count() for c in maximal_cliques(c5)) == [2] * 5
     p3 = path(3)

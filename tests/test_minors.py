@@ -7,14 +7,14 @@ from minrank_atlas.catalog import compute_all
 from minrank_atlas.graphs import Graph, articulation_points, bits, contract, induced_subgraph, is_connected
 from minrank_atlas.minors import K4, K23, has_minor, is_outerplanar, is_planar
 
-from oracles import K5, K33, brute_has_minor, cycle, path, petersen, random_graph, relabel
+from oracles import K5, K33, brute_has_minor, complete, complete_multipartite, cycle, path, petersen, random_graph, relabel
 
 
 def test_has_minor_basics():
     assert has_minor(K5, K5)
     assert has_minor(K33, K33)
     assert not has_minor(cycle(5), K4)
-    assert has_minor(Graph.complete(7), K5)
+    assert has_minor(complete(7), K5)
     assert has_minor(cycle(4), cycle(3))  # contraction needed
     assert not has_minor(path(7), cycle(3))
 
@@ -66,7 +66,7 @@ def test_planarity_classics():
     assert not is_planar(K33)
     assert is_planar(K4)
     assert is_planar(cycle(7))
-    assert is_planar(Graph.complete_bipartite(2, 5))
+    assert is_planar(complete_multipartite(2, 5))
     # K5 minus an edge and K3,3 minus an edge are planar
     k5e = Graph.from_edges(5, [(i, j) for i in range(5) for j in range(i + 1, 5) if (i, j) != (0, 1)])
     assert is_planar(k5e)
@@ -77,7 +77,7 @@ def test_outerplanarity_classics():
     assert not is_outerplanar(K23)
     assert is_outerplanar(cycle(6))
     assert is_outerplanar(path(7))
-    assert is_outerplanar(Graph.complete(3))
+    assert is_outerplanar(complete(3))
     wheel4 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (4, 1), (4, 2), (4, 3)])
     assert not is_outerplanar(wheel4)
     assert is_planar(wheel4)
@@ -246,10 +246,10 @@ HARD_CASES = [
     ("octahedron", OCTAHEDRON, True, False),
     ("two K5 at a vertex", glue(K5, K5), False, False),
     ("K5 with a pendant path", glue(K5, path(4)), False, False),
-    ("K3,3 with a pendant triangle", glue(K33, Graph.complete(3)), False, False),
+    ("K3,3 with a pendant triangle", glue(K33, complete(3)), False, False),
     ("K4 with a pendant edge", glue(K4, path(2)), True, False),
     ("K2,3 glued to K4", glue(K23, K4), True, False),
-    ("triangles on a bridge", glue(glue(Graph.complete(3), path(2)), Graph.complete(3)), True, True),
+    ("triangles on a bridge", glue(glue(complete(3), path(2)), complete(3)), True, True),
     ("K5 and an isolated vertex", Graph.from_edges(6, K5.edges()), False, False),
     ("C6 and isolated vertices", Graph.from_edges(8, cycle(6).edges()), True, True),
     ("spider", Graph.from_edges(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]), True, True),
@@ -284,9 +284,9 @@ def test_reductions_decide_without_search(monkeypatch):
     # small blocks; is_planar never searches
     assert is_planar(cycle(30)) and is_outerplanar(path(30))
     assert is_planar(subdivide(K4)) and is_planar(glue(K4, K4))
-    assert is_outerplanar(glue(Graph.complete(3), Graph.complete(3)))
+    assert is_outerplanar(glue(complete(3), complete(3)))
     assert not is_planar(K5) and not is_planar(subdivide(K5))
-    assert not is_planar(glue(path(3), Graph.complete(6)))
+    assert not is_planar(glue(path(3), complete(6)))
     # m > 2n - 3 (m = 2n - 2 here, with a degree-2 vertex) and minimum degree >= 3
     assert not is_outerplanar(K4_PLUS_DEGREE_TWO)
     assert not is_outerplanar(K33) and not is_outerplanar(OCTAHEDRON)
@@ -317,10 +317,11 @@ def branch_counts(adj, block) -> tuple[int, int]:
 
 
 def test_path_addition_runs_only_between_the_edge_count_exits(atlas_graphs, monkeypatch):
-    # is_planar settles a block with m < 9 (planar) or m > 3n - 6 (not)
-    # from its edge count, and one with too few vertices of degree >= 3
-    # and of degree >= 4 for a Kuratowski subdivision (planar) from its
-    # degrees; path addition sees only the rest
+    # is_planar settles a block with too few vertices of degree >= 3 and
+    # of degree >= 4 for a Kuratowski subdivision (planar) from its
+    # degrees, and one with m > 3n - 6 (not) from its edge count; path
+    # addition sees only the rest, so m >= 9, since 6 vertices of degree
+    # >= 3 need 9 edges and 5 of degree >= 4 need 10
     seen = []
     planar_block = minors._planar_block
 
@@ -335,7 +336,7 @@ def test_path_addition_runs_only_between_the_edge_count_exits(atlas_graphs, monk
         is_planar(g)
     assert all(9 <= m <= 3 * n - 6 for n, m, _, _ in seen), seen
     assert all(b3 >= 6 or b4 >= 5 for _, _, b3, b4 in seen), seen
-    # 648 calls with the edge-count exits alone
+    # 648 calls with only the m < 9 and Euler exits
     assert len(seen) == 341
 
 

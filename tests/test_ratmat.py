@@ -14,7 +14,7 @@ from minrank_atlas.ratmat import (
 )
 from minrank_atlas.witness import parse_witness_file
 
-from oracles import gauss_jordan_rank, matrix
+from oracles import complete, gauss_jordan_rank, matrix
 
 
 def identity(n):
@@ -131,7 +131,7 @@ def test_is_symmetric():
 def test_pattern_graph():
     assert pattern_graph(identity(7)).size() == 0
     ones = matrix([[1] * 3] * 3)
-    assert is_isomorphic(pattern_graph(ones), Graph.complete(3))
+    assert is_isomorphic(pattern_graph(ones), complete(3))
     with pytest.raises(ValueError):
         pattern_graph(matrix([[0, 1], [0, 0]]))
     m = matrix([[5, 0, Fraction(1, 2)], [0, 0, -1], [Fraction(1, 2), -1, 7]])
